@@ -5,8 +5,14 @@ every cell cut along its lower-left to upper-right diagonal so that meshes
 are reproducible across runs.  Nodal fields carry vector data at vertices,
 element fields carry one N x 2 tensor per triangle (gradients, right-hand
 sides, flux fields).  Ball queries go by element barycenter against an open
-ball, which gives exact per-ball measures and deterministic ties.
+ball, which gives exact per-ball measures and deterministic ties.  All
+ball statistics come from one kernel, `ball_stats`, which scans only the
+cells around the largest ball and takes deviations from each ball mean
+directly.
 """
+
+import functools
+import math
 
 import numpy as np
 
@@ -19,6 +25,7 @@ __all__ = [
     "integrate",
     "ball_elements",
     "ball_oscillation",
+    "ball_stats",
     "boundary_values",
     "write_nodal_field",
     "read_nodal_field",
@@ -130,6 +137,29 @@ class Mesh:
         cell = iy * M + ix
         return cell if ly <= lx else cell + M * M
 
+    @functools.cached_property
+    def _element_grid(self):
+        # element index = triangle * M^2 + iy * M + ix, triangle 0 lower, 1 upper
+        M = self.cells_per_side
+        return np.arange(2 * M * M).reshape(2, M, M)
+
+    def cell_box_elements(self, center, r):
+        """Elements of the cells met by the square of half side r around center.
+
+        Lower triangles (index = cell) come before upper ones (cell + M^2),
+        so the result is in ascending element index.  Every barycenter lies
+        h/3 inside its cell, so the box holds every element whose
+        barycenter is closer than r to the center.
+        """
+        def cell_range(c, lo):
+            # cells [first, stop) along one axis; slicing clips stop to M
+            return (max(math.floor((c - r - lo) / self.h), 0),
+                    max(math.floor((c + r - lo) / self.h) + 1, 0))
+
+        ax, bx = cell_range(float(center[0]), self.bounds[0])
+        ay, by = cell_range(float(center[1]), self.bounds[2])
+        return self._element_grid[:, ay:by, ax:bx].ravel()
+
     def interior_points(self, margin, stride=1):
         """Barycenters at distance > margin from the boundary, subsampled."""
         x0, x1, y0, y1 = self.bounds
@@ -218,15 +248,56 @@ def integrate(mesh, f):
     return float(np.sum(mesh.areas * f))
 
 
+def _ball_members(mesh, center, radii):
+    """Per radius, the elements whose barycenter lies in the open ball
+    B_r(center), in ascending element index (possibly empty)."""
+    if min(radii, default=1.0) <= 0.0:
+        raise ValueError("radius must be positive")
+    center = np.asarray(center, dtype=float)
+    cand = mesh.cell_box_elements(center, max(radii, default=0.0))
+    d = mesh.barycenters[cand] - center
+    d2 = d[:, 0] ** 2 + d[:, 1] ** 2
+    return [cand[d2 < r * r] for r in radii]
+
+
+def _require_nonempty(counts, center, radii):
+    for count, r in zip(counts, radii):
+        if count == 0:
+            raise EmptyBallError(
+                f"ball of radius {r} at {tuple(center)} is below mesh resolution")
+
+
+def ball_stats(mesh, f: ElemField, center, radii, q=1.0):
+    """Element counts, mean tensors and q-mean oscillations over the open
+    balls B_r(center), one per radius.
+
+    Returns (counts, means, oscs) of shapes (R,), (R, N, 2) and (R,), with
+    osc_q = (mean of |f - mean|^q)^(1/q) taken against the ball mean
+    directly.  An empty ball has count 0 and nan mean and oscillation.
+    """
+    if q < 1.0:
+        raise ValueError("q must be at least 1")
+    counts = np.zeros(len(radii), dtype=np.int64)
+    means = np.full((len(radii),) + f.tensors.shape[1:], np.nan)
+    oscs = np.full(len(radii), np.nan)
+    for k, idx in enumerate(_ball_members(mesh, center, radii)):
+        if idx.size == 0:
+            continue
+        w = mesh.areas[idx]
+        w = w / w.sum()
+        block = f.tensors[idx]
+        mean = np.einsum("e,enk->nk", w, block)
+        dev = np.sqrt(np.sum((block - mean) ** 2, axis=(1, 2)))
+        counts[k] = idx.size
+        means[k] = mean
+        oscs[k] = np.sum(w * dev ** q) ** (1.0 / q)
+    return counts, means, oscs
+
+
 def ball_elements(mesh, center, r):
     """Elements whose barycenter lies in the open ball B_r(center)."""
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    d = mesh.barycenters - np.asarray(center, dtype=float)
-    idx = np.flatnonzero(d[:, 0] ** 2 + d[:, 1] ** 2 < r * r)
-    if idx.size == 0:
-        raise EmptyBallError(
-            f"ball of radius {r} at {tuple(center)} is below mesh resolution")
+    (idx,) = _ball_members(mesh, center, [r])
+    _require_nonempty([idx.size], center, [r])
     return idx
 
 
@@ -235,16 +306,9 @@ def ball_oscillation(mesh, f: ElemField, center, r, q=1.0):
 
     Returns (mean, osc_q) with osc_q = (mean of |f - mean|^q)^(1/q).
     """
-    if q < 1.0:
-        raise ValueError("q must be at least 1")
-    idx = ball_elements(mesh, center, r)
-    w = mesh.areas[idx]
-    w = w / w.sum()
-    block = f.tensors[idx]
-    mean = np.einsum("e,enk->nk", w, block)
-    dev = np.sqrt(np.sum((block - mean) ** 2, axis=(1, 2)))
-    osc = float(np.sum(w * dev ** q) ** (1.0 / q))
-    return mean, osc
+    counts, means, oscs = ball_stats(mesh, f, center, [r], q)
+    _require_nonempty(counts, center, [r])
+    return means[0], float(oscs[0])
 
 
 def boundary_values(mesh, fn, components=1):
@@ -270,29 +334,56 @@ def write_nodal_field(path, u: NodalField):
                 fh.write(f"{node},{comp},{float(u.values[node, comp])!r}\n")
 
 
-def read_nodal_field(path):
-    values = {}
-    max_node = max_comp = -1
+def _read_table(path, header, sizes):
+    """Rows 'i_1,...,i_k,value' under a fixed header, as a dense array.
+
+    sizes gives each index's extent, or None to take it from the largest
+    index given.  Every index tuple must have exactly one row: a malformed
+    row, an index out of range, a duplicate or a gap raises ValueError
+    naming path:line.
+    """
+    k = len(sizes)
+    keys, vals, lines = [], [], []
     with open(path) as fh:
-        header = fh.readline()
-        if header.strip() != "node,comp,value":
-            raise ValueError(f"{path}:1: expected header 'node,comp,value'")
+        if fh.readline().strip() != header:
+            raise ValueError(f"{path}:1: expected header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
             try:
-                node, comp, val = int(parts[0]), int(parts[1]), float(parts[2])
+                keys.append([int(t) for t in parts[:k]])
+                vals.append(float(parts[k]))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
-            values[(node, comp)] = val
-            max_node = max(max_node, node)
-            max_comp = max(max_comp, comp)
-    out = np.zeros((max_node + 1, max_comp + 1))
-    for (node, comp), val in values.items():
-        out[node, comp] = val
-    return NodalField(out)
+            lines.append(lineno)
+    if not lines:
+        raise ValueError(f"{path}:1: no rows after the header")
+    keys = np.array(keys)
+    shape = tuple(int(keys[:, j].max()) + 1 if n is None else n
+                  for j, n in enumerate(sizes))
+    bad = np.flatnonzero(((keys < 0) | (keys >= shape)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}:{lines[bad[0]]}: index out of range for shape {shape}")
+    flat = np.ravel_multi_index(keys.T, shape)
+    order = np.argsort(flat, kind="stable")
+    # sorted, a complete table reads 0, 1, 2, ...: the first place it does
+    # not is a duplicate (a repeat of the index before) or a gap
+    bad = np.flatnonzero(flat[order] != np.arange(flat.size))
+    if bad.size or flat.size < np.prod(shape):
+        i = bad[0] if bad.size else flat.size
+        dup = i < flat.size and flat[order[i]] < i
+        index = tuple(int(t) for t in np.unravel_index(i - dup, shape))
+        raise ValueError(f"{path}:{lines[order[i]] if i < flat.size else lines[-1]}: "
+                         f"{'duplicate row' if dup else 'no row'} for index {index}")
+    out = np.empty(shape)
+    out.flat[flat] = vals
+    return out
+
+
+def read_nodal_field(path):
+    return NodalField(_read_table(path, "node,comp,value", (None, None)))
 
 
 def write_elem_field(path, f: ElemField):
@@ -306,27 +397,4 @@ def write_elem_field(path, f: ElemField):
 
 
 def read_elem_field(path):
-    entries = {}
-    max_e = max_r = -1
-    with open(path) as fh:
-        header = fh.readline()
-        if header.strip() != "elem,row,col,value":
-            raise ValueError(f"{path}:1: expected header 'elem,row,col,value'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                e, r, c, val = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
-            if c not in (0, 1):
-                raise ValueError(f"{path}:{lineno}: column index must be 0 or 1")
-            entries[(e, r, c)] = val
-            max_e = max(max_e, e)
-            max_r = max(max_r, r)
-    out = np.zeros((max_e + 1, max_r + 1, 2))
-    for (e, r, c), val in entries.items():
-        out[e, r, c] = val
-    return ElemField(out)
+    return ElemField(_read_table(path, "elem,row,col,value", (None, None, 2)))

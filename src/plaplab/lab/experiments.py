@@ -15,7 +15,7 @@ import numpy as np
 
 from ..fluxmaps import Exponent, a_map, v_map
 from ..grid import (ElemField, Mesh, NodalField, ball_elements,
-                    ball_oscillation, gradient, integrate)
+                    ball_oscillation, ball_stats, gradient, integrate)
 from ..maximal import RadiiSet, sharp_maximal, weighted_local_sharp
 from ..oscillation import (PotentialParams, campanato_seminorm, constant_modulus,
                            dini_log_modulus, dini_transform, holder_seminorm,
@@ -114,8 +114,7 @@ def _side(cfg):
 
 def _field_scale(F: ElemField):
     """Oscillation scale of a tensor field: sup |F - mean| over elements."""
-    mean = F.tensors.mean(axis=0)
-    return float(np.sqrt(np.sum((F.tensors - mean) ** 2, axis=(1, 2))).max(initial=0.0))
+    return float(_centered_norms(F).max(initial=0.0))
 
 
 def _probe_points(cfg, margin, per_side=10):
@@ -409,6 +408,17 @@ def exp_decay(cfg: ExperimentConfig):
 # --- weighted oscillation estimate ----------------------------------------------
 
 
+def _local_radii(report, cfg, mesh, R):
+    """Radii from r_min_cells * h up to just below R; on a mesh too coarse
+    for any, a failed check naming M and None."""
+    r_min = cfg.r_min_cells * mesh.h
+    if r_min > R * (1.0 - 1e-9):
+        report.check(f"radius set below R = {R:g} nonempty at M = "
+                     f"{mesh.cells_per_side}", "r_min < R", False, value=r_min)
+        return None
+    return RadiiSet(r_min, R * (1.0 - 1e-9), cfg.radii_ratio)
+
+
 def exp_oscillation_estimate(cfg: ExperimentConfig):
     """Localized weighted sharp-maximal comparison with a tail term.
 
@@ -425,6 +435,10 @@ def exp_oscillation_estimate(cfg: ExperimentConfig):
     for p_value in cfg.ps:
         p = Exponent(p_value)
         alpha, _ = measure_alpha(cfg, p_value, max(cfg.grids))
+        if alpha is None:
+            report.check(f"decay exponent measurable at p = {p_value}, "
+                         f"M = {max(cfg.grids)}", "not None", False)
+            continue      # no modulus without an exponent
         beta = 0.5 * min(1.0, 2.0 * alpha / p.pprime)
         omega = power_modulus(beta)
         for seed_idx in range(min(2, cfg.n_seeds)):
@@ -433,8 +447,9 @@ def exp_oscillation_estimate(cfg: ExperimentConfig):
                 rec = case.on_grid(M)
                 mesh = rec["mesh"]
                 R = 0.15 * _side(cfg)
-                radii = RadiiSet(cfg.r_min_cells * mesh.h, R * (1.0 - 1e-9),
-                                 cfg.radii_ratio)
+                radii = _local_radii(report, cfg, mesh, R)
+                if radii is None:
+                    continue
                 pts = _probe_points(cfg, 2.0 * R, per_side=8)
                 fscale = max(_field_scale(rec["prob"].F), 1e-300)
                 fits, excluded = [], 0
@@ -464,17 +479,18 @@ def exp_oscillation_estimate(cfg: ExperimentConfig):
     mesh = rec["mesh"]
     p = rec["prob"].p
     R = 0.15 * _side(cfg)
-    radii = RadiiSet(cfg.r_min_cells * mesh.h, R * (1.0 - 1e-9), cfg.radii_ratio)
-    omega1 = constant_modulus()
-    vals = []
-    for x in _probe_points(cfg, 2.0 * R, per_side=5):
-        lhs = weighted_local_sharp(mesh, rec["A"], 1.0, omega1, R, radii, x)
-        rhs = weighted_local_sharp(mesh, rec["prob"].F, p.pprime, omega1, R,
-                                   radii, x)
-        _, tail = ball_oscillation(mesh, rec["A"], x, 2.0 * R, p.pprime)
-        vals.append(lhs / max(rhs + tail, 1e-300))
-    report.check("constant-weight comparison finite", "isfinite",
-                 np.isfinite(max(vals)), value=round(max(vals), 3))
+    radii = _local_radii(report, cfg, mesh, R)
+    if radii is not None:
+        omega1 = constant_modulus()
+        vals = []
+        for x in _probe_points(cfg, 2.0 * R, per_side=5):
+            lhs = weighted_local_sharp(mesh, rec["A"], 1.0, omega1, R, radii, x)
+            rhs = weighted_local_sharp(mesh, rec["prob"].F, p.pprime, omega1, R,
+                                       radii, x)
+            _, tail = ball_oscillation(mesh, rec["A"], x, 2.0 * R, p.pprime)
+            vals.append(lhs / max(rhs + tail, 1e-300))
+        report.check("constant-weight comparison finite", "isfinite",
+                     np.isfinite(max(vals)), value=round(max(vals), 3))
     report.runtime = time.monotonic() - t0
     return report
 
@@ -565,18 +581,10 @@ def _dyadic_mean_defects(mesh, A, x, params, slack=1e-12):
     The bound is exact for nested discrete balls, so the dyadic means are
     Cauchy whenever the tail oscillations are summable.
     """
-    radii = []
-    r = params.R
-    while r >= 2.0 * mesh.h:
-        radii.append(r)
-        r *= params.theta
     stats = []
-    for r in radii:
-        try:
-            count = len(ball_elements(mesh, x, r))
-        except Exception:
+    for count, mean, osc1 in zip(*ball_stats(mesh, A, x, params.radii(mesh), 1.0)):
+        if count == 0:
             break
-        mean, osc1 = ball_oscillation(mesh, A, x, r, 1.0)
         stats.append((count, mean, osc1))
     violations = 0
     for (cnt_big, mean_big, osc_big), (cnt_small, mean_small, _) in zip(stats, stats[1:]):

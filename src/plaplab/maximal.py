@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ball_oscillation, ball_elements
+from .grid import _require_nonempty, ball_elements, ball_stats
 
 __all__ = [
     "RadiiSet",
@@ -69,11 +69,10 @@ def sharp_maximal(mesh, f, q, radii: RadiiSet, x, require_interior=True):
     rejected, which changes only the fitted constants.
     """
     _check_margin(mesh, x, radii.r_max, require_interior)
-    best = 0.0
-    for r in radii.values():
-        _, osc = ball_oscillation(mesh, f, x, r, q)
-        best = max(best, osc)
-    return best
+    rs = radii.values()
+    counts, _, oscs = ball_stats(mesh, f, x, rs, q)
+    _require_nonempty(counts, x, rs)
+    return max(0.0, float(oscs.max()))
 
 
 def weighted_local_sharp(mesh, f, q, omega, R, radii: RadiiSet, x,
@@ -82,11 +81,10 @@ def weighted_local_sharp(mesh, f, q, omega, R, radii: RadiiSet, x,
     if radii.r_max >= R:
         raise ValueError("radius set must stay strictly below the locality R")
     _check_margin(mesh, x, R, require_interior)
-    best = 0.0
-    for r in radii.below(R):
-        _, osc = ball_oscillation(mesh, f, x, r, q)
-        best = max(best, osc / omega(r))
-    return best
+    rs = radii.below(R)
+    counts, _, oscs = ball_stats(mesh, f, x, rs, q)
+    _require_nonempty(counts, x, rs)
+    return max([0.0] + [float(osc) / omega(r) for r, osc in zip(rs, oscs)])
 
 
 def plain_maximal(mesh, f, q, radii: RadiiSet, x, require_interior=True):

@@ -10,6 +10,9 @@ form per family; no quadrature is used in the transform paths.
 The oscillation potential of a field at a point is the dyadic-in-radius sum
 of q-mean oscillations weighted by log(1/theta), a Riemann sum of the
 radial dr/r integral of per-ball oscillations.
+
+Every ball statistic here (ball families, the potential) comes from the
+grid's single ball kernel, `grid.ball_stats`, one call per center.
 """
 
 import math
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ball_oscillation, EmptyBallError
+from .grid import ElemField, ball_stats
 
 __all__ = [
     "Modulus",
@@ -202,46 +205,31 @@ class PotentialParams:
         if not (0.0 < self.theta < 1.0):
             raise ValueError("theta must lie in (0, 1)")
 
+    def radii(self, mesh):
+        """R * theta^i for i = 0, 1, ... while at least twice the mesh width."""
+        out = []
+        r = self.R
+        while r >= 2.0 * mesh.h:
+            out.append(r)
+            r *= self.theta
+        return out
+
 
 # --- batched ball statistics -------------------------------------------------
 
 
-def ball_family_oscillations(mesh, f, centers, radii, q, chunk=256):
-    """Mean-oscillation of f over many balls at once.
+def ball_family_oscillations(mesh, f, centers, radii, q):
+    """Mean-oscillation of f over many balls, one kernel call per center.
 
     centers: (C, 2) array; radii: list of radii shared by all centers.
     Returns (oscs, counts) arrays of shape (len(radii), C); empty balls get
-    osc = nan.  Memory use is bounded by chunking the centers.
+    osc = nan and count 0.
     """
     centers = np.asarray(centers, dtype=float)
-    flat = f.tensors.reshape(mesh.num_elements, -1)
-    fsq = np.sum(flat * flat, axis=1)
-    b = mesh.barycenters
-    qexp = float(q)
-    n_r = len(radii)
-    oscs = np.full((n_r, len(centers)), np.nan)
-    counts = np.zeros((n_r, len(centers)), dtype=np.int64)
-    for start in range(0, len(centers), chunk):
-        cs = centers[start:start + chunk]
-        dx = cs[:, 0][:, None] - b[:, 0][None, :]
-        dy = cs[:, 1][:, None] - b[:, 1][None, :]
-        dist_sq = dx * dx + dy * dy
-        for k, r in enumerate(radii):
-            mask = dist_sq < r * r
-            cnt = mask.sum(axis=1)
-            ok = cnt > 0
-            if not np.any(ok):
-                continue
-            W = mask.astype(float)
-            means = (W @ flat) / np.maximum(cnt, 1)[:, None]
-            cross = means @ flat.T                       # (C, E)
-            dev_sq = np.maximum(fsq[None, :] - 2.0 * cross
-                                + np.sum(means * means, axis=1)[:, None], 0.0)
-            osc_q = np.sum(W * dev_sq ** (qexp / 2.0), axis=1) / np.maximum(cnt, 1)
-            vals = osc_q ** (1.0 / qexp)
-            block = oscs[k, start:start + chunk]
-            block[ok] = vals[ok]
-            counts[k, start:start + chunk] = cnt
+    oscs = np.empty((len(radii), len(centers)))
+    counts = np.empty((len(radii), len(centers)), dtype=np.int64)
+    for j, center in enumerate(centers):
+        counts[:, j], _, oscs[:, j] = ball_stats(mesh, f, center, radii, q)
     return oscs, counts
 
 
@@ -266,11 +254,23 @@ def default_ball_family(mesh, stride=2, r_min_cells=2.0):
     return centers, radii
 
 
-def _inscribed_mask(mesh, centers, r):
+def _inscribed_sups(mesh, f, centers, radii, q):
+    """Per radius, the largest q-mean oscillation over the family's balls
+    that lie inside the mesh, or None when there is none.
+
+    f is first shifted by minus its global mean.  That leaves every
+    oscillation unchanged and makes a constant field read exactly zero.
+    """
+    centered = ElemField(f.tensors - f.tensors.mean(axis=0))
+    oscs, _ = ball_family_oscillations(mesh, centered, centers, radii, q)
     x0, x1, y0, y1 = mesh.bounds
-    d = np.minimum(np.minimum(centers[:, 0] - x0, x1 - centers[:, 0]),
-                   np.minimum(centers[:, 1] - y0, y1 - centers[:, 1]))
-    return d > r
+    inset = np.minimum(np.minimum(centers[:, 0] - x0, x1 - centers[:, 0]),
+                       np.minimum(centers[:, 1] - y0, y1 - centers[:, 1]))
+    sups = []
+    for k, r in enumerate(radii):
+        mask = (inset > r) & np.isfinite(oscs[k])
+        sups.append(float(np.max(oscs[k][mask])) if np.any(mask) else None)
+    return sups
 
 
 def campanato_seminorm(mesh, f, omega, q=1.0, family=None):
@@ -286,18 +286,12 @@ def campanato_seminorm(mesh, f, omega, q=1.0, family=None):
     centers = np.asarray(centers, dtype=float)
     if len(centers) == 0 or len(radii) == 0:
         raise ValueError("empty ball family")
-    oscs, _ = ball_family_oscillations(mesh, f, centers, radii, q)
-    best = 0.0
-    used = 0
-    for k, r in enumerate(radii):
-        mask = _inscribed_mask(mesh, centers, r) & np.isfinite(oscs[k])
-        if not np.any(mask):
-            continue
-        used += int(mask.sum())
-        best = max(best, float(np.max(oscs[k][mask]) / omega(r)))
-    if used == 0:
+    quotients = [sup / omega(r)
+                 for sup, r in zip(_inscribed_sups(mesh, f, centers, radii, q), radii)
+                 if sup is not None]
+    if not quotients:
         raise ValueError("no admissible ball in the family")
-    return best
+    return max(quotients)
 
 
 def vmo_modulus(mesh, f, q=1.0):
@@ -307,11 +301,8 @@ def vmo_modulus(mesh, f, q=1.0):
     underlying dyadic table.
     """
     centers, radii = default_ball_family(mesh)
-    oscs, _ = ball_family_oscillations(mesh, f, centers, radii, q)
-    sups = []
-    for k, r in enumerate(radii):
-        mask = _inscribed_mask(mesh, centers, r) & np.isfinite(oscs[k])
-        sups.append(float(np.max(oscs[k][mask])) if np.any(mask) else 0.0)
+    sups = [0.0 if sup is None else sup
+            for sup in _inscribed_sups(mesh, f, centers, radii, q)]
     sups = np.maximum.accumulate(np.asarray(sups))
     radii = np.asarray(radii)
 
@@ -424,15 +415,7 @@ def oscillation_potential(mesh, F, x, params: PotentialParams):
         raise ValueError("the outer ball must stay inside the mesh")
     if R < 2.0 * mesh.h:
         raise ValueError("R below mesh resolution")
-    q = params.p.pprime
     weight = math.log(1.0 / theta)
-    total = 0.0
-    r = R
-    while r >= 2.0 * mesh.h:
-        try:
-            _, osc = ball_oscillation(mesh, F, x, r, q)
-        except EmptyBallError:
-            break
-        total += osc * weight
-        r *= theta
-    return total
+    # inside the mesh a ball of radius >= 2h holds its center's cell: never empty
+    _, _, oscs = ball_stats(mesh, F, x, params.radii(mesh), params.p.pprime)
+    return sum(float(osc) * weight for osc in oscs)

@@ -1,0 +1,116 @@
+"""Property tests of the ball-statistics kernel against brute-force definitions.
+
+Membership is checked against a full scan of every barycenter, batched
+ball families against the per-ball query, oscillations against the textbook
+formula, and the norm table's oscillation seminorms against a constant
+shift of the field.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plaplab.grid import (ElemField, EmptyBallError, Mesh, ball_elements,
+                          ball_oscillation, ball_stats)
+from plaplab.lab.config import ExperimentConfig
+from plaplab.lab.experiments import norm_table
+from plaplab.oscillation import ball_family_oscillations
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+meshes = st.builds(
+    lambda M, x0, y0, side: Mesh((x0, x0 + side, y0, y0 + side), M),
+    st.integers(2, 12), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+    st.floats(0.1, 4.0))
+# positions in units of the domain: inside, on the boundary and outside
+rel_points = st.tuples(
+    st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0])),
+    st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1.0])))
+# radii in units of the cell width, down to far below any barycenter gap
+rel_radii = st.lists(st.one_of(st.floats(1e-6, 0.2), st.floats(0.2, 20.0)),
+                     min_size=1, max_size=4)
+offsets = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
+
+
+def _point(mesh, rel):
+    x0, x1, y0, y1 = mesh.bounds
+    return np.array([x0 + rel[0] * (x1 - x0), y0 + rel[1] * (y1 - y0)])
+
+
+def _field(mesh, seed, offset, rows=2):
+    rng = np.random.default_rng(seed)
+    signal = rng.normal(size=(mesh.num_elements, rows, 2))
+    return signal, ElemField(signal + offset)
+
+
+def _full_scan(mesh, center, r):
+    d = mesh.barycenters - center
+    return np.flatnonzero(d[:, 0] ** 2 + d[:, 1] ** 2 < r * r)
+
+
+@SETTINGS
+@given(meshes, rel_points, rel_radii)
+def test_membership_is_the_full_scan(mesh, rel, radii):
+    center = _point(mesh, rel)
+    f = ElemField.zeros(mesh)
+    counts, _, _ = ball_stats(mesh, f, center, [s * mesh.h for s in radii])
+    for count, s in zip(counts, radii):
+        r = s * mesh.h
+        expect = _full_scan(mesh, center, r)
+        assert count == expect.size
+        if expect.size == 0:
+            with pytest.raises(EmptyBallError):
+                ball_elements(mesh, center, r)
+        else:
+            got = ball_elements(mesh, center, r)
+            assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+@SETTINGS
+@given(meshes, st.lists(rel_points, min_size=1, max_size=5), rel_radii,
+       st.floats(1.0, 4.0), offsets, st.integers(0, 2 ** 16))
+def test_family_equals_single_balls_and_brute_force(mesh, rels, radii, q,
+                                                    offset, seed):
+    centers = np.array([_point(mesh, rel) for rel in rels])
+    radii = [s * mesh.h for s in radii]
+    signal, f = _field(mesh, seed, offset)
+    oscs, counts = ball_family_oscillations(mesh, f, centers, radii, q)
+    assert oscs.shape == counts.shape == (len(radii), len(centers))
+    for j, center in enumerate(centers):
+        for k, r in enumerate(radii):
+            members = _full_scan(mesh, center, r)
+            assert counts[k, j] == members.size
+            if members.size == 0:
+                assert np.isnan(oscs[k, j])
+                with pytest.raises(EmptyBallError):
+                    ball_oscillation(mesh, f, center, r, q)
+                continue
+            mean, osc = ball_oscillation(mesh, f, center, r, q)
+            assert oscs[k, j] == osc                     # bitwise
+            # the textbook formula on the unshifted signal
+            block = signal[members]
+            dev = np.sqrt(np.sum((block - block.mean(axis=0)) ** 2, axis=(1, 2)))
+            ref = np.mean(dev ** q) ** (1.0 / q)
+            slack = members.size * 1e-15 * (abs(offset) + 1.0)
+            assert abs(osc - ref) <= 1e-9 * ref + slack
+            assert np.allclose(mean, block.mean(axis=0) + offset,
+                               rtol=1e-12, atol=slack)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2 ** 16))
+def test_norm_table_oscillation_rows_shift_invariant(seed):
+    # a 1e-3 signal riding on a constant tensor 1e6: every mean-oscillation
+    # seminorm in the table must not see the shift
+    mesh = Mesh((0.0, 1.0, 0.0, 1.0), 16)
+    rng = np.random.default_rng(seed)
+    signal = ElemField(1e-3 * rng.normal(size=(mesh.num_elements, 1, 2)))
+    shifted = ElemField(signal.tensors + 1e6)
+    cfg = ExperimentConfig()
+    base = dict(norm_table(mesh, signal, cfg))
+    moved = dict(norm_table(mesh, shifted, cfg))
+    names = [n for n in base if n in ("BMO", "Campanato") or n.startswith("VMO[")]
+    assert len(names) >= 4
+    for name in names:
+        assert abs(moved[name] - base[name]) <= 1e-6 * base[name], name

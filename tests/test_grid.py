@@ -220,6 +220,27 @@ def test_field_io_reports_line_numbers(tmp_path):
         read_elem_field(path)
 
 
+@pytest.mark.parametrize("reader, header, rows", [
+    (read_nodal_field, "node,comp,value", ["0,0,1.0", "{i},0,2.0"]),
+    (read_elem_field, "elem,row,col,value",
+     ["0,0,0,1.0", "0,0,1,1.0", "{i},0,0,2.0", "{i},0,1,2.0"]),
+])
+def test_field_tables_reject_gaps_and_duplicates(tmp_path, reader, header, rows):
+    path = tmp_path / "t.csv"
+    # rows for index 0 and 5 only: index 1 is missing, named at the first
+    # row of index 5
+    path.write_text("\n".join([header] + [r.format(i=5) for r in rows]) + "\n")
+    at = 2 + len(rows) // 2
+    with pytest.raises(ValueError, match=rf"t\.csv:{at}: no row for index \(1, 0"):
+        reader(path)
+    # index 0 given twice: the second row is named
+    dup = [r.format(i=1) for r in rows] + [rows[0]]
+    path.write_text("\n".join([header] + dup) + "\n")
+    with pytest.raises(ValueError,
+                       match=rf"t\.csv:{len(dup) + 1}: duplicate row for index \(0, 0"):
+        reader(path)
+
+
 def test_boundary_values_shape(unit_mesh):
     g = boundary_values(unit_mesh, lambda x, y: x + y)
     assert g.shape == (len(unit_mesh.boundary_nodes), 1)

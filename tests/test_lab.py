@@ -191,6 +191,18 @@ def test_cli_runs_and_asserts(tmp_path):
     assert code == 2
 
 
+def test_oscillation_estimate_on_too_coarse_grid_records_failed_checks():
+    # at M = 8 no decay exponent can be measured and no radius fits below R:
+    # both surface as failed checks naming p and M instead of a crash
+    from plaplab.lab.experiments import exp_oscillation_estimate
+
+    rep = exp_oscillation_estimate(ExperimentConfig(grids=[8], n_seeds=1, ps=[2.0]))
+    failed = [a.name for a in rep.assertions if not a.passed]
+    assert "decay exponent measurable at p = 2.0, M = 8" in failed
+    assert any("M = 8" in name and "radius set" in name for name in failed)
+    assert not rep.all_passed and rep.cases == []
+
+
 def test_experiment_registry_is_complete():
     assert set(EXPERIMENTS) == {"basic-estimate", "decay", "oscillation",
                                 "potential", "example55", "reduction"}
