@@ -55,12 +55,6 @@ def _solver_config(tol=1e-8):
     return SolverConfig(tol_residual=tol, max_iter=400)
 
 
-def _tight_config():
-    # invariance sub-checks compare two solves; push CG well below the
-    # residual target so both land on the same discrete solution
-    return SolverConfig(tol_residual=1e-9, cg_tol=1e-13, max_iter=400)
-
-
 class _Case:
     """One (p, seed) datum, realizable on any grid.
 
@@ -227,7 +221,7 @@ def exp_basic_estimate(cfg: ExperimentConfig):
     for tensors in (base["prob"].F.tensors, base["prob"].F.tensors + shift):
         prob = DirichletProblem(base["prob"].p, base["mesh"],
                                 ElemField(tensors), base["prob"].g)
-        sol = solve(prob, _tight_config())
+        sol = solve(prob, _solver_config(1e-9))
         out.append({"mesh": base["mesh"], "prob": prob,
                     "A": ElemField(a_map(prob.p, gradient(base["mesh"], sol.u).tensors))})
     s1 = _sharp_ratio_stats(cfg, out[0])
@@ -247,7 +241,7 @@ def exp_basic_estimate(cfg: ExperimentConfig):
                               lam ** (1.0 / (p.p - 1.0)) * g)
     out = []
     for prob in (base, scaled):
-        sol = solve(prob, _tight_config())
+        sol = solve(prob, _solver_config(1e-9))
         rc = {"mesh": mesh, "prob": prob,
               "A": ElemField(a_map(p, gradient(mesh, sol.u).tensors))}
         out.append(_sharp_ratio_stats(cfg, rc)["max_ratio"])
@@ -551,6 +545,11 @@ def exp_potential(cfg: ExperimentConfig):
     maxes = {}
     for M in (min(cfg.grids), 2 * min(cfg.grids)):
         mesh = Mesh(cfg.bounds, M)
+        interior = mesh.interior_points(4 * mesh.h)
+        if len(interior) == 0:
+            report.check(f"power-modulus probe points farther than 4h from the "
+                         f"boundary exist at M = {M}", "nonempty", False)
+            continue
         x0, x1, y0, y1 = cfg.bounds
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         b = mesh.barycenters
@@ -562,15 +561,15 @@ def exp_potential(cfg: ExperimentConfig):
                                 np.zeros((len(mesh.boundary_nodes), cfg.comps)))
         sol = solve(prob, _solver_config(1e-8))
         gn = gradient(mesh, sol.u).tensors
-        interior = mesh.interior_points(4 * mesh.h)
         idx = [mesh.locate_element(x) for x in interior]
         maxes[M] = float(np.sqrt(np.sum(gn[idx] ** 2, axis=(1, 2))).max())
-    ms = sorted(maxes)
-    ratio = maxes[ms[1]] / max(maxes[ms[0]], 1e-300)
-    report.check("power-modulus datum keeps max |grad u| stable",
-                 f"growth < {cfg.stability_factor}",
-                 np.isfinite(ratio) and ratio < cfg.stability_factor,
-                 value=round(ratio, 4))
+    if len(maxes) == 2:
+        ms = sorted(maxes)
+        ratio = maxes[ms[1]] / max(maxes[ms[0]], 1e-300)
+        report.check("power-modulus datum keeps max |grad u| stable",
+                     f"growth < {cfg.stability_factor}",
+                     np.isfinite(ratio) and ratio < cfg.stability_factor,
+                     value=round(ratio, 4))
     report.runtime = time.monotonic() - t0
     return report
 

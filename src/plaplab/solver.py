@@ -3,19 +3,20 @@
 The Dirichlet problem -div(|grad u|^(p-2) grad u) = -div F with u = g on the
 boundary is solved by a damped Kacanov (frozen-coefficient) iteration: each
 step freezes the diffusion coefficient at (eps^2 + |grad u|^2)^((p-2)/2),
-solves the resulting SPD linear system by diagonally preconditioned
-conjugate gradients, and accepts the step only if the regularized energy
-does not increase (halving towards the previous iterate otherwise).  The
-iteration starts from the p = 2 solution and stops on the weak-form
-residual, not on energy stagnation.
+solves the resulting SPD linear system for all components at once by one
+banded Cholesky factorization (LAPACK dpbsv; interior nodes in their natural
+order give half-bandwidth M - 1), and accepts the step only if the
+regularized energy does not increase (halving towards the previous iterate
+otherwise; once the decrease is below the energy's roundoff, the step length
+comes from the energy's slope instead).  The iteration starts from the p = 2
+solution and stops on the weak-form residual, not on energy stagnation.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.linalg import LinAlgError, solveh_banded
 
 from .fluxmaps import Exponent, a_map
 from .grid import ElemField, Mesh, NodalField, gradient, integrate
@@ -49,13 +50,11 @@ class SolverConfig:
     tol_residual: float = 1e-9
     max_iter: int = 200
     coeff_clamp: tuple = (1e-10, 1e10)  # relative to data_scale^(p-2)
-    cg_tol: float = 1e-10
-    cg_max_iter: Optional[int] = None
 
     def __post_init__(self):
         if self.coeff_clamp[0] > self.coeff_clamp[1]:
             raise ValueError("coefficient clamp interval is empty")
-        for name in ("tol_energy", "tol_residual", "cg_tol"):
+        for name in ("tol_energy", "tol_residual"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
 
@@ -115,16 +114,34 @@ def regularized_energy(prob: DirichletProblem, u: NodalField, eps):
     return integrate(prob.mesh, dens)
 
 
+def _energy_slope(prob, values, direction, eps):
+    """Derivative of the regularized energy at values along direction."""
+    g = gradient(prob.mesh, NodalField(values)).tensors
+    gd = gradient(prob.mesh, NodalField(direction)).tensors
+    gsq = np.sum(g ** 2, axis=(1, 2))
+    flux = ((eps * eps + gsq) ** ((prob.p.p - 2.0) / 2.0))[:, None, None] * g \
+        - prob.F.tensors
+    return integrate(prob.mesh, np.sum(flux * gd, axis=(1, 2)))
+
+
+def _scatter(mesh, contrib):
+    """Sum per-element, per-vertex rows (E, 3, N) into nodal rows."""
+    nodes = mesh.elements.ravel()
+    return np.column_stack([
+        np.bincount(nodes, weights=contrib[:, :, c].ravel(), minlength=mesh.num_nodes)
+        for c in range(contrib.shape[2])])
+
+
+def _flux_load(mesh, tensors):
+    """Per-element, per-vertex integrals of tensors . grad(hat), (E, 3, N)."""
+    return np.einsum("e,enk,eik->ein", mesh.areas, tensors, mesh.basis_gradients)
+
+
 def defect_vector(prob: DirichletProblem, u: NodalField):
     """Weak-form defect of A(grad u) - F against every nodal hat direction."""
     mesh = prob.mesh
     grad = gradient(mesh, u).tensors
-    dens = a_map(prob.p, grad) - prob.F.tensors
-    contrib = np.einsum("e,enk,eik->ein", mesh.areas, dens, mesh.basis_gradients)
-    out = np.zeros((mesh.num_nodes, prob.components))
-    for loc in range(3):
-        np.add.at(out, mesh.elements[:, loc], contrib[:, loc, :])
-    return out
+    return _scatter(mesh, _flux_load(mesh, a_map(prob.p, grad) - prob.F.tensors))
 
 
 def residual(prob: DirichletProblem, u: NodalField):
@@ -137,53 +154,75 @@ def residual(prob: DirichletProblem, u: NodalField):
     return float(defect.max() / (1.0 + fnorm1))
 
 
-def _assemble_stiffness(mesh, kappa):
-    """Stiffness matrix of -div(kappa grad .) for per-element kappa."""
-    gl = mesh.basis_gradients                       # (E, 3, 2)
-    local = np.einsum("e,eik,ejk->eij", mesh.areas * kappa, gl, gl)
-    rows = np.repeat(mesh.elements, 3, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, 3)).ravel()
-    K = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(mesh.num_nodes, mesh.num_nodes))
-    return K.tocsr()
+class _BandSystem:
+    """Frozen-coefficient systems of one problem in LAPACK lower band storage.
 
+    Solves -div(kappa grad u) = -div F with u = g on the boundary, for
+    per-element kappa > 0.  What does not depend on kappa is built once: the
+    interior node numbering; for every nonzero lower entry of an element
+    matrix between two interior nodes, its element, its unit weight
+    area * grad(hat_i) . grad(hat_j) and its slot in band storage; and the
+    gradient of g extended by zero, whose flux lifts g into the right-hand
+    side.  The band width is read off the entries kept: interior nodes in
+    natural order couple at offsets 1 and M - 1 only, since the hypotenuse
+    entries of these right triangles are exactly zero.
+    """
 
-def _rhs_from_F(prob):
-    mesh = prob.mesh
-    contrib = np.einsum("e,enk,eik->ein", mesh.areas, prob.F.tensors,
-                        mesh.basis_gradients)
-    out = np.zeros((mesh.num_nodes, prob.components))
-    for loc in range(3):
-        np.add.at(out, mesh.elements[:, loc], contrib[:, loc, :])
-    return out
+    def __init__(self, prob):
+        mesh = prob.mesh
+        self.prob = prob
+        self.interior = mesh.interior_nodes
+        n = len(self.interior)
+        number = np.full(mesh.num_nodes, -1)
+        number[self.interior] = np.arange(n)
+        local = number[mesh.elements]                 # (E, 3), -1 on the boundary
+        gl = mesh.basis_gradients
 
+        def entries():
+            # per vertex pair: element, unit weight, row and column (row >= col)
+            for a in range(3):
+                for b in range(a + 1):
+                    unit = mesh.areas * np.sum(gl[:, a] * gl[:, b], axis=1)
+                    row = np.maximum(local[:, a], local[:, b])
+                    col = np.minimum(local[:, a], local[:, b])
+                    elem = np.flatnonzero((col >= 0) & (unit != 0.0))
+                    yield elem, unit[elem], row[elem], col[elem]
 
-def _linear_step(prob, kappa, cfg):
-    """Solve the frozen-coefficient problem; the N components share a matrix."""
-    mesh = prob.mesh
-    K = _assemble_stiffness(mesh, kappa)
-    b = _rhs_from_F(prob)
-    ii = mesh.interior_nodes
-    bb = mesh.boundary_nodes
-    K_ii = K[ii][:, ii]
-    K_ib = K[ii][:, bb]
-    rhs = b[ii] - K_ib @ prob.g
+        self.width = 1 + max(int((row - col).max(initial=0)) for _, _, row, col in entries())
+        # the smallest unsigned types that hold every index keep the peak low
+        elem_type = np.min_scalar_type(mesh.num_elements)
+        slot_type = np.min_scalar_type(self.width * n)
+        elem, weight, slot = zip(*[
+            (elem.astype(elem_type), unit, (col * self.width + row - col).astype(slot_type))
+            for elem, unit, row, col in entries()])
+        self.elem, self.weight, self.slot = map(np.concatenate, (elem, weight, slot))
+        self.g_full = np.zeros((mesh.num_nodes, prob.components))
+        self.g_full[mesh.boundary_nodes] = prob.g
+        self.grad_g = gradient(mesh, NodalField(self.g_full)).tensors
 
-    diag = K_ii.diagonal()
-    diag[diag <= 0.0] = 1.0
-    precond = LinearOperator(K_ii.shape, matvec=lambda x: x / diag)
-    maxiter = cfg.cg_max_iter or max(1000, 10 * len(ii))
+    def band(self, kappa):
+        """Interior stiffness matrix, ab[i - j, j] = K[i, j] for i >= j.
 
-    values = np.zeros((mesh.num_nodes, prob.components))
-    values[bb] = prob.g
-    for comp in range(prob.components):
-        x, info = cg(K_ii, rhs[:, comp], rtol=cfg.cg_tol, atol=0.0,
-                     maxiter=maxiter, M=precond)
-        if info > 0:
-            # keep the best iterate; the outer damping judges its quality
-            pass
-        values[ii, comp] = x
-    return NodalField(values)
+        Fortran order, so that LAPACK factors it in place without a copy.
+        """
+        n = len(self.interior)
+        weights = kappa[self.elem]
+        weights *= self.weight
+        return np.bincount(self.slot, weights=weights,
+                           minlength=self.width * n).reshape(n, self.width).T
+
+    def solve(self, kappa):
+        """Nodal values of the solution; LinAlgError if the solve fails."""
+        mesh = self.prob.mesh
+        flux = self.prob.F.tensors - kappa[:, None, None] * self.grad_g
+        rhs = _scatter(mesh, _flux_load(mesh, flux))[self.interior]
+        x = solveh_banded(self.band(kappa), rhs, lower=True, overwrite_ab=True,
+                          overwrite_b=True, check_finite=False)
+        if not np.all(np.isfinite(x)):
+            raise LinAlgError("non-finite solution")
+        values = self.g_full.copy()
+        values[self.interior] = x
+        return values
 
 
 def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
@@ -226,21 +265,32 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
         gsq = np.sum(g ** 2, axis=(1, 2))
         return np.clip((eps * eps + gsq) ** ((p - 2.0) / 2.0), kmin, kmax)
 
+    system = _BandSystem(prob)
+    trace, res = [], np.nan
+
+    def linear_step(kappa, it):
+        try:
+            return NodalField(system.solve(kappa))
+        except LinAlgError as err:
+            raise NonConvergenceError(
+                f"frozen-coefficient solve failed at outer iteration {it} "
+                f"(eps {eps:.3e}): {err}", trace, res) from err
+
     if u0 is None:
-        u = _linear_step(prob, np.ones(mesh.num_elements), cfg)
+        u = linear_step(np.ones(mesh.num_elements), 0)
     else:
         values = u0.values.copy()
         values[mesh.boundary_nodes] = prob.g
         u = NodalField(values)
 
-    trace = [regularized_energy(prob, u, eps)]
+    trace.append(regularized_energy(prob, u, eps))
     res = residual(prob, u)
     if res <= cfg.tol_residual:
         return Solution(u, 0, trace, res)
 
     prev_res = res
     for it in range(1, cfg.max_iter + 1):
-        candidate = _linear_step(prob, kappa_of(u, eps), cfg)
+        candidate = linear_step(kappa_of(u, eps), it)
         direction = candidate.values - u.values     # zero on boundary rows
         e_prev = trace[-1]
         slack = cfg.tol_energy * (1.0 + abs(e_prev))
@@ -248,26 +298,29 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
         # step length with the lowest regularized energy (full steps
         # overshoot for p > 2, where the scan settles near 1/(p-1))
         best_t, best_e = 0.0, e_prev
-        near_t, near_e = 0.0, np.inf
+        near_e = np.inf
         t = 1.0
         for _ in range(31):
             e_t = regularized_energy(prob, NodalField(u.values + t * direction), eps)
             if e_t < best_e:
                 best_t, best_e = t, e_t
-            if e_t < near_e:
-                near_t, near_e = t, e_t
+            near_e = min(near_e, e_t)
             if best_t > 0.0 and t < 0.25 * best_t:
                 break                              # minimum bracketed
             t *= 0.5
         if best_t == 0.0:
-            # near convergence the decrease drowns in roundoff; accept any
-            # step inside the energy slack, fail only on a true increase
-            if near_e <= e_prev + slack:
-                best_t, best_e = near_t, e_prev
-            else:
+            # near convergence the decrease drowns in roundoff: fail only on
+            # a true increase, and take the step length from the slope of
+            # the energy along the direction, which keeps its precision (the
+            # secant root between t = 0 and t = 1; the energy is convex in t)
+            if near_e > e_prev + slack:
                 raise NonConvergenceError(
                     "Kacanov step kept increasing the regularized energy",
                     trace, residual(prob, u))
+            s0 = _energy_slope(prob, u.values, direction, eps)
+            s1 = _energy_slope(prob, candidate.values, direction, eps)
+            best_t = 0.0 if s0 >= 0.0 else 1.0 if s1 <= 0.0 else s0 / (s0 - s1)
+            best_e = e_prev
         u = NodalField(u.values + best_t * direction)
         trace.append(min(best_e, e_prev))
         res = residual(prob, u)
@@ -308,25 +361,12 @@ def solve_pharmonic(mesh: Mesh, p: Exponent, g, cfg: Optional[SolverConfig] = No
 # 'trace' builds a seeded rough piecewise-linear boundary trace.
 
 
-def _parse_kv(path):
-    out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
-    return out
-
-
 def load_problem(path):
     """Build a DirichletProblem from a flat key-value problem file."""
-    from .lab import cases  # local import; lab depends on solver
+    from .lab import cases  # local imports; lab depends on solver
+    from .lab.config import parse_config_file
 
-    kv = _parse_kv(path)
+    kv = parse_config_file(path)
     p = Exponent(float(kv.get("p", "2.0")))
     M = int(kv.get("grid", "32"))
     bounds = tuple(float(t) for t in kv.get("bounds", "0,1,0,1").split(","))

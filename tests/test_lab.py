@@ -203,6 +203,17 @@ def test_oscillation_estimate_on_too_coarse_grid_records_failed_checks():
     assert not rep.all_passed and rep.cases == []
 
 
+def test_potential_on_too_coarse_grid_records_failed_check():
+    # at M = 8 no barycenter lies 4h inside the boundary, so the
+    # power-modulus datum has no probe points: a failed check naming M
+    from plaplab.lab.experiments import exp_potential
+
+    rep = exp_potential(ExperimentConfig(grids=[8], n_seeds=1, ps=[2.0]))
+    failed = [a.name for a in rep.assertions if not a.passed]
+    assert any("M = 8" in name and "power-modulus" in name for name in failed)
+    assert not rep.all_passed
+
+
 def test_experiment_registry_is_complete():
     assert set(EXPERIMENTS) == {"basic-estimate", "decay", "oscillation",
                                 "potential", "example55", "reduction"}
