@@ -4,14 +4,16 @@
     plaplab norm-table --field FILE [--config FILE] [--out DIR]
 
 Experiments: basic-estimate, decay, oscillation, potential, example55,
-reduction.  Each run writes <out>/<experiment>.json and .csv; with --assert
-the process exits nonzero when any recorded assertion fails.
+reduction.  Each run writes <out>/<experiment>.json and .csv and prints a
+summary with the run's wall time; with --assert the process exits nonzero
+when any recorded assertion fails.
 """
 
 import argparse
 import csv
 import os
 import sys
+import time
 
 from .config import ExperimentConfig
 from .experiments import EXPERIMENTS, norm_table
@@ -62,7 +64,9 @@ def main(argv=None):
     if args.command == "norm-table":
         return _run_norm_table(args, cfg)
 
+    t0 = time.monotonic()
     report = EXPERIMENTS[args.command](cfg)
+    report.runtime = time.monotonic() - t0
     report.write_json(os.path.join(args.out, f"{args.command}.json"))
     report.write_csv(os.path.join(args.out, f"{args.command}.csv"))
     for line in report.summary_lines():

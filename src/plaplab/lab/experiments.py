@@ -6,10 +6,14 @@ constants of the gradient estimates on the discrete solutions, and asserts
 configured factor, and (c) exactness of all closed-form sub-checks.  That
 is the strongest falsifiable reading available at desk scale, since none of
 the estimates comes with explicit constants.
+
+Cases go through one pipeline: `_Case.problem` builds a seeded datum on a
+grid, `_solved` is the one place that solves, and `_sweep` walks the
+p x seed x grid cases, solving each once per experiment call.  Timing is
+left to the caller.
 """
 
 import math
-import time
 
 import numpy as np
 
@@ -17,15 +21,14 @@ from ..fluxmaps import Exponent, a_map, v_map
 from ..grid import (ElemField, Mesh, NodalField, ball_elements,
                     ball_oscillation, ball_stats, gradient, integrate)
 from ..maximal import RadiiSet, sharp_maximal, weighted_local_sharp
-from ..oscillation import (PotentialParams, campanato_seminorm, constant_modulus,
-                           dini_log_modulus, dini_transform, holder_seminorm,
-                           modulus_from_spec, oscillation_potential, power_modulus,
-                           vmo_modulus)
+from ..oscillation import (PotentialParams, constant_modulus, dini_log_modulus,
+                           dini_transform, holder_seminorm, inscribed_sups,
+                           modulus_from_spec, oscillation_potential, power_modulus)
 from ..rearrange import (LorentzSpec, StepFunction, hardy_check_avg,
                          hardy_check_tail, lorentz_norm, lq_norm, luxemburg_norm,
                          marcinkiewicz_norm, orlicz_target, rearrange,
                          young_from_spec, HypothesisViolation, ExpYoung, CapYoung)
-from ..solver import DirichletProblem, SolverConfig, defect_vector, solve, solve_pharmonic
+from ..solver import DirichletProblem, SolverConfig, defect_vector, solve
 from . import cases
 from .config import ExperimentConfig
 from .report import Report
@@ -55,6 +58,15 @@ def _solver_config(tol=1e-8):
     return SolverConfig(tol_residual=tol, max_iter=400)
 
 
+def _solved(prob, tol=1e-8):
+    """Solve prob; the record every experiment reads its fields from."""
+    sol = solve(prob, _solver_config(tol))
+    grad = gradient(prob.mesh, sol.u)
+    return {"mesh": prob.mesh, "prob": prob, "sol": sol, "grad": grad,
+            "A": ElemField(a_map(prob.p, grad.tensors)),
+            "V": ElemField(v_map(prob.p, grad.tensors))}
+
+
 class _Case:
     """One (p, seed) datum, realizable on any grid.
 
@@ -76,9 +88,7 @@ class _Case:
         self.bounds = cfg.bounds
         self._realized = {}
 
-    def on_grid(self, M, tol=1e-8):
-        if M in self._realized:
-            return self._realized[M]
+    def problem(self, M):
         mesh = Mesh(self.bounds, M)
         if self.manufactured:
             w = NodalField(self.potential_fn(mesh.nodes[:, 0], mesh.nodes[:, 1]))
@@ -88,17 +98,29 @@ class _Case:
             b = mesh.barycenters
             F = ElemField(self.tensor_fn(b[:, 0], b[:, 1]))
             g = np.zeros((len(mesh.boundary_nodes), self.comps))
-        prob = DirichletProblem(self.p, mesh, F, g)
-        sol = solve(prob, _solver_config(tol))
-        grad = gradient(mesh, sol.u)
-        record = {
-            "mesh": mesh, "prob": prob, "sol": sol,
-            "A": ElemField(a_map(self.p, grad.tensors)),
-            "V": ElemField(v_map(self.p, grad.tensors)),
-            "grad": grad,
-        }
-        self._realized[M] = record
-        return record
+        return DirichletProblem(self.p, mesh, F, g)
+
+    def on_grid(self, M):
+        if M not in self._realized:
+            self._realized[M] = _solved(self.problem(M))
+        return self._realized[M]
+
+
+def _sweep(cfg, ps, n_seeds):
+    """(case, M, solved record) for every p, seed index and grid, refinements
+    included; one case is alive at a time."""
+    for p_value in ps:
+        for seed_idx in range(n_seeds):
+            case = _Case(cfg, p_value, seed_idx)
+            for M in _grids_with_refinements(cfg):
+                yield case, M, case.on_grid(M)
+
+
+def _add_row(report, case, M, **fields):
+    """The report row of one swept case on one grid."""
+    p_value = case.p.p
+    return report.add_case(case=f"p{p_value}-M{M}-s{case.seed_idx}", p=p_value,
+                           M=M, seed=case.seed_idx, **fields)
 
 
 def _side(cfg):
@@ -128,8 +150,11 @@ def _grids_with_refinements(cfg):
     return sorted(set(cfg.grids) | {2 * max(cfg.grids)})
 
 
-def _stability_checks(report, cfg, records, value_key="fitted_constant"):
-    """Per-case growth of a fitted constant under M -> 2M, plus the pass rate."""
+def _fit_checks(report, cfg, records, finite_name):
+    """Finiteness of every fitted constant, then the per-case growth under
+    M -> 2M and its pass rate."""
+    report.check(finite_name, "isfinite",
+                 all(np.isfinite(r["fitted_constant"]) for r in records))
     by_key = {(r["p"], r["seed"], r["M"]): r for r in records}
     growths = []
     for r in records:
@@ -138,8 +163,8 @@ def _stability_checks(report, cfg, records, value_key="fitted_constant"):
         fine = by_key.get((r["p"], r["seed"], 2 * r["M"]))
         if fine is None:
             continue
-        coarse_val = r[value_key]
-        fine_val = fine[value_key]
+        coarse_val = r["fitted_constant"]
+        fine_val = fine["fitted_constant"]
         growth = math.inf if coarse_val == 0.0 else fine_val / coarse_val
         r["stability_factor"] = growth
         r["pass"] = bool(np.isfinite(growth) and growth < cfg.stability_factor)
@@ -148,7 +173,6 @@ def _stability_checks(report, cfg, records, value_key="fitted_constant"):
     report.check("refinement stability of fitted constants",
                  f"growth < {cfg.stability_factor} in >= 90% of cases",
                  frac >= 0.9, value=round(frac, 4))
-    return frac
 
 
 # --- basic pointwise estimate --------------------------------------------------
@@ -189,43 +213,23 @@ def exp_basic_estimate(cfg: ExperimentConfig):
     the denominator sits below 1e-14 of the data scale are excluded and
     counted (locally constant F drives both sides to zero together).
     """
-    t0 = time.monotonic()
     report = Report("basic-estimate", cfg.echo())
-    grids = _grids_with_refinements(cfg)
     records = []
-    finite = True
-    for p_value in cfg.ps:
-        for seed_idx in range(cfg.n_seeds):
-            case = _Case(cfg, p_value, seed_idx)
-            for M in grids:
-                rec = case.on_grid(M)
-                stats = _sharp_ratio_stats(cfg, rec)
-                finite &= np.isfinite(stats["max_ratio"])
-                row = report.add_case(
-                    case=f"p{p_value}-M{M}-s{seed_idx}", p=p_value, M=M,
-                    seed=seed_idx, kind="amap" if case.manufactured else "trig",
-                    fitted_constant=stats["max_ratio"],
-                    median_ratio=stats["median_ratio"],
-                    n_points=stats["n_points"], n_excluded=stats["n_excluded"],
-                    solver_iterations=rec["sol"].iterations)
-                records.append(row)
-    report.check("max ratio finite in every case", "isfinite", finite)
-    _stability_checks(report, cfg, records)
+    for case, M, rec in _sweep(cfg, cfg.ps, cfg.n_seeds):
+        stats = _sharp_ratio_stats(cfg, rec)
+        records.append(_add_row(
+            report, case, M, kind="amap" if case.manufactured else "trig",
+            fitted_constant=stats["max_ratio"], median_ratio=stats["median_ratio"],
+            n_points=stats["n_points"], n_excluded=stats["n_excluded"],
+            solver_iterations=rec["sol"].iterations))
+    _fit_checks(report, cfg, records, "max ratio finite in every case")
 
     # shifting the datum by a constant tensor leaves both sides unchanged
-    case = _Case(cfg, cfg.ps[0], 1)
     M0 = min(cfg.grids)
-    base = case.on_grid(M0)
-    shift = np.ones_like(base["prob"].F.tensors[0])
-    out = []
-    for tensors in (base["prob"].F.tensors, base["prob"].F.tensors + shift):
-        prob = DirichletProblem(base["prob"].p, base["mesh"],
-                                ElemField(tensors), base["prob"].g)
-        sol = solve(prob, _solver_config(1e-9))
-        out.append({"mesh": base["mesh"], "prob": prob,
-                    "A": ElemField(a_map(prob.p, gradient(base["mesh"], sol.u).tensors))})
-    s1 = _sharp_ratio_stats(cfg, out[0])
-    s2 = _sharp_ratio_stats(cfg, out[1])
+    base = _Case(cfg, cfg.ps[0], 1).problem(M0)
+    shifted = DirichletProblem(base.p, base.mesh, ElemField(
+        base.F.tensors + np.ones_like(base.F.tensors[0])), base.g)
+    s1, s2 = (_sharp_ratio_stats(cfg, _solved(prob, 1e-9)) for prob in (base, shifted))
     rel = abs(s2["max_ratio"] - s1["max_ratio"]) / max(s1["max_ratio"], 1e-300)
     report.check("ratio invariant under F -> F + const", "rel diff <= 1e-6",
                  rel <= 1e-6, value=rel)
@@ -239,17 +243,11 @@ def exp_basic_estimate(cfg: ExperimentConfig):
     base = DirichletProblem(p, mesh, F, g)
     scaled = DirichletProblem(p, mesh, ElemField(lam * F.tensors),
                               lam ** (1.0 / (p.p - 1.0)) * g)
-    out = []
-    for prob in (base, scaled):
-        sol = solve(prob, _solver_config(1e-9))
-        rc = {"mesh": mesh, "prob": prob,
-              "A": ElemField(a_map(p, gradient(mesh, sol.u).tensors))}
-        out.append(_sharp_ratio_stats(cfg, rc)["max_ratio"])
+    out = [_sharp_ratio_stats(cfg, _solved(prob, 1e-9))["max_ratio"]
+           for prob in (base, scaled)]
     rel = abs(out[1] - out[0]) / max(out[0], 1e-300)
     report.check("ratio invariant under joint data scaling", "rel diff <= 1e-6",
                  rel <= 1e-6, value=rel)
-
-    report.runtime = time.monotonic() - t0
     return report
 
 
@@ -289,10 +287,8 @@ def measure_alpha(cfg, p_value, M, seed_idx=0, n_centers=5):
     rng = _rng(cfg, 31, round(1000 * p_value), seed_idx)
     knots = cases.boundary_knots(rng, cfg.comps)
     g = cases.trace_from_knots(mesh, knots)
-    sol = solve_pharmonic(mesh, p, g, _solver_config(1e-8))
-    grad = gradient(mesh, sol.u)
-    V = ElemField(v_map(p, grad.tensors))
-    A = ElemField(a_map(p, grad.tensors))
+    F = ElemField.zeros(mesh, rows=cfg.comps)
+    rec = _solved(DirichletProblem(p, mesh, F, g))       # p-harmonic
     x0, x1, y0, y1 = cfg.bounds
     cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     side = x1 - x0
@@ -305,8 +301,8 @@ def measure_alpha(cfg, p_value, M, seed_idx=0, n_centers=5):
         center = (cx + off[0], cy + off[1])
         if mesh.boundary_distance(center) <= R:
             continue
-        sa = _decay_slopes(mesh, V, center, R, thetas)
-        sk = _decay_slopes(mesh, A, center, R, thetas)
+        sa = _decay_slopes(mesh, rec["V"], center, R, thetas)
+        sk = _decay_slopes(mesh, rec["A"], center, R, thetas)
         if sa is not None:
             alphas.append(sa)          # sup |V dV| ~ theta^alpha
         if sk is not None:
@@ -326,7 +322,6 @@ def exp_decay(cfg: ExperimentConfig):
     osc(A; theta B) <= delta osc(A; B) + c_delta osc_(p')(F; B) is fitted
     over a ball family for a grid of delta values.
     """
-    t0 = time.monotonic()
     report = Report("decay", cfg.echo())
     n_seeds = min(3, cfg.n_seeds)
     alpha_by = {}
@@ -394,8 +389,6 @@ def exp_decay(cfg: ExperimentConfig):
         report.check(f"one-step constant finite at p = {p_value}", "isfinite",
                      all(np.isfinite(v) for v in fits.values()),
                      value={str(d): round(v, 3) for d, v in fits.items()})
-
-    report.runtime = time.monotonic() - t0
     return report
 
 
@@ -422,10 +415,11 @@ def exp_oscillation_estimate(cfg: ExperimentConfig):
     weighted sharp field of the datum and the mean oscillation of the flux
     over the doubled ball divided by omega(R).
     """
-    t0 = time.monotonic()
     report = Report("oscillation", cfg.echo())
-    grids = _grids_with_refinements(cfg)
+    R = 0.15 * _side(cfg)
+    M0 = min(cfg.grids)
     records = []
+    base = None           # the swept (ps[0], seed 0) case on the M0 grid
     for p_value in cfg.ps:
         p = Exponent(p_value)
         alpha, _ = measure_alpha(cfg, p_value, max(cfg.grids))
@@ -435,58 +429,47 @@ def exp_oscillation_estimate(cfg: ExperimentConfig):
             continue      # no modulus without an exponent
         beta = 0.5 * min(1.0, 2.0 * alpha / p.pprime)
         omega = power_modulus(beta)
-        for seed_idx in range(min(2, cfg.n_seeds)):
-            case = _Case(cfg, p_value, seed_idx)
-            for M in grids:
-                rec = case.on_grid(M)
-                mesh = rec["mesh"]
-                R = 0.15 * _side(cfg)
-                radii = _local_radii(report, cfg, mesh, R)
-                if radii is None:
+        for case, M, rec in _sweep(cfg, [p_value], min(2, cfg.n_seeds)):
+            if (p_value, case.seed_idx, M) == (cfg.ps[0], 0, M0):
+                base = rec
+            radii = _local_radii(report, cfg, rec["mesh"], R)
+            if radii is None:
+                continue
+            fscale = max(_field_scale(rec["prob"].F), 1e-300)
+            fits, excluded = [], 0
+            for lhs, rhs in _weighted_sides(cfg, rec, omega, R, radii, per_side=8):
+                if rhs < DENOM_FLOOR * fscale:
+                    excluded += 1
                     continue
-                pts = _probe_points(cfg, 2.0 * R, per_side=8)
-                fscale = max(_field_scale(rec["prob"].F), 1e-300)
-                fits, excluded = [], 0
-                for x in pts:
-                    lhs = weighted_local_sharp(mesh, rec["A"], 1.0, omega, R,
-                                               radii, x)
-                    rhs = weighted_local_sharp(mesh, rec["prob"].F, p.pprime,
-                                               omega, R, radii, x)
-                    _, tail = ball_oscillation(mesh, rec["A"], x, 2.0 * R, p.pprime)
-                    rhs_total = rhs + tail / omega(R)
-                    if rhs_total < DENOM_FLOOR * fscale:
-                        excluded += 1
-                        continue
-                    fits.append(lhs / rhs_total)
-                c_fit = float(max(fits)) if fits else 0.0
-                row = report.add_case(case=f"p{p_value}-M{M}-s{seed_idx}",
-                                      p=p_value, M=M, seed=seed_idx, beta=beta,
-                                      fitted_constant=c_fit, n_excluded=excluded)
-                records.append(row)
-    report.check("fitted constants finite", "isfinite",
-                 all(np.isfinite(r["fitted_constant"]) for r in records))
-    _stability_checks(report, cfg, records)
+                fits.append(lhs / rhs)
+            c_fit = float(max(fits)) if fits else 0.0
+            records.append(_add_row(report, case, M, beta=beta,
+                                    fitted_constant=c_fit, n_excluded=excluded))
+    _fit_checks(report, cfg, records, "fitted constants finite")
 
     # constant weight reduces to the two-term mean-oscillation comparison
-    case = _Case(cfg, cfg.ps[0], 0)
-    rec = case.on_grid(min(cfg.grids))
-    mesh = rec["mesh"]
-    p = rec["prob"].p
-    R = 0.15 * _side(cfg)
-    radii = _local_radii(report, cfg, mesh, R)
+    if base is None:      # no decay exponent at ps[0] (or n_seeds = 0): not swept
+        base = _Case(cfg, cfg.ps[0], 0).on_grid(M0)
+    radii = _local_radii(report, cfg, base["mesh"], R)
     if radii is not None:
-        omega1 = constant_modulus()
-        vals = []
-        for x in _probe_points(cfg, 2.0 * R, per_side=5):
-            lhs = weighted_local_sharp(mesh, rec["A"], 1.0, omega1, R, radii, x)
-            rhs = weighted_local_sharp(mesh, rec["prob"].F, p.pprime, omega1, R,
-                                       radii, x)
-            _, tail = ball_oscillation(mesh, rec["A"], x, 2.0 * R, p.pprime)
-            vals.append(lhs / max(rhs + tail, 1e-300))
+        vals = [lhs / max(rhs, 1e-300) for lhs, rhs in
+                _weighted_sides(cfg, base, constant_modulus(), R, radii, per_side=5)]
         report.check("constant-weight comparison finite", "isfinite",
                      np.isfinite(max(vals)), value=round(max(vals), 3))
-    report.runtime = time.monotonic() - t0
     return report
+
+
+def _weighted_sides(cfg, rec, omega, R, radii, per_side):
+    """Per probe point, the weighted local sharp field of the flux and the
+    right side: that of the datum plus the flux's p'-oscillation over the
+    doubled ball divided by omega(R)."""
+    mesh, A, F = rec["mesh"], rec["A"], rec["prob"].F
+    q = rec["prob"].p.pprime
+    for x in _probe_points(cfg, 2.0 * R, per_side=per_side):
+        lhs = weighted_local_sharp(mesh, A, 1.0, omega, R, radii, x)
+        rhs = weighted_local_sharp(mesh, F, q, omega, R, radii, x)
+        _, tail = ball_oscillation(mesh, A, x, 2.0 * R, q)
+        yield lhs, rhs + tail / omega(R)
 
 
 # --- pointwise potential bound ---------------------------------------------------
@@ -502,40 +485,27 @@ def exp_potential(cfg: ExperimentConfig):
     exact nested-mean inequality, which makes them Cauchy whenever the
     potential is finite.
     """
-    t0 = time.monotonic()
     report = Report("potential", cfg.echo())
-    grids = _grids_with_refinements(cfg)
+    R = cfg.r_max_frac * _side(cfg)
     records = []
     cauchy_violations = 0
-    for p_value in cfg.ps:
-        p = Exponent(p_value)
-        for seed_idx in range(min(2, cfg.n_seeds)):
-            case = _Case(cfg, p_value, seed_idx)
-            for M in grids:
-                rec = case.on_grid(M)
-                mesh = rec["mesh"]
-                R = cfg.r_max_frac * _side(cfg)
-                params = PotentialParams(R=R, theta=cfg.radii_ratio, p=p)
-                anorm = rec["A"].norms()
-                fits = []
-                for x in _probe_points(cfg, R, per_side=8):
-                    lhs = anorm[mesh.locate_element(x)]
-                    pot = oscillation_potential(mesh, rec["prob"].F, x, params)
-                    idx = ball_elements(mesh, x, R)
-                    mean = float(anorm[idx].mean())
-                    rhs = pot + mean
-                    if rhs > 0.0:
-                        fits.append(lhs / rhs)
-                    cauchy_violations += _dyadic_mean_defects(mesh, rec["A"], x,
-                                                              params)
-                c_fit = float(max(fits)) if fits else 0.0
-                row = report.add_case(case=f"p{p_value}-M{M}-s{seed_idx}",
-                                      p=p_value, M=M, seed=seed_idx,
-                                      fitted_constant=c_fit)
-                records.append(row)
-    report.check("fitted constants finite", "isfinite",
-                 all(np.isfinite(r["fitted_constant"]) for r in records))
-    _stability_checks(report, cfg, records)
+    for case, M, rec in _sweep(cfg, cfg.ps, min(2, cfg.n_seeds)):
+        mesh = rec["mesh"]
+        params = PotentialParams(R=R, theta=cfg.radii_ratio, p=case.p)
+        anorm = rec["A"].norms()
+        fits = []
+        for x in _probe_points(cfg, R, per_side=8):
+            lhs = anorm[mesh.locate_element(x)]
+            pot = oscillation_potential(mesh, rec["prob"].F, x, params)
+            idx = ball_elements(mesh, x, R)
+            mean = float(anorm[idx].mean())
+            rhs = pot + mean
+            if rhs > 0.0:
+                fits.append(lhs / rhs)
+            cauchy_violations += _dyadic_mean_defects(mesh, rec["A"], x, params)
+        records.append(_add_row(report, case, M,
+                                fitted_constant=float(max(fits)) if fits else 0.0))
+    _fit_checks(report, cfg, records, "fitted constants finite")
     report.check("nested dyadic flux means obey the exact mean inequality",
                  "zero violations at 1e-12 slack", cauchy_violations == 0,
                  value=cauchy_violations)
@@ -559,8 +529,7 @@ def exp_potential(cfg: ExperimentConfig):
         F = ElemField(tensors)
         prob = DirichletProblem(Exponent(cfg.ps[0]), mesh, F,
                                 np.zeros((len(mesh.boundary_nodes), cfg.comps)))
-        sol = solve(prob, _solver_config(1e-8))
-        gn = gradient(mesh, sol.u).tensors
+        gn = _solved(prob)["grad"].tensors
         idx = [mesh.locate_element(x) for x in interior]
         maxes[M] = float(np.sqrt(np.sum(gn[idx] ** 2, axis=(1, 2))).max())
     if len(maxes) == 2:
@@ -570,7 +539,6 @@ def exp_potential(cfg: ExperimentConfig):
                      f"growth < {cfg.stability_factor}",
                      np.isfinite(ratio) and ratio < cfg.stability_factor,
                      value=round(ratio, 4))
-    report.runtime = time.monotonic() - t0
     return report
 
 
@@ -651,7 +619,6 @@ def exp_example_5_5(cfg: ExperimentConfig):
     per-scale mesh windows; (c) the Hoelder seminorm of F against omega is
     finite and refinement-stable; (d) the Dini integral of omega diverges.
     """
-    t0 = time.monotonic()
     report = Report("example55", cfg.echo())
     omega = dini_log_modulus(scale=math.e ** 2, cert_r_max=1.0)
 
@@ -712,8 +679,6 @@ def exp_example_5_5(cfg: ExperimentConfig):
     # (d) the modulus genuinely fails the Dini condition
     report.check("Dini divergence of the modulus detected", "divergent",
                  not dini_transform(omega).finite)
-
-    report.runtime = time.monotonic() - t0
     return report
 
 
@@ -730,54 +695,48 @@ def exp_reduction(cfg: ExperimentConfig):
     one-dimensional averaged- and tail-Hardy hypotheses are checked
     independently on a random step-function family.
     """
-    t0 = time.monotonic()
     report = Report("reduction", cfg.echo())
-    grids = _grids_with_refinements(cfg)
-    records = []
+    M0 = min(cfg.grids)
+    phi = young_from_spec(*cfg.young_spec)
+    thetas = {}           # per p the reparametrized Orlicz target, or None
     hyp_violations = []
     for p_value in cfg.ps:
         p = Exponent(p_value)
-        q_leb = 2.0 * p.pprime
-        phi = young_from_spec(*cfg.young_spec)
         try:
-            psi = orlicz_target(phi, p)
-            theta = psi.reparam_power(1.0 / (p.p - 1.0))
+            thetas[p_value] = orlicz_target(phi, p).reparam_power(1.0 / (p.p - 1.0))
         except HypothesisViolation as exc:
             hyp_violations.append({"p": p_value, "reason": str(exc),
                                    "measured": exc.measured})
-            psi = theta = None
-        for seed_idx in range(min(2, cfg.n_seeds)):
-            case = _Case(cfg, p_value, seed_idx)
-            for M in grids:
-                rec = case.on_grid(M)
-                mesh = rec["mesh"]
-                sfA = rearrange(mesh, _centered_norms(rec["A"]))
-                sfF = rearrange(mesh, _centered_norms(rec["prob"].F))
-                rF = lq_norm(sfF, q_leb)
-                pairs = {"lebesgue": lq_norm(sfA, q_leb) / max(rF, 1e-300)}
-                rFl = lorentz_norm(sfF, q_leb, cfg.lorentz_r)
-                pairs["lorentz"] = (lorentz_norm(sfA, q_leb, cfg.lorentz_r)
-                                    / max(rFl, 1e-300))
-                if theta is not None:
-                    rFo = luxemburg_norm(sfF, phi)
-                    pairs["orlicz"] = luxemburg_norm(sfA, theta) / max(rFo, 1e-300)
-                    pairs["modular_C"] = _modular_constant(mesh, theta, phi,
-                                                           sfA, sfF)
-                row = report.add_case(case=f"p{p_value}-M{M}-s{seed_idx}",
-                                      p=p_value, M=M, seed=seed_idx,
-                                      fitted_constant=pairs["lebesgue"],
-                                      **pairs)
-                records.append(row)
-    report.check("norm-pair constants finite", "isfinite",
-                 all(np.isfinite(r["fitted_constant"]) for r in records))
-    _stability_checks(report, cfg, records)
+            thetas[p_value] = None
+    records = []
+    base = None           # the swept (ps[-1], seed 0) case on the M0 grid
+    for case, M, rec in _sweep(cfg, cfg.ps, min(2, cfg.n_seeds)):
+        p_value, mesh = case.p.p, rec["mesh"]
+        if (p_value, case.seed_idx, M) == (cfg.ps[-1], 0, M0):
+            base = rec
+        q_leb = 2.0 * case.p.pprime
+        theta = thetas[p_value]
+        sfA = rearrange(mesh, _centered_norms(rec["A"]))
+        sfF = rearrange(mesh, _centered_norms(rec["prob"].F))
+        rF = lq_norm(sfF, q_leb)
+        pairs = {"lebesgue": lq_norm(sfA, q_leb) / max(rF, 1e-300)}
+        rFl = lorentz_norm(sfF, q_leb, cfg.lorentz_r)
+        pairs["lorentz"] = (lorentz_norm(sfA, q_leb, cfg.lorentz_r)
+                            / max(rFl, 1e-300))
+        if theta is not None:
+            rFo = luxemburg_norm(sfF, phi)
+            pairs["orlicz"] = luxemburg_norm(sfA, theta) / max(rFo, 1e-300)
+            pairs["modular_C"] = _modular_constant(mesh, theta, phi, sfA, sfF)
+        records.append(_add_row(report, case, M, fitted_constant=pairs["lebesgue"],
+                                **pairs))
+    _fit_checks(report, cfg, records, "norm-pair constants finite")
 
     # exponential-type and capped sources at a fixed p
-    p = Exponent(cfg.ps[-1])
-    case = _Case(cfg, p.p, 0)
-    rec = case.on_grid(min(cfg.grids))
-    sfA = rearrange(rec["mesh"], _centered_norms(rec["A"]))
-    sfF = rearrange(rec["mesh"], _centered_norms(rec["prob"].F))
+    if base is None:      # n_seeds = 0: nothing was swept
+        base = _Case(cfg, cfg.ps[-1], 0).on_grid(M0)
+    p = base["prob"].p
+    sfA = rearrange(base["mesh"], _centered_norms(base["A"]))
+    sfF = rearrange(base["mesh"], _centered_norms(base["prob"].F))
     extremes = {}
     for name, src in (("exp-source", ExpYoung(1.0, 2.0 * p.pprime)),
                       ("capped-source", CapYoung(2.0 * p.pprime))):
@@ -812,8 +771,6 @@ def exp_reduction(cfg: ExperimentConfig):
                      np.isfinite(max(avg_ratios)) and np.isfinite(max(tail_ratios)),
                      value={"avg": round(max(avg_ratios), 3),
                             "tail": round(max(tail_ratios), 3)})
-
-    report.runtime = time.monotonic() - t0
     return report
 
 
@@ -865,10 +822,11 @@ def norm_table(mesh, field: ElemField, cfg: ExperimentConfig):
                  lorentz_norm(sf, 2.0, cfg.lorentz_r)))
     rows.append(("Luxemburg", luxemburg_norm(sf, phi)))
     rows.append(("Marcinkiewicz[s]", marcinkiewicz_norm(sf, lambda s: s)))
-    rows.append(("BMO", campanato_seminorm(mesh, field, constant_modulus())))
-    rows.append(("Campanato", campanato_seminorm(mesh, field, omega)))
+    sups = inscribed_sups(mesh, field)
+    rows.append(("BMO", sups.campanato(constant_modulus())))
+    rows.append(("Campanato", sups.campanato(omega)))
     rows.append(("Hoelder", holder_seminorm(mesh, field, omega)))
-    profile = vmo_modulus(mesh, field)
+    profile = sups.vmo_profile()
     for r, v in zip(profile.radii, profile.values):
         rows.append((f"VMO[{r:g}]", v))
     return rows

@@ -52,7 +52,7 @@ class Report:
     config: dict
     cases: list = field(default_factory=list)
     assertions: list = field(default_factory=list)
-    runtime: float = 0.0          # in-memory only, excluded from files
+    runtime: float = 0.0          # set by the caller; in-memory only, never written
 
     def add_case(self, **record):
         self.cases.append(record)

@@ -33,6 +33,8 @@ __all__ = [
     "constant_modulus",
     "dini_log_modulus",
     "modulus_from_spec",
+    "InscribedSups",
+    "inscribed_sups",
     "campanato_seminorm",
     "default_ball_family",
     "vmo_modulus",
@@ -254,13 +256,56 @@ def default_ball_family(mesh, stride=2, r_min_cells=2.0):
     return centers, radii
 
 
-def _inscribed_sups(mesh, f, centers, radii, q):
-    """Per radius, the largest q-mean oscillation over the family's balls
-    that lie inside the mesh, or None when there is none.
+@dataclass(frozen=True)
+class InscribedSups:
+    """Per radius of a ball family, the largest q-mean oscillation over the
+    family's balls that lie inside the mesh, or None when there is none.
 
-    f is first shifted by minus its global mean.  That leaves every
+    One table serves every seminorm read off the family: the Campanato
+    quotients and the VMO profile.
+    """
+
+    radii: list
+    sups: list
+
+    def campanato(self, omega):
+        """Largest sup / omega(r) over the radii with an admissible ball."""
+        quotients = [sup / omega(r) for sup, r in zip(self.sups, self.radii)
+                     if sup is not None]
+        if not quotients:
+            raise ValueError("no admissible ball in the family")
+        return max(quotients)
+
+    def vmo_profile(self):
+        """Nondecreasing rho -> sup over balls of radius <= rho; its .radii
+        and .values expose the underlying table."""
+        sups = np.maximum.accumulate(np.asarray(
+            [0.0 if sup is None else sup for sup in self.sups]))
+        radii = np.asarray(self.radii)
+
+        def profile(rho):
+            rho = float(rho)
+            idx = np.searchsorted(radii, rho, side="right") - 1
+            if idx < 0:
+                return 0.0
+            return float(sups[min(idx, len(sups) - 1)])
+
+        profile.radii = radii
+        profile.values = sups
+        return profile
+
+
+def inscribed_sups(mesh, f, q=1.0, family=None):
+    """InscribedSups of f over a ball family, by one batched pass.
+
+    The default family puts centers on every 2nd barycenter with dyadic
+    radii.  f is first shifted by minus its global mean.  That leaves every
     oscillation unchanged and makes a constant field read exactly zero.
     """
+    centers, radii = default_ball_family(mesh) if family is None else family
+    centers = np.asarray(centers, dtype=float)
+    if len(centers) == 0 or len(radii) == 0:
+        raise ValueError("empty ball family")
     centered = ElemField(f.tensors - f.tensors.mean(axis=0))
     oscs, _ = ball_family_oscillations(mesh, centered, centers, radii, q)
     x0, x1, y0, y1 = mesh.bounds
@@ -270,7 +315,7 @@ def _inscribed_sups(mesh, f, centers, radii, q):
     for k, r in enumerate(radii):
         mask = (inset > r) & np.isfinite(oscs[k])
         sups.append(float(np.max(oscs[k][mask])) if np.any(mask) else None)
-    return sups
+    return InscribedSups(list(radii), sups)
 
 
 def campanato_seminorm(mesh, f, omega, q=1.0, family=None):
@@ -279,19 +324,7 @@ def campanato_seminorm(mesh, f, omega, q=1.0, family=None):
     The default family puts centers on every 2nd barycenter with dyadic
     radii, keeping only balls fully inside the mesh.
     """
-    if family is None:
-        centers, radii = default_ball_family(mesh)
-    else:
-        centers, radii = family
-    centers = np.asarray(centers, dtype=float)
-    if len(centers) == 0 or len(radii) == 0:
-        raise ValueError("empty ball family")
-    quotients = [sup / omega(r)
-                 for sup, r in zip(_inscribed_sups(mesh, f, centers, radii, q), radii)
-                 if sup is not None]
-    if not quotients:
-        raise ValueError("no admissible ball in the family")
-    return max(quotients)
+    return inscribed_sups(mesh, f, q, family).campanato(omega)
 
 
 def vmo_modulus(mesh, f, q=1.0):
@@ -300,22 +333,7 @@ def vmo_modulus(mesh, f, q=1.0):
     Returns a nondecreasing callable; its .radii and .values expose the
     underlying dyadic table.
     """
-    centers, radii = default_ball_family(mesh)
-    sups = [0.0 if sup is None else sup
-            for sup in _inscribed_sups(mesh, f, centers, radii, q)]
-    sups = np.maximum.accumulate(np.asarray(sups))
-    radii = np.asarray(radii)
-
-    def profile(rho):
-        rho = float(rho)
-        idx = np.searchsorted(radii, rho, side="right") - 1
-        if idx < 0:
-            return 0.0
-        return float(sups[min(idx, len(sups) - 1)])
-
-    profile.radii = radii
-    profile.values = sups
-    return profile
+    return inscribed_sups(mesh, f, q).vmo_profile()
 
 
 def holder_seminorm(mesh, f, omega, max_pairs=10 ** 6):

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .stepfun import StepFunction, lorentz_norm, luxemburg_norm, lq_norm
+from .stepfun import (StepFunction, _luxemburg_search, lorentz_norm,
+                      luxemburg_norm, lq_norm)
 
 __all__ = [
     "LebesgueSpec",
@@ -189,25 +190,8 @@ class OrliczSpec:
         top = max(fn(lo if lo > 0 else hi * 1e-9) for lo, hi, fn in pw.pieces)
         if top == 0.0:
             return 0.0
-        hi = max(top, 1.0)
-        grow = 0
-        while modular(hi) > 1.0:
-            hi *= 2.0
-            grow += 1
-            if grow > 2000:
-                raise ValueError("no finite Luxemburg norm for this function")
-        lo = hi
-        while modular(lo) <= 1.0 and lo > 1e-300:
-            lo *= 0.5
-        if lo <= 1e-300:
-            return 0.0
-        while (hi - lo) > rel_tol * hi:
-            mid = 0.5 * (hi + lo)
-            if modular(mid) <= 1.0:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+        return _luxemburg_search(modular, max(top, 1.0), 2000,
+                                 "no finite Luxemburg norm for this function", rel_tol)
 
     def label(self):
         return "Orlicz"

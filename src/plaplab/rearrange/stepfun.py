@@ -22,8 +22,12 @@ __all__ = [
 ]
 
 
-class StepFunction:
-    """Nonincreasing step profile: value values[i] on a piece of measure measures[i]."""
+class PiecewiseConstant:
+    """Nonnegative step data without the monotone invariant.
+
+    Raw profiles like the indicator of (1, 2) feed the tail transform
+    directly; their rearrangement is a StepFunction.
+    """
 
     def __init__(self, values, measures):
         values = np.asarray(values, dtype=float)
@@ -34,8 +38,6 @@ class StepFunction:
             raise ValueError("piece measures must be positive")
         if np.any(values < 0.0) or not np.all(np.isfinite(values)):
             raise ValueError("values must be finite and nonnegative")
-        if np.any(np.diff(values) > 1e-12 * max(1.0, values.max(initial=0.0))):
-            raise ValueError("values must be nonincreasing")
         self.values = values
         self.measures = measures
         self.boundaries = np.cumsum(measures)   # right endpoints
@@ -43,6 +45,16 @@ class StepFunction:
     @property
     def total_measure(self):
         return float(self.boundaries[-1]) if len(self.boundaries) else 0.0
+
+
+class StepFunction(PiecewiseConstant):
+    """Nonincreasing step profile: value values[i] on a piece of measure measures[i]."""
+
+    def __init__(self, values, measures):
+        super().__init__(values, measures)
+        values = self.values
+        if np.any(np.diff(values) > 1e-12 * max(1.0, values.max(initial=0.0))):
+            raise ValueError("values must be nonincreasing")
 
     @classmethod
     def from_samples(cls, values, measures):
@@ -85,31 +97,6 @@ class StepFunction:
         if expo <= 0.0:
             raise ValueError("exponent must be positive")
         return StepFunction(self.values ** expo, self.measures.copy())
-
-
-class PiecewiseConstant:
-    """Nonnegative step data without the monotone invariant.
-
-    Raw profiles like the indicator of (1, 2) feed the tail transform
-    directly; their rearrangement is a StepFunction.
-    """
-
-    def __init__(self, values, measures):
-        values = np.asarray(values, dtype=float)
-        measures = np.asarray(measures, dtype=float)
-        if values.shape != measures.shape or values.ndim != 1:
-            raise ValueError("values and measures must be matching 1-d arrays")
-        if np.any(measures <= 0.0):
-            raise ValueError("piece measures must be positive")
-        if np.any(values < 0.0) or not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite and nonnegative")
-        self.values = values
-        self.measures = measures
-        self.boundaries = np.cumsum(measures)
-
-    @property
-    def total_measure(self):
-        return float(self.boundaries[-1])
 
 
 def rearrange(mesh, f):
@@ -187,13 +174,25 @@ def luxemburg_norm(sf: StepFunction, phi, rel_tol=1e-10):
     def modular(lam):
         return float(np.sum(meas * phi(vals / lam)))
 
-    hi = float(vals[0]) or 1.0
+    return _luxemburg_search(modular, float(vals[0]) or 1.0, 4000,
+                             "no finite Luxemburg norm for this profile", rel_tol)
+
+
+def _luxemburg_search(modular, start, max_doublings, message, rel_tol):
+    """Smallest lambda with modular(lambda) <= 1 for a nonincreasing modular.
+
+    Doubles from start until the modular is at most 1 (ValueError(message)
+    after max_doublings), halves until it exceeds 1 to bracket the
+    crossing, then bisects to the relative tolerance; 0 when the modular
+    stays at most 1 down to lambda = 1e-300.
+    """
+    hi = start
     grow = 0
     while modular(hi) > 1.0:
         hi *= 2.0
         grow += 1
-        if grow > 4000:
-            raise ValueError("no finite Luxemburg norm for this profile")
+        if grow > max_doublings:
+            raise ValueError(message)
     lo = hi
     while modular(lo) <= 1.0 and lo > 1e-300:
         lo *= 0.5

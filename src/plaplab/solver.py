@@ -45,8 +45,6 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    eps_reg: Optional[float] = None     # None: 1e-8 * data scale
-    tol_energy: float = 1e-12
     tol_residual: float = 1e-9
     max_iter: int = 200
     coeff_clamp: tuple = (1e-10, 1e10)  # relative to data_scale^(p-2)
@@ -54,9 +52,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.coeff_clamp[0] > self.coeff_clamp[1]:
             raise ValueError("coefficient clamp interval is empty")
-        for name in ("tol_energy", "tol_residual"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+        if self.tol_residual <= 0.0:
+            raise ValueError("tol_residual must be positive")
 
 
 @dataclass
@@ -255,7 +252,7 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
         u = NodalField(values)
         return Solution(u, 0, [0.0], residual(prob, u))
 
-    eps = cfg.eps_reg if cfg.eps_reg is not None else 1e-8 * scale
+    eps = 1e-8 * scale
     eps_min = 1e-14 * scale
     kmin = cfg.coeff_clamp[0] * scale ** (p - 2.0)
     kmax = cfg.coeff_clamp[1] * scale ** (p - 2.0)
@@ -293,7 +290,7 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
         candidate = linear_step(kappa_of(u, eps), it)
         direction = candidate.values - u.values     # zero on boundary rows
         e_prev = trace[-1]
-        slack = cfg.tol_energy * (1.0 + abs(e_prev))
+        slack = 1e-12 * (1.0 + abs(e_prev))
         # dyadic damping: halve toward the previous iterate and keep the
         # step length with the lowest regularized energy (full steps
         # overshoot for p > 2, where the scan settles near 1/(p-1))
@@ -355,10 +352,11 @@ def solve_pharmonic(mesh: Mesh, p: Exponent, g, cfg: Optional[SolverConfig] = No
 #   bounds     x0, x1, y0, y1
 #   comps      number of solution components N (default 1)
 #   F          zero | file <path> | trig <seed> | amap <seed>
-#   g          zero | affine <a> <b> <c> | file <path> | trace <seed>
+#   g          keep | zero | affine <a> <b> <c> | file <path> | trace <seed>
 # 'trig' builds a seeded truncated trigonometric series, 'amap' builds
-# F = A(grad w) for a seeded smooth w (its trace is then used for g),
-# 'trace' builds a seeded rough piecewise-linear boundary trace.
+# F = A(grad w) for a seeded smooth w, 'trace' builds a seeded rough
+# piecewise-linear boundary trace.  'keep' (the default) takes the boundary
+# data that comes with F: the trace of w for 'amap', zero otherwise.
 
 
 def load_problem(path):
@@ -374,9 +372,10 @@ def load_problem(path):
     mesh = Mesh(bounds, M)
 
     fspec = kv.get("F", "zero").split()
-    gspec = kv.get("g", "zero").split()
+    gspec = kv.get("g", "keep").split()
 
-    g = np.zeros((len(mesh.boundary_nodes), comps))
+    zero = np.zeros((len(mesh.boundary_nodes), comps))
+    g = zero                  # replaced by the trace of w for 'amap'
     if fspec[0] == "zero":
         F = ElemField.zeros(mesh, rows=comps)
     elif fspec[0] == "file":
@@ -394,7 +393,7 @@ def load_problem(path):
         raise ValueError(f"unknown F source {fspec[0]!r}")
 
     if gspec[0] == "zero":
-        pass
+        g = zero
     elif gspec[0] == "affine":
         a, b, c = (float(t) for t in gspec[1:4])
         pts = mesh.nodes[mesh.boundary_nodes]

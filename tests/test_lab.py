@@ -264,3 +264,43 @@ def test_reduction_zero_datum_gives_zero_left_side():
     A = ElemField(a_map(p, grid_gradient(mesh, sol.u).tensors))
     left = lq_norm(do_rearrange(mesh, _centered_norms(A)), 3.0)
     assert left <= 1e-7
+
+
+def test_no_experiment_solves_the_same_problem_twice(monkeypatch):
+    # every (p, M, F, g, tol) is solved at most once per experiment call
+    from plaplab.lab import experiments
+
+    keys = []
+    real = experiments.solve
+
+    def recording(prob, cfg=None, u0=None):
+        keys.append((prob.p.p, prob.mesh.bounds, prob.mesh.cells_per_side,
+                     prob.F.tensors.tobytes(), prob.g.tobytes(), cfg.tol_residual))
+        return real(prob, cfg, u0)
+
+    monkeypatch.setattr(experiments, "solve", recording)
+    cfg = ExperimentConfig(ps=[1.5, 3.0], grids=[16], n_seeds=2)
+    for name, run in EXPERIMENTS.items():
+        keys.clear()
+        run(cfg)
+        assert len(keys) == len(set(keys)), name
+
+
+def test_norm_table_makes_one_ball_family_pass(monkeypatch):
+    # BMO, Campanato and VMO all read one table of inscribed sups
+    from plaplab import oscillation
+
+    calls = []
+    real = oscillation.ball_family_oscillations
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oscillation, "ball_family_oscillations", counting)
+    mesh = Mesh((0, 1, 0, 1), 16)
+    t = np.random.default_rng(9).normal(size=(mesh.num_elements, 1, 2))
+    rows = dict(norm_table(mesh, ElemField(t), ExperimentConfig(**SMALL)))
+    assert len(calls) == 1
+    vmo = [v for name, v in rows.items() if name.startswith("VMO[")]
+    assert rows["BMO"] == vmo[-1]

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from plaplab.fluxmaps import Exponent
 from plaplab.grid import (ElemField, Mesh, NodalField, boundary_values,
                           gradient, integrate)
-from plaplab.lab.cases import manufactured_problem_data, rough_boundary_trace
+from plaplab.lab.cases import (manufactured_problem_data, random_smooth_potential,
+                               rough_boundary_trace)
 from plaplab.solver import (DirichletProblem, NonConvergenceError,
                             SolverConfig, _BandSystem, energy, load_problem,
                             residual, solve, solve_pharmonic)
@@ -261,6 +262,20 @@ def test_problem_file_loading(tmp_path):
     sol = solve(prob, TIGHT)
     exact = prob.mesh.nodes[:, 0] + 2.0 * prob.mesh.nodes[:, 1]
     assert np.allclose(sol.u.values[:, 0], exact, atol=1e-8)
+
+
+def test_problem_file_boundary_sources_with_amap(tmp_path):
+    # an absent g keeps the trace of the amap potential; g = zero means zero
+    cfgfile = tmp_path / "prob.cfg"
+    head = "p = 3.0\ngrid = 8\nF = amap 4\n"
+    mesh = Mesh((0, 1, 0, 1), 8)
+    w = random_smooth_potential(mesh, 1, np.random.default_rng(4))
+    trace = w.values[mesh.boundary_nodes]
+    assert np.abs(trace).max() > 0.1
+    for g_line, expected in (("", trace), ("g = keep\n", trace),
+                             ("g = zero\n", np.zeros_like(trace))):
+        cfgfile.write_text(head + g_line)
+        assert np.array_equal(load_problem(cfgfile).g, expected), g_line
 
 
 @pytest.mark.parametrize("pv, clamp", [(1.5, (0.0, 1e10)), (3.0, (1e-10, np.inf))])
