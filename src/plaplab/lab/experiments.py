@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from ..fluxmaps import Exponent, a_map, v_map
-from ..grid import (ElemField, Mesh, NodalField, ball_elements,
-                    ball_oscillation, ball_stats, gradient, integrate)
+from ..grid import (ElemField, Mesh, NodalField, _ball_members, _require_nonempty,
+                    ball_elements, ball_oscillation, ball_stats, gradient, integrate)
 from ..maximal import RadiiSet, sharp_maximal, weighted_local_sharp
 from ..oscillation import (PotentialParams, constant_modulus, dini_log_modulus,
                            dini_transform, holder_seminorm, inscribed_sups,
@@ -262,22 +262,24 @@ def _pair_sup(values, cap=400):
     return float(np.sqrt(np.sum(diffs ** 2, axis=2)).max())
 
 
-def _decay_slopes(mesh, field, center, R, thetas, floor_cells=3.0):
-    """Log-log slope of the pairwise sup oscillation over shrinking balls."""
-    xs, ys = [], []
-    flat = field.tensors.reshape(mesh.num_elements, -1)
-    for th in thetas:
-        r = th * R
-        if r < floor_cells * mesh.h:
-            continue
-        idx = ball_elements(mesh, center, r)
-        sup = _pair_sup(flat[idx])
-        if sup > 0.0:
-            xs.append(math.log(th))
-            ys.append(math.log(sup))
-    if len(xs) < 2:
-        return None
-    return float(np.polyfit(xs, ys, 1)[0])
+def _decay_slopes(mesh, fields, center, R, thetas, floor_cells=3.0):
+    """Per field, the log-log slope of the pairwise sup oscillation over
+    shrinking balls (None below two positive sups); one gather per center."""
+    kept = [th for th in thetas if th * R >= floor_cells * mesh.h]
+    rs = [th * R for th in kept]
+    members = _ball_members(mesh, center, rs)
+    _require_nonempty([idx.size for idx in members], center, rs)
+    slopes = []
+    for field in fields:
+        flat = field.tensors.reshape(mesh.num_elements, -1)
+        xs, ys = [], []
+        for th, idx in zip(kept, members):
+            sup = _pair_sup(flat[idx])
+            if sup > 0.0:
+                xs.append(math.log(th))
+                ys.append(math.log(sup))
+        slopes.append(float(np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else None)
+    return slopes
 
 
 def measure_alpha(cfg, p_value, M, seed_idx=0, n_centers=5):
@@ -301,8 +303,7 @@ def measure_alpha(cfg, p_value, M, seed_idx=0, n_centers=5):
         center = (cx + off[0], cy + off[1])
         if mesh.boundary_distance(center) <= R:
             continue
-        sa = _decay_slopes(mesh, rec["V"], center, R, thetas)
-        sk = _decay_slopes(mesh, rec["A"], center, R, thetas)
+        sa, sk = _decay_slopes(mesh, (rec["V"], rec["A"]), center, R, thetas)
         if sa is not None:
             alphas.append(sa)          # sup |V dV| ~ theta^alpha
         if sk is not None:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _require_nonempty, ball_elements, ball_stats
+from .grid import _ball_members, _require_nonempty, ball_stats
 
 __all__ = [
     "RadiiSet",
@@ -87,17 +87,22 @@ def weighted_local_sharp(mesh, f, q, omega, R, radii: RadiiSet, x,
     return max([0.0] + [float(osc) / omega(r) for r, osc in zip(rs, oscs)])
 
 
-def plain_maximal(mesh, f, q, radii: RadiiSet, x, require_interior=True):
-    """Max over the radius set of the q-mean of |f| on B_r(x)."""
-    _check_margin(mesh, x, radii.r_max, require_interior)
-    norms = f.norms()
+def _plain_maximal(mesh, norms, q, rs, x):
+    """plain_maximal from the pointwise norms |f|, one ball gather per point."""
+    members = _ball_members(mesh, x, rs)
+    _require_nonempty([idx.size for idx in members], x, rs)
     best = 0.0
-    for r in radii.values():
-        idx = ball_elements(mesh, x, r)
+    for idx in members:
         w = mesh.areas[idx]
         val = (np.sum(w * norms[idx] ** q) / w.sum()) ** (1.0 / q)
         best = max(best, val)
     return best
+
+
+def plain_maximal(mesh, f, q, radii: RadiiSet, x, require_interior=True):
+    """Max over the radius set of the q-mean of |f| on B_r(x)."""
+    _check_margin(mesh, x, radii.r_max, require_interior)
+    return _plain_maximal(mesh, f.norms(), q, radii.values(), x)
 
 
 def riesz_ratio(mesh, f, q, radii: RadiiSet, stride=1):
@@ -112,9 +117,10 @@ def riesz_ratio(mesh, f, q, radii: RadiiSet, stride=1):
     pts = mesh.interior_points(radii.r_max * (1.0 + 1e-9), stride)
     if len(pts) == 0:
         raise MarginError("no interior points clear the largest radius")
-    vals = np.array([plain_maximal(mesh, f, q, radii, x) for x in pts])
+    norms, rs = f.norms(), radii.values()
+    vals = np.array([_plain_maximal(mesh, norms, q, rs, x) for x in pts])
     lhs = StepFunction.from_samples(vals, np.full(len(vals), mesh.element_area))
-    rhs = rearrange(mesh, f.norms() ** q)
+    rhs = rearrange(mesh, norms ** q)
     ratios = []
     s_prev = 0.0
     for m, v in zip(lhs.measures, lhs.values):

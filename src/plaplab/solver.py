@@ -8,7 +8,9 @@ banded Cholesky factorization (LAPACK dpbsv; interior nodes in their natural
 order give half-bandwidth M - 1), and accepts the step only if the
 regularized energy does not increase (halving towards the previous iterate
 otherwise; once the decrease is below the energy's roundoff, the step length
-comes from the energy's slope instead).  The iteration starts from the p = 2
+comes from the energy's slope instead).  The scan, the slope and the residual
+run on carried element gradients, so a step takes only two: one of the new
+iterate and one of the step direction.  The iteration starts from the p = 2
 solution and stops on the weak-form residual, not on energy stagnation.
 """
 
@@ -95,30 +97,24 @@ class Solution:
     residual: float
 
 
+def _density(p, q, fg):
+    """Energy density q^(p/2)/p - F:G per element, with q = eps^2 + |G|^2."""
+    return q ** (p / 2.0) / p - fg
+
+
+def _energy_of(prob, grad, eps):
+    q = eps * eps + np.einsum("enk,enk->e", grad, grad)
+    fg = np.einsum("enk,enk->e", prob.F.tensors, grad)
+    return integrate(prob.mesh, _density(prob.p.p, q, fg))
+
+
 def energy(prob: DirichletProblem, u: NodalField):
     """Energy integral (1/p)|grad u|^p - F . grad u, exact per element."""
-    g = gradient(prob.mesh, u).tensors
-    gn = np.sqrt(np.sum(g ** 2, axis=(1, 2)))
-    dens = gn ** prob.p.p / prob.p.p - np.sum(prob.F.tensors * g, axis=(1, 2))
-    return integrate(prob.mesh, dens)
+    return regularized_energy(prob, u, 0.0)
 
 
 def regularized_energy(prob: DirichletProblem, u: NodalField, eps):
-    g = gradient(prob.mesh, u).tensors
-    gsq = np.sum(g ** 2, axis=(1, 2))
-    dens = (eps * eps + gsq) ** (prob.p.p / 2.0) / prob.p.p \
-        - np.sum(prob.F.tensors * g, axis=(1, 2))
-    return integrate(prob.mesh, dens)
-
-
-def _energy_slope(prob, values, direction, eps):
-    """Derivative of the regularized energy at values along direction."""
-    g = gradient(prob.mesh, NodalField(values)).tensors
-    gd = gradient(prob.mesh, NodalField(direction)).tensors
-    gsq = np.sum(g ** 2, axis=(1, 2))
-    flux = ((eps * eps + gsq) ** ((prob.p.p - 2.0) / 2.0))[:, None, None] * g \
-        - prob.F.tensors
-    return integrate(prob.mesh, np.sum(flux * gd, axis=(1, 2)))
+    return _energy_of(prob, gradient(prob.mesh, u).tensors, eps)
 
 
 def _scatter(mesh, contrib):
@@ -131,24 +127,85 @@ def _scatter(mesh, contrib):
 
 def _flux_load(mesh, tensors):
     """Per-element, per-vertex integrals of tensors . grad(hat), (E, 3, N)."""
-    return np.einsum("e,enk,eik->ein", mesh.areas, tensors, mesh.basis_gradients)
+    load = np.einsum("enk,eik->ein", tensors, mesh.basis_gradients)
+    load *= mesh.element_area
+    return load
+
+
+def _defect_of(prob, grad):
+    return _scatter(prob.mesh, _flux_load(prob.mesh, a_map(prob.p, grad) - prob.F.tensors))
 
 
 def defect_vector(prob: DirichletProblem, u: NodalField):
     """Weak-form defect of A(grad u) - F against every nodal hat direction."""
-    mesh = prob.mesh
-    grad = gradient(mesh, u).tensors
-    return _scatter(mesh, _flux_load(mesh, a_map(prob.p, grad) - prob.F.tensors))
+    return _defect_of(prob, gradient(prob.mesh, u).tensors)
+
+
+def _residual_of(prob, grad, norm):
+    """residual() from the element gradients of u, with norm = 1 + int |F|."""
+    defect = np.abs(_defect_of(prob, grad)[prob.mesh.interior_nodes])
+    return float(defect.max(initial=0.0) / norm)
 
 
 def residual(prob: DirichletProblem, u: NodalField):
     """Normalized sup of the weak-form defect over interior hat directions."""
-    mesh = prob.mesh
-    fnorm1 = integrate(mesh, prob.F.norms())
-    defect = np.abs(defect_vector(prob, u)[mesh.interior_nodes])
-    if defect.size == 0:
-        return 0.0
-    return float(defect.max() / (1.0 + fnorm1))
+    norm = 1.0 + integrate(prob.mesh, prob.F.norms())
+    return _residual_of(prob, gradient(prob.mesh, u).tensors, norm)
+
+
+def _ray(prob, a, grad, direction, eps):
+    """Regularized energy of u + t d and its derivative in t, as functions of t.
+
+    From G = grad u, a = eps^2 + |G|^2 and the nodal values of d (D = grad d,
+    taken once), q = a + t (b + t c) = eps^2 + |G + t D|^2 with b = 2 G:D and
+    c = |D|^2, floored at eps^2 where the expansion rounds below it.  Each
+    value costs one power of an element vector.
+    """
+    mesh, p, F = prob.mesh, prob.p.p, prob.F.tensors
+    step_grad = gradient(mesh, NodalField(direction)).tensors
+    b = 2.0 * np.einsum("enk,enk->e", grad, step_grad)
+    c = np.einsum("enk,enk->e", step_grad, step_grad)
+    f0 = np.einsum("enk,enk->e", F, grad)
+    f1 = np.einsum("enk,enk->e", F, step_grad)
+
+    def q(t):
+        return np.maximum(a + t * (b + t * c), eps * eps)
+
+    def value(t):
+        return integrate(mesh, _density(p, q(t), f0 + t * f1))
+
+    def slope(t):
+        return integrate(mesh, q(t) ** ((p - 2.0) / 2.0) * (0.5 * b + t * c) - f1)
+
+    return value, slope
+
+
+def _step_length(value, slope, e0):
+    """(t, value(t)) for the damped step, or None if every scanned t climbs.
+
+    Halves t from 1 toward 0, where the energy is e0, and keeps the lowest; full
+    steps overshoot for p > 2, where the scan settles near 1/(p-1).
+    """
+    slack = 1e-12 * (1.0 + abs(e0))
+    best_t, best_e, near_e = 0.0, e0, np.inf
+    t = 1.0
+    for _ in range(31):
+        e_t = value(t)
+        if e_t < best_e:
+            best_t, best_e = t, e_t
+        near_e = min(near_e, e_t)
+        if best_t > 0.0 and t < 0.25 * best_t:
+            break                              # minimum bracketed
+        t *= 0.5
+    if best_t > 0.0:
+        return best_t, best_e
+    # near convergence the decrease drowns in roundoff: fail only on a true
+    # increase, and take the secant root of the energy's slope between t = 0
+    # and t = 1, which keeps its precision (the energy is convex in t)
+    if near_e > e0 + slack:
+        return None
+    s0, s1 = slope(0.0), slope(1.0)
+    return 0.0 if s0 >= 0.0 else 1.0 if s1 <= 0.0 else s0 / (s0 - s1), e0
 
 
 class _BandSystem:
@@ -226,41 +283,23 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
           u0: Optional[NodalField] = None):
     """Damped Kacanov solve of the discrete Dirichlet problem.
 
-    Parameters
-    ----------
-    prob : DirichletProblem
-    cfg : SolverConfig, optional
-    u0 : NodalField, optional
-        Custom initial iterate (boundary rows are overwritten by g).
-        Default is the p = 2 solution of the same problem.
-
-    Returns
-    -------
-    Solution with the accepted iterate, the regularized-energy trace
-    (nonincreasing by construction) and the final residual.
+    Starts from u0 (its boundary rows overwritten by g), by default from the
+    p = 2 solution of the same problem.  Returns the accepted iterate, the
+    regularized-energy trace (nonincreasing by construction) and the final
+    residual.
     """
     cfg = cfg or SolverConfig()
-    mesh = prob.mesh
-    p = prob.p.p
+    mesh, p = prob.mesh, prob.p.p
     scale = prob.data_scale()
 
     if scale == 0.0:
         # F = 0 and constant boundary data: the constant extension solves it
-        values = np.zeros((mesh.num_nodes, prob.components))
-        const = prob.g[0] if len(prob.g) else 0.0
-        values[:] = const
-        u = NodalField(values)
+        u = NodalField(np.tile(prob.g[0], (mesh.num_nodes, 1)))
         return Solution(u, 0, [0.0], residual(prob, u))
 
-    eps = 1e-8 * scale
-    eps_min = 1e-14 * scale
-    kmin = cfg.coeff_clamp[0] * scale ** (p - 2.0)
-    kmax = cfg.coeff_clamp[1] * scale ** (p - 2.0)
-
-    def kappa_of(u, eps):
-        g = gradient(mesh, u).tensors
-        gsq = np.sum(g ** 2, axis=(1, 2))
-        return np.clip((eps * eps + gsq) ** ((p - 2.0) / 2.0), kmin, kmax)
+    eps, eps_min = 1e-8 * scale, 1e-14 * scale
+    kmin, kmax = (c * scale ** (p - 2.0) for c in cfg.coeff_clamp)
+    norm = 1.0 + integrate(mesh, prob.F.norms())
 
     system = _BandSystem(prob)
     trace, res = [], np.nan
@@ -280,56 +319,37 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
         values[mesh.boundary_nodes] = prob.g
         u = NodalField(values)
 
-    trace.append(regularized_energy(prob, u, eps))
-    res = residual(prob, u)
+    # the one gradient of each accepted iterate feeds everything below
+    grad = gradient(mesh, u).tensors
+    trace.append(_energy_of(prob, grad, eps))
+    res = _residual_of(prob, grad, norm)
     if res <= cfg.tol_residual:
         return Solution(u, 0, trace, res)
 
     prev_res = res
     for it in range(1, cfg.max_iter + 1):
-        candidate = linear_step(kappa_of(u, eps), it)
+        a = eps * eps + np.einsum("enk,enk->e", grad, grad)
+        candidate = linear_step(np.clip(a ** ((p - 2.0) / 2.0), kmin, kmax), it)
         direction = candidate.values - u.values     # zero on boundary rows
-        e_prev = trace[-1]
-        slack = 1e-12 * (1.0 + abs(e_prev))
-        # dyadic damping: halve toward the previous iterate and keep the
-        # step length with the lowest regularized energy (full steps
-        # overshoot for p > 2, where the scan settles near 1/(p-1))
-        best_t, best_e = 0.0, e_prev
-        near_e = np.inf
-        t = 1.0
-        for _ in range(31):
-            e_t = regularized_energy(prob, NodalField(u.values + t * direction), eps)
-            if e_t < best_e:
-                best_t, best_e = t, e_t
-            near_e = min(near_e, e_t)
-            if best_t > 0.0 and t < 0.25 * best_t:
-                break                              # minimum bracketed
-            t *= 0.5
-        if best_t == 0.0:
-            # near convergence the decrease drowns in roundoff: fail only on
-            # a true increase, and take the step length from the slope of
-            # the energy along the direction, which keeps its precision (the
-            # secant root between t = 0 and t = 1; the energy is convex in t)
-            if near_e > e_prev + slack:
-                raise NonConvergenceError(
-                    "Kacanov step kept increasing the regularized energy",
-                    trace, residual(prob, u))
-            s0 = _energy_slope(prob, u.values, direction, eps)
-            s1 = _energy_slope(prob, candidate.values, direction, eps)
-            best_t = 0.0 if s0 >= 0.0 else 1.0 if s1 <= 0.0 else s0 / (s0 - s1)
-            best_e = e_prev
+        step = _step_length(*_ray(prob, a, grad, direction, eps), trace[-1])
+        if step is None:
+            raise NonConvergenceError(
+                f"Kacanov step kept increasing the regularized energy at outer "
+                f"iteration {it} (eps {eps:.3e})", trace, res)
+        best_t, best_e = step
         u = NodalField(u.values + best_t * direction)
-        trace.append(min(best_e, e_prev))
-        res = residual(prob, u)
+        trace.append(min(best_e, trace[-1]))
+        grad = gradient(mesh, u).tensors
+        res = _residual_of(prob, grad, norm)
         if res <= cfg.tol_residual:
             return Solution(u, it, trace, res)
         if res > 0.93 * prev_res and eps > eps_min:
             # the unregularized weak form has hit the regularization floor
-            # (the fixed point of the eps-smoothed system deviates from the
-            # exact one by O(eps^(p-1))); tightening eps lowers the
-            # regularized energy pointwise, so the trace stays monotone
+            # (the eps-smoothed fixed point is O(eps^(p-1)) off the exact one);
+            # tightening eps lowers the energy pointwise, by less than the
+            # roundoff between the scan's value of it and a direct one
             eps = max(1e-2 * eps, eps_min)
-            trace.append(regularized_energy(prob, u, eps))
+            trace.append(min(_energy_of(prob, grad, eps), trace[-1]))
         prev_res = res
 
     raise NonConvergenceError(

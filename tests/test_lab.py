@@ -304,3 +304,20 @@ def test_norm_table_makes_one_ball_family_pass(monkeypatch):
     assert len(calls) == 1
     vmo = [v for name, v in rows.items() if name.startswith("VMO[")]
     assert rows["BMO"] == vmo[-1]
+
+
+def test_decay_slopes_gather_once_per_center(monkeypatch):
+    # the V and A slopes of a center share one gather of all its radii
+    from plaplab.lab import experiments
+
+    calls = []
+    real = experiments._ball_members
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(experiments, "_ball_members", counting)
+    alpha, kappa = experiments.measure_alpha(ExperimentConfig(), 3.0, 24)
+    assert alpha is not None and kappa is not None
+    assert len(calls) == 5                   # every default center clears R

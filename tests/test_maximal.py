@@ -210,3 +210,32 @@ def test_riesz_rearranged_bound_stable():
         fits.append(max(cs))
     assert all(np.isfinite(c) for c in fits)
     assert max(fits) / min(fits) < 2.0
+
+
+def test_plain_maximal_gathers_once_per_point(monkeypatch):
+    from plaplab import maximal
+    from plaplab.grid import _ball_members, ball_elements
+
+    rng = np.random.default_rng(4)
+    mesh = Mesh((0, 1, 0, 1), 20)
+    f = ElemField(rng.normal(size=(mesh.num_elements, 2, 2)))
+    radii = RadiiSet(2 * mesh.h, 0.3, 0.6)
+    x = (0.47, 0.52)
+    norms = f.norms()
+    expected = 0.0
+    for r in radii.values():                 # one gather per radius
+        idx = ball_elements(mesh, x, r)
+        w = mesh.areas[idx]
+        expected = max(expected, (np.sum(w * norms[idx] ** 1.5) / w.sum()) ** (1.0 / 1.5))
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _ball_members(*args)
+
+    monkeypatch.setattr(maximal, "_ball_members", counting)
+    assert plain_maximal(mesh, f, 1.5, radii, x) == expected
+    assert len(calls) == 1
+    pts = mesh.interior_points(radii.r_max * (1.0 + 1e-9), 40)
+    riesz_ratio(mesh, f, 2.0, radii, stride=40)
+    assert len(calls) == 1 + len(pts)

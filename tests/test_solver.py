@@ -8,9 +8,12 @@ from plaplab.grid import (ElemField, Mesh, NodalField, boundary_values,
                           gradient, integrate)
 from plaplab.lab.cases import (manufactured_problem_data, random_smooth_potential,
                                rough_boundary_trace)
+from plaplab import solver as solver_module
+from plaplab.fluxmaps import a_map
 from plaplab.solver import (DirichletProblem, NonConvergenceError,
-                            SolverConfig, _BandSystem, energy, load_problem,
-                            residual, solve, solve_pharmonic)
+                            SolverConfig, _BandSystem, _ray, defect_vector,
+                            energy, load_problem, regularized_energy, residual,
+                            solve, solve_pharmonic)
 
 TIGHT = SolverConfig(tol_residual=1e-9, max_iter=400)
 
@@ -156,6 +159,16 @@ def test_boundary_values_exact_and_trace_monotone():
     assert all(b <= a + 1e-10 * (1 + abs(a)) for a, b in zip(trace, trace[1:]))
 
 
+@pytest.mark.parametrize("M, seed", [(8, 0), (8, 14), (16, 18)])
+def test_energy_trace_never_increases(M, seed):
+    # these solves tighten eps where the scan's energy of the iterate and a
+    # direct evaluation differ in the last digits
+    mesh = Mesh((0, 1, 0, 1), M)
+    g = rough_boundary_trace(mesh, 1, np.random.default_rng(seed))
+    sol = solve_pharmonic(mesh, Exponent(3.0), g, SolverConfig(tol_residual=1e-8))
+    assert np.all(np.diff(sol.energy_trace) <= 0.0)
+
+
 def test_nonconvergence_carries_trace():
     mesh = Mesh((0, 1, 0, 1), 16)
     p = Exponent(3.0)
@@ -165,6 +178,84 @@ def test_nonconvergence_carries_trace():
         solve(DirichletProblem(p, mesh, F, g), cfg)
     assert len(err.value.energy_trace) >= 1
     assert err.value.last_residual > 0
+
+
+def test_energy_increase_is_a_nonconvergence_error():
+    # halfway from the p-harmonic solution w towards the harmonic extension h,
+    # a constant frozen coefficient steps to h: uphill for every step length
+    mesh = Mesh((0, 1, 0, 1), 8)
+    g = rough_boundary_trace(mesh, 1, np.random.default_rng(5))
+    prob = DirichletProblem(Exponent(3.0), mesh, ElemField.zeros(mesh), g)
+    w = solve(prob).u.values
+    h = solve_pharmonic(mesh, Exponent(2.0), g).u.values
+    u0 = NodalField(0.5 * (w + h))
+    with pytest.raises(NonConvergenceError,
+                       match=r"increasing the regularized energy at outer "
+                             r"iteration 1 \(eps \d\.\d{3}e-\d\d\)") as err:
+        solve(prob, SolverConfig(coeff_clamp=(1.0, 1.0)), u0=u0)
+    assert err.value.last_residual == residual(prob, u0)
+    assert len(err.value.energy_trace) == 1
+
+
+def test_solve_takes_two_gradients_per_step(monkeypatch):
+    calls = []
+
+    def counted(mesh, u):
+        calls.append(1)
+        return gradient(mesh, u)
+
+    monkeypatch.setattr(solver_module, "gradient", counted)
+    mesh = Mesh((0, 1, 0, 1), 16)
+    g = rough_boundary_trace(mesh, 2, np.random.default_rng(5))
+    sol = solve_pharmonic(mesh, Exponent(3.0), g, TIGHT)
+    assert sol.iterations >= 5
+    assert len(calls) <= 2 * sol.iterations + 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(2, 12), pv=st.floats(1.2, 4.0), comps=st.integers(1, 2),
+       eps=st.floats(1e-6, 1.0), t=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_ray_energy_and_slope_match_the_iterate(M, pv, comps, eps, t, seed):
+    mesh = Mesh((0, 1, 0, 1), M)
+    rng = np.random.default_rng(seed)
+    F = ElemField(rng.normal(size=(mesh.num_elements, comps, 2)))
+    g = rng.normal(size=(len(mesh.boundary_nodes), comps))
+    prob = DirichletProblem(Exponent(pv), mesh, F, g)
+    u = rng.normal(size=(mesh.num_nodes, comps))
+    d = rng.normal(size=(mesh.num_nodes, comps))
+    grad = gradient(mesh, NodalField(u)).tensors
+    a = eps * eps + np.sum(grad ** 2, axis=(1, 2))
+    ray_energy, ray_slope = _ray(prob, a, grad, d, eps)
+
+    def exact(s):
+        return regularized_energy(prob, NodalField(u + s * d), eps)
+
+    # size of the terms the energy sums, which may cancel
+    gt = gradient(mesh, NodalField(u + t * d)).tensors
+    size = integrate(mesh, (eps * eps + np.sum(gt ** 2, axis=(1, 2))) ** (pv / 2.0) / pv
+                     + np.abs(np.sum(F.tensors * gt, axis=(1, 2))))
+    assert abs(ray_energy(t) - exact(t)) <= 1e-12 * size
+    # central differences at two steps: their gap bounds the truncation
+    # error where |grad(u + t d)| nearly vanishes on an element
+    central = [(exact(t + h) - exact(t - h)) / (2.0 * h) for h in (1e-4, 5e-5)]
+    assert abs(ray_slope(t) - central[1]) <= 1e-6 * size + abs(central[0] - central[1])
+
+
+def test_defect_vector_matches_element_loop():
+    mesh = Mesh((0, 2, -1, 1), 7)
+    rng = np.random.default_rng(21)
+    p = Exponent(3.5)
+    F = rng.normal(size=(mesh.num_elements, 2, 2))
+    g = rng.normal(size=(len(mesh.boundary_nodes), 2))
+    u = rng.normal(size=(mesh.num_nodes, 2))
+    expected = np.zeros_like(u)
+    for e, nodes in enumerate(mesh.elements):
+        gl = mesh.basis_gradients[e]
+        flux = a_map(p, u[nodes].T @ gl) - F[e]          # (N, 2)
+        expected[nodes] += mesh.areas[e] * gl @ flux.T
+    got = defect_vector(DirichletProblem(p, mesh, ElemField(F), g), NodalField(u))
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_radial_pharmonic_symbolic_oracle_and_convergence():
