@@ -55,11 +55,13 @@ class Exponent:
 
 
 def frobenius(P, axis=None):
-    """Frobenius norm of a tensor, or of a batch along trailing axes."""
+    """Frobenius norm of a tensor, or of a batch along its two trailing axes."""
     P = np.asarray(P, dtype=float)
     if axis is None:
         return float(np.sqrt(np.sum(P * P)))
-    return np.sqrt(np.sum(P * P, axis=axis))
+    if sorted(np.mod(axis, P.ndim)) != [P.ndim - 2, P.ndim - 1]:
+        raise ValueError("batched norms run over the two trailing axes")
+    return np.sqrt(np.einsum("...nk,...nk->...", P, P))
 
 
 def _norm_power(r, expo):

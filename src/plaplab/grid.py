@@ -216,7 +216,7 @@ class ElemField:
 
     def norms(self):
         """Per-element Frobenius norms as a flat array."""
-        return np.sqrt(np.sum(self.tensors ** 2, axis=(1, 2)))
+        return np.sqrt(np.einsum("enk,enk->e", self.tensors, self.tensors))
 
     @classmethod
     def from_callable(cls, mesh, fn, rows=1):
@@ -287,7 +287,8 @@ def ball_stats(mesh, f: ElemField, center, radii, q=1.0):
         w = w / w.sum()
         block = f.tensors[idx]
         mean = np.einsum("e,enk->nk", w, block)
-        dev = np.sqrt(np.sum((block - mean) ** 2, axis=(1, 2)))
+        diff = block - mean
+        dev = np.sqrt(np.einsum("enk,enk->e", diff, diff))
         counts[k] = idx.size
         means[k] = mean
         oscs[k] = np.sum(w * dev ** q) ** (1.0 / q)

@@ -2,14 +2,15 @@
 
 The Dirichlet problem -div(|grad u|^(p-2) grad u) = -div F with u = g on the
 boundary is solved by a damped Kacanov (frozen-coefficient) iteration: each
-step freezes the diffusion coefficient at (eps^2 + |grad u|^2)^((p-2)/2),
+step freezes the diffusion coefficient at (eps^2 + |grad u|^2)^((p-2)/2) and
 solves the resulting SPD linear system for all components at once by one
 banded Cholesky factorization (LAPACK dpbsv; interior nodes in their natural
-order give half-bandwidth M - 1), and accepts the step only if the
-regularized energy does not increase (halving towards the previous iterate
-otherwise; once the decrease is below the energy's roundoff, the step length
-comes from the energy's slope instead).  The scan, the slope and the residual
-run on carried element gradients, so a step takes only two: one of the new
+order give half-bandwidth M - 1).  The step taken is the damped Newton
+minimiser of the regularized energy over the plane of that new direction and
+the previous step, a two-dimensional subspace step as in nonlinear conjugate
+gradients; Newton runs on the energy's slopes, so it keeps its precision once
+energy differences drown in roundoff.  The plane search and the residual run
+on carried element gradients, so a step takes only two: one of the new
 iterate and one of the step direction.  The iteration starts from the p = 2
 solution and stops on the weak-form residual, not on energy stagnation.
 """
@@ -36,6 +37,10 @@ __all__ = [
     "solve_pharmonic",
     "load_problem",
 ]
+
+
+_NEWTON_ITERS = 12     # Newton steps in the plane per Kacanov step, at most
+_NEWTON_TOL = 1e-6     # relative move in (x, y) below which Newton stops
 
 
 class NonConvergenceError(RuntimeError):
@@ -97,15 +102,11 @@ class Solution:
     residual: float
 
 
-def _density(p, q, fg):
-    """Energy density q^(p/2)/p - F:G per element, with q = eps^2 + |G|^2."""
-    return q ** (p / 2.0) / p - fg
-
-
 def _energy_of(prob, grad, eps):
+    """Integral of q^(p/2)/p - F:G from the element gradients G, q = eps^2 + |G|^2."""
     q = eps * eps + np.einsum("enk,enk->e", grad, grad)
     fg = np.einsum("enk,enk->e", prob.F.tensors, grad)
-    return integrate(prob.mesh, _density(prob.p.p, q, fg))
+    return integrate(prob.mesh, q ** (prob.p.p / 2.0) / prob.p.p - fg)
 
 
 def energy(prob: DirichletProblem, u: NodalField):
@@ -153,59 +154,68 @@ def residual(prob: DirichletProblem, u: NodalField):
     return _residual_of(prob, gradient(prob.mesh, u).tensors, norm)
 
 
-def _ray(prob, a, grad, direction, eps):
-    """Regularized energy of u + t d and its derivative in t, as functions of t.
+def _plane(prob, a, grad, D, S, eps):
+    """Regularized energy of u + x d + y s with its gradient and Hessian in (x, y).
 
-    From G = grad u, a = eps^2 + |G|^2 and the nodal values of d (D = grad d,
-    taken once), q = a + t (b + t c) = eps^2 + |G + t D|^2 with b = 2 G:D and
-    c = |D|^2, floored at eps^2 where the expansion rounds below it.  Each
-    value costs one power of an element vector.
+    From G = grad u, a = eps^2 + |G|^2 and the element gradients D of d and S
+    of s, q = eps^2 + |W|^2 with W = G + x D + y S is a quadratic in (x, y)
+    over element products taken once, floored at eps^2 where it rounds below.
+    With k = q^((p-2)/2), one power of an element vector gives the energy
+    int k q / p - F:W, the slopes int k W:D - F:D and int k W:S - F:S, and the
+    Hessian, which adds (p-2) (k/q) (W:D)(W:S) terms to int k D:D, k D:S, k S:S.
     """
-    mesh, p, F = prob.mesh, prob.p.p, prob.F.tensors
-    step_grad = gradient(mesh, NodalField(direction)).tensors
-    b = 2.0 * np.einsum("enk,enk->e", grad, step_grad)
-    c = np.einsum("enk,enk->e", step_grad, step_grad)
-    f0 = np.einsum("enk,enk->e", F, grad)
-    f1 = np.einsum("enk,enk->e", F, step_grad)
+    p, F = prob.p.p, prob.F.tensors
+    gd, gs, dd, ds, ss, fg, fd, fs = (
+        np.einsum("enk,enk->e", X, Y) for X, Y in
+        ((grad, D), (grad, S), (D, D), (D, S), (S, S), (F, grad), (F, D), (F, S)))
 
-    def q(t):
-        return np.maximum(a + t * (b + t * c), eps * eps)
+    def at(x, y):
+        wd, ws = gd + x * dd + y * ds, gs + x * ds + y * ss
+        q = np.maximum(a + x * (gd + wd) + y * (gs + ws), eps * eps)
+        k = q ** ((p - 2.0) / 2.0)
+        c = (p - 2.0) * k / q
+        e, sx, sy, hxx, hxy, hyy = np.stack([
+            k * q / p - (fg + x * fd + y * fs),
+            k * wd - fd, k * ws - fs,
+            k * dd + c * wd * wd, k * ds + c * wd * ws, k * ss + c * ws * ws,
+        ]) @ prob.mesh.areas
+        return e, np.array([sx, sy]), np.array([[hxx, hxy], [hxy, hyy]])
 
-    def value(t):
-        return integrate(mesh, _density(p, q(t), f0 + t * f1))
-
-    def slope(t):
-        return integrate(mesh, q(t) ** ((p - 2.0) / 2.0) * (0.5 * b + t * c) - f1)
-
-    return value, slope
+    return at
 
 
-def _step_length(value, slope, e0):
-    """(t, value(t)) for the damped step, or None if every scanned t climbs.
+def _plane_step(at, e0):
+    """((x, y), energy) near the energy's minimum over the plane, or None.
 
-    Halves t from 1 toward 0, where the energy is e0, and keeps the lowest; full
-    steps overshoot for p > 2, where the scan settles near 1/(p-1).
+    Damped Newton from the origin, where the energy is e0: a step is halved
+    until its energy is at most the current one plus a roundoff slack, so the
+    slopes lead once energy differences drown in roundoff.  Where the 2 x 2
+    Hessian is not positive definite (s = 0, or s parallel to d) the step runs
+    along d alone.  None if d is no descent direction and its full step raises
+    the energy beyond the slack; a zero step if it does not.
     """
     slack = 1e-12 * (1.0 + abs(e0))
-    best_t, best_e, near_e = 0.0, e0, np.inf
-    t = 1.0
-    for _ in range(31):
-        e_t = value(t)
-        if e_t < best_e:
-            best_t, best_e = t, e_t
-        near_e = min(near_e, e_t)
-        if best_t > 0.0 and t < 0.25 * best_t:
-            break                              # minimum bracketed
-        t *= 0.5
-    if best_t > 0.0:
-        return best_t, best_e
-    # near convergence the decrease drowns in roundoff: fail only on a true
-    # increase, and take the secant root of the energy's slope between t = 0
-    # and t = 1, which keeps its precision (the energy is convex in t)
-    if near_e > e0 + slack:
-        return None
-    s0, s1 = slope(0.0), slope(1.0)
-    return 0.0 if s0 >= 0.0 else 1.0 if s1 <= 0.0 else s0 / (s0 - s1), e0
+    z = np.zeros(2)
+    e, slope, hess = at(0.0, 0.0)
+    if slope[0] >= 0.0:
+        return None if at(1.0, 0.0)[0] > e0 + slack else (z, e0)
+    for _ in range(_NEWTON_ITERS):
+        if np.linalg.det(hess) > 1e-10 * hess[0, 0] * hess[1, 1]:
+            step = -np.linalg.solve(hess, slope)
+        else:
+            step = np.array([-slope[0] / hess[0, 0], 0.0])
+        for _ in range(31):
+            trial = at(*(z + step))
+            if trial[0] <= e + slack:
+                break
+            step *= 0.5
+        else:
+            break
+        z += step
+        e, slope, hess = trial
+        if np.abs(step).max() <= _NEWTON_TOL * (1.0 + np.abs(z).max()):
+            break
+    return z, e
 
 
 class _BandSystem:
@@ -327,18 +337,21 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
         return Solution(u, 0, trace, res)
 
     prev_res = res
+    step, step_grad = 0.0, np.zeros_like(grad)      # the last accepted step s
     for it in range(1, cfg.max_iter + 1):
         a = eps * eps + np.einsum("enk,enk->e", grad, grad)
         candidate = linear_step(np.clip(a ** ((p - 2.0) / 2.0), kmin, kmax), it)
         direction = candidate.values - u.values     # zero on boundary rows
-        step = _step_length(*_ray(prob, a, grad, direction, eps), trace[-1])
-        if step is None:
+        dir_grad = gradient(mesh, NodalField(direction)).tensors
+        found = _plane_step(_plane(prob, a, grad, dir_grad, step_grad, eps), trace[-1])
+        if found is None:
             raise NonConvergenceError(
                 f"Kacanov step kept increasing the regularized energy at outer "
                 f"iteration {it} (eps {eps:.3e})", trace, res)
-        best_t, best_e = step
-        u = NodalField(u.values + best_t * direction)
-        trace.append(min(best_e, trace[-1]))
+        (x, y), e = found
+        step, step_grad = x * direction + y * step, x * dir_grad + y * step_grad
+        u = NodalField(u.values + step)
+        trace.append(min(e, trace[-1]))
         grad = gradient(mesh, u).tensors
         res = _residual_of(prob, grad, norm)
         if res <= cfg.tol_residual:
@@ -347,7 +360,7 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
             # the unregularized weak form has hit the regularization floor
             # (the eps-smoothed fixed point is O(eps^(p-1)) off the exact one);
             # tightening eps lowers the energy pointwise, by less than the
-            # roundoff between the scan's value of it and a direct one
+            # roundoff between the plane's value of it and a direct one
             eps = max(1e-2 * eps, eps_min)
             trace.append(min(_energy_of(prob, grad, eps), trace[-1]))
         prev_res = res

@@ -30,6 +30,18 @@ def test_frobenius_zero_iff_zero():
     assert frobenius(np.zeros((2, 3))) == 0.0
 
 
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_batched_frobenius_matches_the_summed_squares(rows):
+    P = np.random.default_rng(rows).normal(size=(4, 5, rows, 2))
+    expected = np.sqrt(np.sum(P * P, axis=(2, 3)))
+    for axis in ((-2, -1), (2, 3)):
+        got = frobenius(P, axis=axis)
+        assert got.shape == (4, 5)
+        assert np.all(np.abs(got - expected) <= 2 * np.spacing(expected))
+    with pytest.raises(ValueError, match="two trailing axes"):
+        frobenius(P, axis=(0, 1))
+
+
 # --- shifted power functions -------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from plaplab.lab.cases import (manufactured_problem_data, random_smooth_potentia
 from plaplab import solver as solver_module
 from plaplab.fluxmaps import a_map
 from plaplab.solver import (DirichletProblem, NonConvergenceError,
-                            SolverConfig, _BandSystem, _ray, defect_vector,
+                            SolverConfig, _BandSystem, _plane, defect_vector,
                             energy, load_problem, regularized_energy, residual,
                             solve, solve_pharmonic)
 
@@ -212,11 +212,36 @@ def test_solve_takes_two_gradients_per_step(monkeypatch):
     assert len(calls) <= 2 * sol.iterations + 2
 
 
+@pytest.mark.parametrize("pv", [1.5, 3.0])
+def test_manufactured_solves_take_at_most_twelve_steps(pv):
+    # the Kacanov step minimises the energy over the plane of its direction
+    # and the previous step; a dyadic scan along the direction took 15-18
+    p = Exponent(pv)
+    mesh = Mesh((0, 1, 0, 1), 32)
+    for seed in range(4):
+        F, g, _ = manufactured_problem_data(p, mesh, 1, np.random.default_rng(seed))
+        sol = solve(DirichletProblem(p, mesh, F, g), SolverConfig(tol_residual=1e-8))
+        assert sol.iterations <= 12, seed
+
+
+def test_gradient_error_at_the_residual_target():
+    # the interpolant is the exact discrete solution, so the gradient error is
+    # what the solve leaves at the 1e-8 residual target
+    p = Exponent(1.5)
+    mesh = Mesh((0, 1, 0, 1), 64)
+    for seed in range(4):
+        F, g, w = manufactured_problem_data(p, mesh, 1, np.random.default_rng(seed))
+        sol = solve(DirichletProblem(p, mesh, F, g), SolverConfig(tol_residual=1e-8))
+        exact = gradient(mesh, w)
+        err = ElemField(gradient(mesh, sol.u).tensors - exact.tensors).norms().max()
+        assert err <= 3e-7 * exact.norms().max(), seed
+
+
 @settings(max_examples=60, deadline=None)
 @given(M=st.integers(2, 12), pv=st.floats(1.2, 4.0), comps=st.integers(1, 2),
-       eps=st.floats(1e-6, 1.0), t=st.floats(0.0, 1.0),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_ray_energy_and_slope_match_the_iterate(M, pv, comps, eps, t, seed):
+       eps=st.floats(1e-6, 1.0), x=st.floats(0.0, 1.0), y=st.floats(-1.0, 1.0),
+       on_ray=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_plane_energy_and_slopes_match_the_iterate(M, pv, comps, eps, x, y, on_ray, seed):
     mesh = Mesh((0, 1, 0, 1), M)
     rng = np.random.default_rng(seed)
     F = ElemField(rng.normal(size=(mesh.num_elements, comps, 2)))
@@ -224,22 +249,46 @@ def test_ray_energy_and_slope_match_the_iterate(M, pv, comps, eps, t, seed):
     prob = DirichletProblem(Exponent(pv), mesh, F, g)
     u = rng.normal(size=(mesh.num_nodes, comps))
     d = rng.normal(size=(mesh.num_nodes, comps))
-    grad = gradient(mesh, NodalField(u)).tensors
+    # s = 0 is the ray along d that the first Kacanov step searches
+    s = np.zeros_like(d) if on_ray else rng.normal(size=(mesh.num_nodes, comps))
+    grad, D, S = (gradient(mesh, NodalField(v)).tensors for v in (u, d, s))
     a = eps * eps + np.sum(grad ** 2, axis=(1, 2))
-    ray_energy, ray_slope = _ray(prob, a, grad, d, eps)
+    at = _plane(prob, a, grad, D, S, eps)
 
-    def exact(s):
-        return regularized_energy(prob, NodalField(u + s * d), eps)
+    def exact(x, y):
+        return regularized_energy(prob, NodalField(u + x * d + y * s), eps)
 
     # size of the terms the energy sums, which may cancel
-    gt = gradient(mesh, NodalField(u + t * d)).tensors
+    gt = gradient(mesh, NodalField(u + x * d + y * s)).tensors
     size = integrate(mesh, (eps * eps + np.sum(gt ** 2, axis=(1, 2))) ** (pv / 2.0) / pv
                      + np.abs(np.sum(F.tensors * gt, axis=(1, 2))))
-    assert abs(ray_energy(t) - exact(t)) <= 1e-12 * size
+    value, slopes, _ = at(x, y)
+    assert abs(value - exact(x, y)) <= 1e-12 * size
     # central differences at two steps: their gap bounds the truncation
-    # error where |grad(u + t d)| nearly vanishes on an element
-    central = [(exact(t + h) - exact(t - h)) / (2.0 * h) for h in (1e-4, 5e-5)]
-    assert abs(ray_slope(t) - central[1]) <= 1e-6 * size + abs(central[0] - central[1])
+    # error where |grad(u + x d + y s)| nearly vanishes on an element
+    for slope, (ex, ey) in zip(slopes, ((1.0, 0.0), (0.0, 1.0))):
+        central = [(exact(x + h * ex, y + h * ey) - exact(x - h * ex, y - h * ey)) / (2.0 * h)
+                   for h in (1e-4, 5e-5)]
+        assert abs(slope - central[1]) <= 1e-6 * size + abs(central[0] - central[1])
+
+
+def test_plane_hessian_matches_its_slopes():
+    mesh = Mesh((0, 1, 0, 1), 8)
+    rng = np.random.default_rng(22)
+    for pv in (1.5, 3.0):
+        prob = DirichletProblem(Exponent(pv), mesh,
+                                ElemField(rng.normal(size=(mesh.num_elements, 2, 2))),
+                                rng.normal(size=(len(mesh.boundary_nodes), 2)))
+        grad, D, S = (gradient(mesh, NodalField(rng.normal(size=(mesh.num_nodes, 2)))).tensors
+                      for _ in range(3))
+        eps = 1e-3
+        at = _plane(prob, eps * eps + np.sum(grad ** 2, axis=(1, 2)), grad, D, S, eps)
+        x, y, h = 0.3, -0.2, 1e-6
+        hess = at(x, y)[2]
+        central = np.column_stack([(at(x + h, y)[1] - at(x - h, y)[1]) / (2.0 * h),
+                                   (at(x, y + h)[1] - at(x, y - h)[1]) / (2.0 * h)])
+        assert np.abs(hess - central).max() <= 1e-6 * np.abs(hess).max()
+        assert np.linalg.eigvalsh(hess).min() > 0.0      # the energy is convex
 
 
 def test_defect_vector_matches_element_loop():
