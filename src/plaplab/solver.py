@@ -4,15 +4,19 @@ The Dirichlet problem -div(|grad u|^(p-2) grad u) = -div F with u = g on the
 boundary is solved by a damped Kacanov (frozen-coefficient) iteration: each
 step freezes the diffusion coefficient at (eps^2 + |grad u|^2)^((p-2)/2) and
 solves the resulting SPD linear system for all components at once by one
-banded Cholesky factorization (LAPACK dpbsv; interior nodes in their natural
-order give half-bandwidth M - 1).  The step taken is the damped Newton
-minimiser of the regularized energy over the plane of that new direction and
-the previous step, a two-dimensional subspace step as in nonlinear conjugate
-gradients; Newton runs on the energy's slopes, so it keeps its precision once
-energy differences drown in roundoff.  The plane search and the residual run
-on carried element gradients, so a step takes only two: one of the new
-iterate and one of the step direction.  The iteration starts from the p = 2
-solution and stops on the weak-form residual, not on energy stagnation.
+banded Cholesky factorization (LAPACK dpbsv).  The 5-point stencil of these
+right triangles couples no two nodes of one checkerboard colour, so one
+colour is eliminated exactly first (red-black static condensation): the
+factored Schur complement keeps the half-bandwidth M - 1 of the natural
+order on half the rows, and takes half the flops.  The step taken is the
+damped Newton minimiser of the regularized energy over the plane of that new
+direction and the previous step, a two-dimensional subspace step as in
+nonlinear conjugate gradients; Newton runs on the energy's slopes, so it
+keeps its precision once energy differences drown in roundoff.  The plane
+search and the residual run on carried element gradients, so a step takes
+only two: one of the new iterate and one of the step direction.  The
+iteration starts from the p = 2 solution and stops on the weak-form
+residual, not on energy stagnation.
 """
 
 from dataclasses import dataclass
@@ -118,23 +122,21 @@ def regularized_energy(prob: DirichletProblem, u: NodalField, eps):
     return _energy_of(prob, gradient(prob.mesh, u).tensors, eps)
 
 
-def _scatter(mesh, contrib):
-    """Sum per-element, per-vertex rows (E, 3, N) into nodal rows."""
-    nodes = mesh.elements.ravel()
+def _scatter(index, rows, length):
+    """Sum rows (K, N) into `length` rows by index."""
     return np.column_stack([
-        np.bincount(nodes, weights=contrib[:, :, c].ravel(), minlength=mesh.num_nodes)
-        for c in range(contrib.shape[2])])
+        np.bincount(index, weights=column, minlength=length) for column in rows.T])
 
 
 def _flux_load(mesh, tensors):
-    """Per-element, per-vertex integrals of tensors . grad(hat), (E, 3, N)."""
+    """Nodal integrals of tensors . grad(hat), (num nodes, N)."""
     load = np.einsum("enk,eik->ein", tensors, mesh.basis_gradients)
     load *= mesh.element_area
-    return load
+    return _scatter(mesh.elements.ravel(), load.reshape(-1, load.shape[2]), mesh.num_nodes)
 
 
 def _defect_of(prob, grad):
-    return _scatter(prob.mesh, _flux_load(prob.mesh, a_map(prob.p, grad) - prob.F.tensors))
+    return _flux_load(prob.mesh, a_map(prob.p, grad) - prob.F.tensors)
 
 
 def defect_vector(prob: DirichletProblem, u: NodalField):
@@ -154,7 +156,7 @@ def residual(prob: DirichletProblem, u: NodalField):
     return _residual_of(prob, gradient(prob.mesh, u).tensors, norm)
 
 
-def _plane(prob, a, grad, D, S, eps):
+def _plane(prob, a, grad, D, S, eps, k0=None):
     """Regularized energy of u + x d + y s with its gradient and Hessian in (x, y).
 
     From G = grad u, a = eps^2 + |G|^2 and the element gradients D of d and S
@@ -163,8 +165,12 @@ def _plane(prob, a, grad, D, S, eps):
     With k = q^((p-2)/2), one power of an element vector gives the energy
     int k q / p - F:W, the slopes int k W:D - F:D and int k W:S - F:S, and the
     Hessian, which adds (p-2) (k/q) (W:D)(W:S) terms to int k D:D, k D:S, k S:S.
+    At the origin q = a exactly, so k is k0 = a^((p-2)/2) when the caller has
+    it already.
     """
     p, F = prob.p.p, prob.F.tensors
+    power = (p - 2.0) / 2.0
+    k0 = a ** power if k0 is None else k0
     gd, gs, dd, ds, ss, fg, fd, fs = (
         np.einsum("enk,enk->e", X, Y) for X, Y in
         ((grad, D), (grad, S), (D, D), (D, S), (S, S), (F, grad), (F, D), (F, S)))
@@ -172,7 +178,7 @@ def _plane(prob, a, grad, D, S, eps):
     def at(x, y):
         wd, ws = gd + x * dd + y * ds, gs + x * ds + y * ss
         q = np.maximum(a + x * (gd + wd) + y * (gs + ws), eps * eps)
-        k = q ** ((p - 2.0) / 2.0)
+        k = k0 if x == 0.0 and y == 0.0 else q ** power
         c = (p - 2.0) * k / q
         e, sx, sy, hxx, hxy, hyy = np.stack([
             k * q / p - (fg + x * fd + y * fs),
@@ -219,73 +225,130 @@ def _plane_step(at, e0):
 
 
 class _BandSystem:
-    """Frozen-coefficient systems of one problem in LAPACK lower band storage.
+    """Frozen-coefficient systems of one problem, condensed onto one colour.
 
     Solves -div(kappa grad u) = -div F with u = g on the boundary, for
-    per-element kappa > 0.  What does not depend on kappa is built once: the
-    interior node numbering; for every nonzero lower entry of an element
-    matrix between two interior nodes, its element, its unit weight
-    area * grad(hat_i) . grad(hat_j) and its slot in band storage; and the
-    gradient of g extended by zero, whose flux lifts g into the right-hand
-    side.  The band width is read off the entries kept: interior nodes in
-    natural order couple at offsets 1 and M - 1 only, since the hypotenuse
-    entries of these right triangles are exactly zero.
+    per-element kappa > 0.  Interior nodes couple only to their four axis
+    neighbours, since the hypotenuse entries of these right triangles are
+    exactly zero.  Colour a node by the parity of ix + iy: no two nodes of
+    one colour couple, so the interior matrix is K = [[D_r, B], [B^T, D_b]]
+    with D_r and D_b diagonal.  The red nodes (odd parity, the smaller
+    colour) are eliminated exactly.  The Schur complement
+    S = D_b - B^T D_r^-1 B on the black nodes, numbered row-major, couples
+    them at offsets 1, about (M - 1) / 2 and M - 1: the half-bandwidth of K
+    on half its rows, so the banded Cholesky factorization of S (LAPACK
+    dpbsv) takes half the flops of K's.
+
+    What does not depend on kappa is built once: the colour numbering; for
+    every nonzero element-matrix entry between two interior nodes, its
+    element, its unit weight area * grad(hat_i) . grad(hat_j) and its slot
+    among K's diagonal and red-black couplings; the red and black node of
+    every coupling; the band slot of every pair of couplings at one red
+    node; and the gradient of g extended by zero, whose flux lifts g into
+    the right-hand side.
     """
 
     def __init__(self, prob):
         mesh = prob.mesh
         self.prob = prob
-        self.interior = mesh.interior_nodes
-        n = len(self.interior)
-        number = np.full(mesh.num_nodes, -1)
-        number[self.interior] = np.arange(n)
-        local = number[mesh.elements]                 # (E, 3), -1 on the boundary
+        row_len = mesh.cells_per_side + 1
+        interior = mesh.interior_nodes
+        # node (1, 1) has even parity, so the even colour is the larger one
+        even = np.sum(np.divmod(interior, row_len), axis=0) % 2 == 0
+        self.red, self.black = interior[~even], interior[even]
+        nr, n = len(self.red), len(interior)
+        pos = np.full(mesh.num_nodes, -1)               # red rows first, then black
+        pos[self.red] = np.arange(nr)
+        pos[self.black] = np.arange(nr, n)
         gl = mesh.basis_gradients
 
-        def entries():
-            # per vertex pair: element, unit weight, row and column (row >= col)
-            for a in range(3):
-                for b in range(a + 1):
-                    unit = mesh.areas * np.sum(gl[:, a] * gl[:, b], axis=1)
-                    row = np.maximum(local[:, a], local[:, b])
-                    col = np.minimum(local[:, a], local[:, b])
-                    elem = np.flatnonzero((col >= 0) & (unit != 0.0))
-                    yield elem, unit[elem], row[elem], col[elem]
+        # the couplings of each red node by direction (W, E, S, N), -1 where
+        # its neighbour is on the boundary
+        neighbour = pos[self.red[:, None] + np.array([-1, 1, -row_len, row_len])]
+        present = neighbour >= nr
+        number = np.where(present, np.cumsum(present).reshape(nr, 4) - 1, -1)
+        num_couplings = int(present.sum())
+        red_of, black_of = np.flatnonzero(present) // 4, neighbour[present] - nr
 
-        self.width = 1 + max(int((row - col).max(initial=0)) for _, _, row, col in entries())
         # the smallest unsigned types that hold every index keep the peak low
         elem_type = np.min_scalar_type(mesh.num_elements)
-        slot_type = np.min_scalar_type(self.width * n)
-        elem, weight, slot = zip(*[
-            (elem.astype(elem_type), unit, (col * self.width + row - col).astype(slot_type))
-            for elem, unit, row, col in entries()])
-        self.elem, self.weight, self.slot = map(np.concatenate, (elem, weight, slot))
+        kslot_type = np.min_scalar_type(n + num_couplings)
+        entries = []
+        for a in range(3):
+            for b in range(a + 1):
+                unit = mesh.areas * np.sum(gl[:, a] * gl[:, b], axis=1)
+                va, vb = mesh.elements[:, a], mesh.elements[:, b]
+                elem = np.flatnonzero((pos[va] >= 0) & (pos[vb] >= 0) & (unit != 0.0))
+                va, vb = va[elem], vb[elem]
+                if a == b:
+                    kslot = pos[va]
+                else:
+                    a_red = pos[va] < nr
+                    red, black = np.where(a_red, va, vb), np.where(a_red, vb, va)
+                    step = black - red                  # -1, 1, -row_len, row_len
+                    kslot = n + number[pos[red], (step > 0) + 2 * (np.abs(step) != 1)]
+                entries.append((elem.astype(elem_type), unit[elem], kslot.astype(kslot_type)))
+        self.elem, self.weight, self.kslot = map(np.concatenate, zip(*entries))
+
+        # every pair (i >= j) of couplings at one red node fills S[black_i, black_j]
+        pairs = []
+        for s in range(4):
+            for t in range(s + 1):
+                both = present[:, s] & present[:, t]
+                pairs.append((number[both, s], number[both, t]))
+        pair_i, pair_j = map(np.concatenate, zip(*pairs))
+        row = np.maximum(black_of[pair_i], black_of[pair_j])
+        col = np.minimum(black_of[pair_i], black_of[pair_j])
+        self.width = 1 + int((row - col).max(initial=0))
+        coupling_type = np.min_scalar_type(num_couplings)
+        self.pair_i, self.pair_j = pair_i.astype(coupling_type), pair_j.astype(coupling_type)
+        # S's diagonal slots first, for D_b, then one slot per pair
+        slot = np.concatenate([np.arange(n - nr) * self.width, col * self.width + row - col])
+        self.slot = slot.astype(np.min_scalar_type(self.width * (n - nr)))
+        self.red_of = red_of.astype(np.min_scalar_type(nr))
+        self.black_of = black_of.astype(np.min_scalar_type(n - nr))
         self.g_full = np.zeros((mesh.num_nodes, prob.components))
         self.g_full[mesh.boundary_nodes] = prob.g
         self.grad_g = gradient(mesh, NodalField(self.g_full)).tensors
 
-    def band(self, kappa):
-        """Interior stiffness matrix, ab[i - j, j] = K[i, j] for i >= j.
+    def condense(self, kappa):
+        """(S, d_r, B, B / d_r): S in lower band storage, ab[i - j, j] = S[i, j].
 
-        Fortran order, so that LAPACK factors it in place without a copy.
+        d_r holds the red pivots; B and the multipliers B / d_r are indexed
+        by coupling.  ab is in Fortran order, so that LAPACK factors it in
+        place without a copy.  LinAlgError if a red pivot is not finite and
+        positive.
         """
-        n = len(self.interior)
+        nr, nb = len(self.red), len(self.black)
         weights = kappa[self.elem]
         weights *= self.weight
-        return np.bincount(self.slot, weights=weights,
-                           minlength=self.width * n).reshape(n, self.width).T
+        k = np.bincount(self.kslot, weights=weights, minlength=nr + nb + len(self.red_of))
+        d_r, d_b, B = k[:nr], k[nr:nr + nb], k[nr + nb:]
+        if not np.all((d_r > 0.0) & (d_r < np.inf)):
+            raise LinAlgError("red pivot not finite and positive")
+        mult = B / d_r[self.red_of]
+        fill = B[self.pair_i] * mult[self.pair_j]
+        ab = np.bincount(self.slot, weights=np.concatenate([d_b, -fill]),
+                         minlength=self.width * nb).reshape(nb, self.width).T
+        return ab, d_r, B, mult
 
     def solve(self, kappa):
         """Nodal values of the solution; LinAlgError if the solve fails."""
         mesh = self.prob.mesh
+        ab, d_r, B, mult = self.condense(kappa)
         flux = self.prob.F.tensors - kappa[:, None, None] * self.grad_g
-        rhs = _scatter(mesh, _flux_load(mesh, flux))[self.interior]
-        x = solveh_banded(self.band(kappa), rhs, lower=True, overwrite_ab=True,
-                          overwrite_b=True, check_finite=False)
-        if not np.all(np.isfinite(x)):
-            raise LinAlgError("non-finite solution")
+        rhs = _flux_load(mesh, flux)
+        b_r, b_b = rhs[self.red], rhs[self.black]
+        b_b -= _scatter(self.black_of, mult[:, None] * b_r[self.red_of], len(self.black))
+        x_b = solveh_banded(ab, b_b, lower=True, overwrite_ab=True,
+                            overwrite_b=True, check_finite=False)
+        x_r = b_r - _scatter(self.red_of, B[:, None] * x_b[self.black_of], len(self.red))
+        x_r /= d_r[:, None]
         values = self.g_full.copy()
-        values[self.interior] = x
+        values[self.red] = x_r
+        values[self.black] = x_b
+        if not np.all(np.isfinite(values)):
+            raise LinAlgError("non-finite solution")
         return values
 
 
@@ -340,10 +403,11 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
     step, step_grad = 0.0, np.zeros_like(grad)      # the last accepted step s
     for it in range(1, cfg.max_iter + 1):
         a = eps * eps + np.einsum("enk,enk->e", grad, grad)
-        candidate = linear_step(np.clip(a ** ((p - 2.0) / 2.0), kmin, kmax), it)
+        k = a ** ((p - 2.0) / 2.0)
+        candidate = linear_step(np.clip(k, kmin, kmax), it)
         direction = candidate.values - u.values     # zero on boundary rows
         dir_grad = gradient(mesh, NodalField(direction)).tensors
-        found = _plane_step(_plane(prob, a, grad, dir_grad, step_grad, eps), trace[-1])
+        found = _plane_step(_plane(prob, a, grad, dir_grad, step_grad, eps, k), trace[-1])
         if found is None:
             raise NonConvergenceError(
                 f"Kacanov step kept increasing the regularized energy at outer "

@@ -161,8 +161,8 @@ def test_boundary_values_exact_and_trace_monotone():
 
 @pytest.mark.parametrize("M, seed", [(8, 0), (8, 14), (16, 18)])
 def test_energy_trace_never_increases(M, seed):
-    # these solves tighten eps where the scan's energy of the iterate and a
-    # direct evaluation differ in the last digits
+    # these solves tighten eps where the plane evaluator's energy of the
+    # iterate and a direct evaluation differ in the last digits
     mesh = Mesh((0, 1, 0, 1), M)
     g = rough_boundary_trace(mesh, 1, np.random.default_rng(seed))
     sol = solve_pharmonic(mesh, Exponent(3.0), g, SolverConfig(tol_residual=1e-8))
@@ -452,6 +452,14 @@ def band_to_dense(ab):
     return K + np.tril(K, -1).T
 
 
+def dense_schur_complement(mesh, system, K_ii):
+    """K_bb - K_br K_rr^-1 K_rb of the interior matrix, over the system's colours."""
+    red, black = (np.searchsorted(mesh.interior_nodes, nodes)
+                  for nodes in (system.red, system.black))
+    K_rb = K_ii[np.ix_(red, black)]
+    return K_ii[np.ix_(black, black)] - K_rb.T @ (K_rb / np.diag(K_ii)[red, None])
+
+
 def test_frozen_coefficient_system_is_spd():
     mesh = Mesh((0, 1, 0, 1), 6)
     rng = np.random.default_rng(11)
@@ -462,9 +470,31 @@ def test_frozen_coefficient_system_is_spd():
     assert np.allclose(K_ii, K_ii.T, atol=1e-14)
     eigs = np.linalg.eigvalsh(K_ii)
     assert eigs.min() > 0.0
-    ab = _BandSystem(DirichletProblem(Exponent(2.0), mesh, ElemField(F), g)).band(kappa)
-    assert ab.shape == (6, len(mesh.interior_nodes))    # half-bandwidth M - 1
-    assert np.allclose(band_to_dense(ab), K_ii, rtol=1e-14, atol=1e-14)
+    # no two interior nodes of one colour (parity of ix + iy) couple
+    colour = np.sum(np.divmod(mesh.interior_nodes, mesh.cells_per_side + 1), axis=0) % 2
+    same = (colour[:, None] == colour[None, :]) & ~np.eye(len(colour), dtype=bool)
+    assert np.all(K_ii[same] == 0.0)
+    system = _BandSystem(DirichletProblem(Exponent(2.0), mesh, ElemField(F), g))
+    ab = system.condense(kappa)[0]
+    assert ab.shape == (6, len(system.black))            # half-bandwidth M - 1
+    assert np.allclose(band_to_dense(ab), dense_schur_complement(mesh, system, K_ii),
+                       rtol=1e-14, atol=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(2, 12), x0=st.floats(-10, 10), y0=st.floats(-10, 10),
+       side=st.floats(0.1, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_condensed_band_matches_dense_schur_complement(M, x0, y0, side, seed):
+    mesh = Mesh((x0, x0 + side, y0, y0 + side), M)
+    rng = np.random.default_rng(seed)
+    kappa = rng.lognormal(size=mesh.num_elements)
+    F = np.zeros((mesh.num_elements, 1, 2))
+    g = np.zeros((len(mesh.boundary_nodes), 1))
+    K_ii, _ = dense_frozen_system(mesh, kappa, F, g)
+    system = _BandSystem(DirichletProblem(Exponent(2.0), mesh, ElemField(F), g))
+    expected = dense_schur_complement(mesh, system, K_ii)
+    err = np.abs(band_to_dense(system.condense(kappa)[0]) - expected).max()
+    assert err <= 1e-12 * np.abs(expected).max()
 
 
 @settings(max_examples=60, deadline=None)
