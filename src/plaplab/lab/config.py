@@ -1,6 +1,7 @@
 """Flat key-value experiment configuration.
 
 Config files are plain text, one `key = value` per line, `#` comments.
+A key appears at most once, and a key not documented here is an error.
 Documented keys (all optional, with desk-scale defaults):
 
     p                 comma list of exponents            1.5, 2, 3
@@ -33,8 +34,10 @@ def parse_config_file(path):
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
+            key, val = (t.strip() for t in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+            out[key] = val
     return out
 
 
@@ -44,6 +47,29 @@ def _floats(text):
 
 def _ints(text):
     return [int(t) for t in str(text).replace(",", " ").split()]
+
+
+def _spec(text):
+    parts = text.split()
+    return parts[0], tuple(float(x) for x in parts[1:])
+
+
+_KEYS = {   # config key: (ExperimentConfig field, reader of its text)
+    "p": ("ps", _floats),
+    "grids": ("grids", _ints),
+    "seed": ("seed", int),
+    "n_seeds": ("n_seeds", int),
+    "comps": ("comps", int),
+    "bounds": ("bounds", lambda t: tuple(_floats(t))),
+    "radii_ratio": ("radii_ratio", float),
+    "r_min_cells": ("r_min_cells", float),
+    "r_max_frac": ("r_max_frac", float),
+    "modulus": ("modulus_spec", _spec),
+    "young": ("young_spec", _spec),
+    "lorentz_r": ("lorentz_r", float),
+    "stability_factor": ("stability_factor", float),
+    "assert_mode": ("assert_mode", lambda t: t.lower() in ("1", "true", "yes", "on")),
+}
 
 
 @dataclass
@@ -71,38 +97,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, kv):
-        kw = {}
-        if "p" in kv:
-            kw["ps"] = _floats(kv["p"])
-        if "grids" in kv:
-            kw["grids"] = _ints(kv["grids"])
-        if "seed" in kv:
-            kw["seed"] = int(kv["seed"])
-        if "n_seeds" in kv:
-            kw["n_seeds"] = int(kv["n_seeds"])
-        if "comps" in kv:
-            kw["comps"] = int(kv["comps"])
-        if "bounds" in kv:
-            kw["bounds"] = tuple(_floats(kv["bounds"]))
-        if "radii_ratio" in kv:
-            kw["radii_ratio"] = float(kv["radii_ratio"])
-        if "r_min_cells" in kv:
-            kw["r_min_cells"] = float(kv["r_min_cells"])
-        if "r_max_frac" in kv:
-            kw["r_max_frac"] = float(kv["r_max_frac"])
-        if "modulus" in kv:
-            parts = kv["modulus"].split()
-            kw["modulus_spec"] = (parts[0], tuple(float(x) for x in parts[1:]))
-        if "young" in kv:
-            parts = kv["young"].split()
-            kw["young_spec"] = (parts[0], tuple(float(x) for x in parts[1:]))
-        if "lorentz_r" in kv:
-            kw["lorentz_r"] = float(kv["lorentz_r"])
-        if "stability_factor" in kv:
-            kw["stability_factor"] = float(kv["stability_factor"])
-        if "assert_mode" in kv:
-            kw["assert_mode"] = kv["assert_mode"].lower() in ("1", "true", "yes", "on")
-        return cls(**kw)
+        unknown = sorted(set(kv) - set(_KEYS))
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        return cls(**{_KEYS[key][0]: _KEYS[key][1](text) for key, text in kv.items()})
 
     @classmethod
     def from_file(cls, path):

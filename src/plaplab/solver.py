@@ -2,11 +2,12 @@
 
 The Dirichlet problem -div(|grad u|^(p-2) grad u) = -div F with u = g on the
 boundary is solved by a damped Kacanov (frozen-coefficient) iteration: each
-step freezes the diffusion coefficient at (eps^2 + |grad u|^2)^((p-2)/2) and
-solves the resulting SPD linear system for all components at once by one
-banded Cholesky factorization (LAPACK dpbsv).  The 5-point stencil of these
-right triangles couples no two nodes of one checkerboard colour, so one
-colour is eliminated exactly first (red-black static condensation): the
+step freezes the diffusion coefficient at (eps^2 + |grad u|^2)^((p-2)/2),
+with one fixed eps = 1e-14 * data_scale, and solves the resulting SPD linear
+system for all components at once by one banded Cholesky factorization
+(LAPACK dpbsv).  On these right triangles the system is the 5-point stencil
+of edge conductances, which couples no two nodes of one checkerboard colour,
+so one colour is eliminated exactly first (red-black static condensation): the
 factored Schur complement keeps the half-bandwidth M - 1 of the natural
 order on half the rows, and takes half the flops.  The step taken is the
 damped Newton minimiser of the regularized energy over the plane of that new
@@ -45,6 +46,8 @@ __all__ = [
 
 _NEWTON_ITERS = 12     # Newton steps in the plane per Kacanov step, at most
 _NEWTON_TOL = 1e-6     # relative move in (x, y) below which Newton stops
+_EPS = 1e-14           # gradient regularization eps, relative to data_scale
+_COEFF_CLAMP = (1e-10, 1e10)   # frozen coefficient bounds, relative to data_scale^(p-2)
 
 
 class NonConvergenceError(RuntimeError):
@@ -58,11 +61,8 @@ class NonConvergenceError(RuntimeError):
 class SolverConfig:
     tol_residual: float = 1e-9
     max_iter: int = 200
-    coeff_clamp: tuple = (1e-10, 1e10)  # relative to data_scale^(p-2)
 
     def __post_init__(self):
-        if self.coeff_clamp[0] > self.coeff_clamp[1]:
-            raise ValueError("coefficient clamp interval is empty")
         if self.tol_residual <= 0.0:
             raise ValueError("tol_residual must be positive")
 
@@ -228,30 +228,32 @@ class _BandSystem:
     """Frozen-coefficient systems of one problem, condensed onto one colour.
 
     Solves -div(kappa grad u) = -div F with u = g on the boundary, for
-    per-element kappa > 0.  Interior nodes couple only to their four axis
-    neighbours, since the hypotenuse entries of these right triangles are
-    exactly zero.  Colour a node by the parity of ix + iy: no two nodes of
-    one colour couple, so the interior matrix is K = [[D_r, B], [B^T, D_b]]
-    with D_r and D_b diagonal.  The red nodes (odd parity, the smaller
-    colour) are eliminated exactly.  The Schur complement
-    S = D_b - B^T D_r^-1 B on the black nodes, numbered row-major, couples
-    them at offsets 1, about (M - 1) / 2 and M - 1: the half-bandwidth of K
-    on half its rows, so the banded Cholesky factorization of S (LAPACK
-    dpbsv) takes half the flops of K's.
+    per-element kappa > 0.  On these right triangles each leg of a triangle
+    carries half its kappa and the hypotenuse carries nothing, so the
+    interior matrix K is the 5-point stencil whose edge conductance is half
+    the kappa of the two triangles that share the edge: a node's diagonal is
+    the sum of its four conductances, its coupling to an axis neighbour minus
+    the conductance between them.  Colour a node by the parity of ix + iy:
+    no two nodes of one colour couple, so K = [[D_r, B], [B^T, D_b]] with D_r
+    and D_b diagonal.  The red nodes (odd parity, the smaller colour) are
+    eliminated exactly.  The Schur complement S = D_b - B^T D_r^-1 B on the
+    black nodes, numbered row-major, couples them at offsets 1, about
+    (M - 1) / 2 and M - 1: the half-bandwidth of K on half its rows, so the
+    banded Cholesky factorization of S (LAPACK dpbsv) takes half the flops of
+    K's.
 
-    What does not depend on kappa is built once: the colour numbering; for
-    every nonzero element-matrix entry between two interior nodes, its
-    element, its unit weight area * grad(hat_i) . grad(hat_j) and its slot
-    among K's diagonal and red-black couplings; the red and black node of
-    every coupling; the band slot of every pair of couplings at one red
-    node; and the gradient of g extended by zero, whose flux lifts g into
-    the right-hand side.
+    What does not depend on kappa is built once: the colour numbering; the
+    (W, E, S, N) edges of every interior node and the edge of every
+    red-black coupling; the red and black node of every coupling; the band
+    slot of every pair of couplings at one red node; and the gradient of g
+    extended by zero, whose flux lifts g into the right-hand side.
     """
 
     def __init__(self, prob):
         mesh = prob.mesh
         self.prob = prob
-        row_len = mesh.cells_per_side + 1
+        M = mesh.cells_per_side
+        row_len = M + 1
         interior = mesh.interior_nodes
         # node (1, 1) has even parity, so the even colour is the larger one
         even = np.sum(np.divmod(interior, row_len), axis=0) % 2 == 0
@@ -260,7 +262,16 @@ class _BandSystem:
         pos = np.full(mesh.num_nodes, -1)               # red rows first, then black
         pos[self.red] = np.arange(nr)
         pos[self.black] = np.arange(nr, n)
-        gl = mesh.basis_gradients
+
+        # edges are numbered as condense lays them out: the horizontal
+        # edges (ix, iy)-(ix + 1, iy) for iy = 1 .. M - 1, then the vertical
+        # edges (ix, iy)-(ix, iy + 1) for ix = 1 .. M - 1, each row-major;
+        # the smallest unsigned types that hold every index keep the state small
+        iy, ix = np.divmod(np.concatenate([self.red, self.black]), row_len)
+        east = (iy - 1) * M + ix
+        north = M * (M - 1) + iy * (M - 1) + ix - 1
+        edges = np.stack([east - 1, east, north - (M - 1), north], axis=1)
+        self.edges = edges.astype(np.min_scalar_type(2 * M * (M - 1)))
 
         # the couplings of each red node by direction (W, E, S, N), -1 where
         # its neighbour is on the boundary
@@ -269,26 +280,7 @@ class _BandSystem:
         number = np.where(present, np.cumsum(present).reshape(nr, 4) - 1, -1)
         num_couplings = int(present.sum())
         red_of, black_of = np.flatnonzero(present) // 4, neighbour[present] - nr
-
-        # the smallest unsigned types that hold every index keep the peak low
-        elem_type = np.min_scalar_type(mesh.num_elements)
-        kslot_type = np.min_scalar_type(n + num_couplings)
-        entries = []
-        for a in range(3):
-            for b in range(a + 1):
-                unit = mesh.areas * np.sum(gl[:, a] * gl[:, b], axis=1)
-                va, vb = mesh.elements[:, a], mesh.elements[:, b]
-                elem = np.flatnonzero((pos[va] >= 0) & (pos[vb] >= 0) & (unit != 0.0))
-                va, vb = va[elem], vb[elem]
-                if a == b:
-                    kslot = pos[va]
-                else:
-                    a_red = pos[va] < nr
-                    red, black = np.where(a_red, va, vb), np.where(a_red, vb, va)
-                    step = black - red                  # -1, 1, -row_len, row_len
-                    kslot = n + number[pos[red], (step > 0) + 2 * (np.abs(step) != 1)]
-                entries.append((elem.astype(elem_type), unit[elem], kslot.astype(kslot_type)))
-        self.elem, self.weight, self.kslot = map(np.concatenate, zip(*entries))
+        self.coupling_edge = self.edges[:nr][present]
 
         # every pair (i >= j) of couplings at one red node fills S[black_i, black_j]
         pairs = []
@@ -320,10 +312,16 @@ class _BandSystem:
         positive.
         """
         nr, nb = len(self.red), len(self.black)
-        weights = kappa[self.elem]
-        weights *= self.weight
-        k = np.bincount(self.kslot, weights=weights, minlength=nr + nb + len(self.red_of))
-        d_r, d_b, B = k[:nr], k[nr:nr + nb], k[nr + nb:]
+        M = self.prob.mesh.cells_per_side
+        lower, upper = kappa.reshape(2, M, M)           # [iy, ix]: cell (ix, iy)
+        # a horizontal edge is a leg of the lower triangle above it and of the
+        # upper one below it; a vertical edge of the lower triangle to its
+        # left and of the upper one to its right
+        cond = np.concatenate([(lower[1:] + upper[:-1]).ravel(),
+                               (lower[:, :-1] + upper[:, 1:]).ravel()])
+        cond *= 0.5
+        diag = cond[self.edges].sum(axis=1)
+        d_r, d_b, B = diag[:nr], diag[nr:], -cond[self.coupling_edge]
         if not np.all((d_r > 0.0) & (d_r < np.inf)):
             raise LinAlgError("red pivot not finite and positive")
         mult = B / d_r[self.red_of]
@@ -358,8 +356,9 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
 
     Starts from u0 (its boundary rows overwritten by g), by default from the
     p = 2 solution of the same problem.  Returns the accepted iterate, the
-    regularized-energy trace (nonincreasing by construction) and the final
-    residual.
+    regularized-energy trace (one entry per accepted iterate, nonincreasing
+    by construction) and the final residual.  Frozen coefficients are
+    clamped to _COEFF_CLAMP times data_scale^(p-2).
     """
     cfg = cfg or SolverConfig()
     mesh, p = prob.mesh, prob.p.p
@@ -370,8 +369,8 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
         u = NodalField(np.tile(prob.g[0], (mesh.num_nodes, 1)))
         return Solution(u, 0, [0.0], residual(prob, u))
 
-    eps, eps_min = 1e-8 * scale, 1e-14 * scale
-    kmin, kmax = (c * scale ** (p - 2.0) for c in cfg.coeff_clamp)
+    eps = _EPS * scale
+    kmin, kmax = (c * scale ** (p - 2.0) for c in _COEFF_CLAMP)
     norm = 1.0 + integrate(mesh, prob.F.norms())
 
     system = _BandSystem(prob)
@@ -399,7 +398,6 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
     if res <= cfg.tol_residual:
         return Solution(u, 0, trace, res)
 
-    prev_res = res
     step, step_grad = 0.0, np.zeros_like(grad)      # the last accepted step s
     for it in range(1, cfg.max_iter + 1):
         a = eps * eps + np.einsum("enk,enk->e", grad, grad)
@@ -415,19 +413,11 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
         (x, y), e = found
         step, step_grad = x * direction + y * step, x * dir_grad + y * step_grad
         u = NodalField(u.values + step)
-        trace.append(min(e, trace[-1]))
+        trace.append(min(e, trace[-1]))              # e may exceed it by the slack
         grad = gradient(mesh, u).tensors
         res = _residual_of(prob, grad, norm)
         if res <= cfg.tol_residual:
             return Solution(u, it, trace, res)
-        if res > 0.93 * prev_res and eps > eps_min:
-            # the unregularized weak form has hit the regularization floor
-            # (the eps-smoothed fixed point is O(eps^(p-1)) off the exact one);
-            # tightening eps lowers the energy pointwise, by less than the
-            # roundoff between the plane's value of it and a direct one
-            eps = max(1e-2 * eps, eps_min)
-            trace.append(min(_energy_of(prob, grad, eps), trace[-1]))
-        prev_res = res
 
     raise NonConvergenceError(
         f"no convergence within {cfg.max_iter} iterations "
@@ -443,7 +433,8 @@ def solve_pharmonic(mesh: Mesh, p: Exponent, g, cfg: Optional[SolverConfig] = No
 
 # --- problem files ------------------------------------------------------------
 #
-# A problem file is a flat key = value text file with keys
+# A problem file is a flat key = value text file with these keys, each
+# optional and at most once (any other key is an error):
 #   p          exponent, > 1
 #   grid       cells per side M
 #   bounds     x0, x1, y0, y1
@@ -462,6 +453,9 @@ def load_problem(path):
     from .lab.config import parse_config_file
 
     kv = parse_config_file(path)
+    unknown = sorted(set(kv) - {"p", "grid", "bounds", "comps", "F", "g"})
+    if unknown:
+        raise ValueError(f"{path}: unknown problem key(s): {', '.join(unknown)}")
     p = Exponent(float(kv.get("p", "2.0")))
     M = int(kv.get("grid", "32"))
     bounds = tuple(float(t) for t in kv.get("bounds", "0,1,0,1").split(","))

@@ -43,6 +43,22 @@ def test_config_parsing(tmp_path):
         parse_config_file(bad)
 
 
+def test_config_rejects_duplicate_key(tmp_path):
+    # a second line for one key must not silently win
+    dup = tmp_path / "dup.cfg"
+    dup.write_text("seed = 3\n# comment\nseed = 4\n")
+    with pytest.raises(ValueError, match=f"{dup}:3: duplicate key 'seed'"):
+        parse_config_file(dup)
+
+
+def test_config_rejects_unknown_key(tmp_path):
+    # 'grid' is a typo for 'grids' and must not fall back to the default grids
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("p = 2\ngrid = 64\n")
+    with pytest.raises(ValueError, match="unknown config key.*grid"):
+        ExperimentConfig.from_file(typo)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(ps=[])

@@ -161,12 +161,21 @@ def test_boundary_values_exact_and_trace_monotone():
 
 @pytest.mark.parametrize("M, seed", [(8, 0), (8, 14), (16, 18)])
 def test_energy_trace_never_increases(M, seed):
-    # these solves tighten eps where the plane evaluator's energy of the
-    # iterate and a direct evaluation differ in the last digits
+    # the plane search accepts a point up to its roundoff slack, so the trace
+    # holds the running minimum of the plane evaluator's energies
     mesh = Mesh((0, 1, 0, 1), M)
     g = rough_boundary_trace(mesh, 1, np.random.default_rng(seed))
     sol = solve_pharmonic(mesh, Exponent(3.0), g, SolverConfig(tol_residual=1e-8))
     assert np.all(np.diff(sol.energy_trace) <= 0.0)
+
+
+def test_energy_trace_has_one_entry_per_iterate():
+    mesh = Mesh((0, 1, 0, 1), 16)
+    p = Exponent(1.5)
+    F, g, _ = manufactured_problem_data(p, mesh, 1, np.random.default_rng(8))
+    sol = solve(DirichletProblem(p, mesh, F, g), SolverConfig(tol_residual=1e-8))
+    assert sol.iterations > 0
+    assert len(sol.energy_trace) == sol.iterations + 1
 
 
 def test_nonconvergence_carries_trace():
@@ -180,7 +189,7 @@ def test_nonconvergence_carries_trace():
     assert err.value.last_residual > 0
 
 
-def test_energy_increase_is_a_nonconvergence_error():
+def test_energy_increase_is_a_nonconvergence_error(monkeypatch):
     # halfway from the p-harmonic solution w towards the harmonic extension h,
     # a constant frozen coefficient steps to h: uphill for every step length
     mesh = Mesh((0, 1, 0, 1), 8)
@@ -189,10 +198,11 @@ def test_energy_increase_is_a_nonconvergence_error():
     w = solve(prob).u.values
     h = solve_pharmonic(mesh, Exponent(2.0), g).u.values
     u0 = NodalField(0.5 * (w + h))
+    monkeypatch.setattr(solver_module, "_COEFF_CLAMP", (1.0, 1.0))
     with pytest.raises(NonConvergenceError,
                        match=r"increasing the regularized energy at outer "
                              r"iteration 1 \(eps \d\.\d{3}e-\d\d\)") as err:
-        solve(prob, SolverConfig(coeff_clamp=(1.0, 1.0)), u0=u0)
+        solve(prob, u0=u0)
     assert err.value.last_residual == residual(prob, u0)
     assert len(err.value.energy_trace) == 1
 
@@ -404,6 +414,14 @@ def test_problem_file_loading(tmp_path):
     assert np.allclose(sol.u.values[:, 0], exact, atol=1e-8)
 
 
+def test_problem_file_rejects_unknown_keys(tmp_path):
+    # 'grids' is a typo for 'grid' and must not fall back to the default M
+    cfgfile = tmp_path / "prob.cfg"
+    cfgfile.write_text("p = 3.0\ngrids = 8\n")
+    with pytest.raises(ValueError, match="unknown problem key.*grids"):
+        load_problem(cfgfile)
+
+
 def test_problem_file_boundary_sources_with_amap(tmp_path):
     # an absent g keeps the trace of the amap potential; g = zero means zero
     cfgfile = tmp_path / "prob.cfg"
@@ -419,16 +437,17 @@ def test_problem_file_boundary_sources_with_amap(tmp_path):
 
 
 @pytest.mark.parametrize("pv, clamp", [(1.5, (0.0, 1e10)), (3.0, (1e-10, np.inf))])
-def test_failed_linear_solve_is_a_nonconvergence_error(pv, clamp):
+def test_failed_linear_solve_is_a_nonconvergence_error(pv, clamp, monkeypatch):
     # gradients of 1e200 overflow, so every frozen coefficient lands on an
     # unbounded clamp end: all zero (singular) or all infinite
     mesh = Mesh((0, 1, 0, 1), 8)
     p = Exponent(pv)
     F, g, _ = manufactured_problem_data(p, mesh, 1, np.random.default_rng(12))
     u0 = NodalField(1e200 * np.random.default_rng(13).normal(size=(mesh.num_nodes, 1)))
+    monkeypatch.setattr(solver_module, "_COEFF_CLAMP", clamp)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NonConvergenceError, match="outer iteration 1") as err:
-        solve(DirichletProblem(p, mesh, F, g), SolverConfig(coeff_clamp=clamp), u0=u0)
+        solve(DirichletProblem(p, mesh, F, g), u0=u0)
     assert len(err.value.energy_trace) == 1
 
 
