@@ -6,9 +6,10 @@ are reproducible across runs.  Nodal fields carry vector data at vertices,
 element fields carry one N x 2 tensor per triangle (gradients, right-hand
 sides, flux fields).  Ball queries go by element barycenter against an open
 ball, which gives exact per-ball measures and deterministic ties.  All
-ball statistics come from one kernel, `ball_stats`, which scans only the
-cells around the largest ball and takes deviations from each ball mean
-directly.
+ball statistics come from one kernel, `ball_stats`.  It forms squared
+distances once over the cells around the largest ball, from the separable
+barycenter x and y coordinates, compares each radius only on its own cells,
+and takes deviations from each ball mean directly.
 """
 
 import functools
@@ -143,22 +144,34 @@ class Mesh:
         M = self.cells_per_side
         return np.arange(2 * M * M).reshape(2, M, M)
 
-    def cell_box_elements(self, center, r):
-        """Elements of the cells met by the square of half side r around center.
+    @functools.cached_property
+    def _barycenter_axes(self):
+        """(xs, ys), each of shape (2, M): xs[t, ix] is the barycenter x of
+        every triangle of kind t in cell column ix, ys[t, iy] the barycenter
+        y of every one in cell row iy.  Nodes come from linspace/meshgrid,
+        so a vertex x depends on ix alone and these reproduce `barycenters`
+        exactly."""
+        M = self.cells_per_side
+        b = self.barycenters.reshape(2, M, M, 2)
+        return b[:, 0, :, 0].copy(), b[:, :, 0, 1].copy()
 
-        Lower triangles (index = cell) come before upper ones (cell + M^2),
-        so the result is in ascending element index.  Every barycenter lies
-        h/3 inside its cell, so the box holds every element whose
-        barycenter is closer than r to the center.
+    def cell_range(self, center, r):
+        """Cells [ax, bx) x [ay, by), clipped to the mesh, met by the square
+        of half side r around center, as (ax, bx, ay, by).
+
+        Every barycenter lies h/3 inside its cell, so these cells hold every
+        element whose barycenter is closer than r to the center, and a
+        smaller r gives a sub-range.
         """
-        def cell_range(c, lo):
-            # cells [first, stop) along one axis; slicing clips stop to M
-            return (max(math.floor((c - r - lo) / self.h), 0),
-                    max(math.floor((c + r - lo) / self.h) + 1, 0))
+        M = self.cells_per_side
 
-        ax, bx = cell_range(float(center[0]), self.bounds[0])
-        ay, by = cell_range(float(center[1]), self.bounds[2])
-        return self._element_grid[:, ay:by, ax:bx].ravel()
+        def axis(c, lo):
+            first = math.floor((c - r - lo) / self.h)
+            stop = math.floor((c + r - lo) / self.h) + 1
+            return min(max(first, 0), M), min(max(stop, 0), M)
+
+        return (axis(float(center[0]), self.bounds[0])
+                + axis(float(center[1]), self.bounds[2]))
 
     def interior_points(self, margin, stride=1):
         """Barycenters at distance > margin from the boundary, subsampled."""
@@ -250,14 +263,29 @@ def integrate(mesh, f):
 
 def _ball_members(mesh, center, radii):
     """Per radius, the elements whose barycenter lies in the open ball
-    B_r(center), in ascending element index (possibly empty)."""
-    if min(radii, default=1.0) <= 0.0:
-        raise ValueError("radius must be positive")
+    B_r(center), in ascending element index (possibly empty).
+
+    Squared distances are formed once over the cells of the largest ball,
+    as an outer sum of the separable x and y terms; each radius is then
+    compared only on its own cell sub-range.
+    """
     center = np.asarray(center, dtype=float)
-    cand = mesh.cell_box_elements(center, max(radii, default=0.0))
-    d = mesh.barycenters[cand] - center
-    d2 = d[:, 0] ** 2 + d[:, 1] ** 2
-    return [cand[d2 < r * r] for r in radii]
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"ball center {tuple(center.tolist())} is not finite")
+    for r in radii:
+        if not 0.0 < r < math.inf:
+            raise ValueError(f"ball radius {r} must be positive and finite")
+    ax, bx, ay, by = mesh.cell_range(center, max(radii, default=0.0))
+    xs, ys = mesh._barycenter_axes
+    dx2 = (xs[:, ax:bx] - center[0]) ** 2
+    dy2 = (ys[:, ay:by] - center[1]) ** 2
+    d2 = dx2[:, None, :] + dy2[:, :, None]           # (triangle, iy, ix)
+    members = []
+    for r in radii:
+        rx, sx, ry, sy = mesh.cell_range(center, r)
+        box = (slice(None), slice(ry - ay, sy - ay), slice(rx - ax, sx - ax))
+        members.append(mesh._element_grid[:, ry:sy, rx:sx][d2[box] < r * r])
+    return members
 
 
 def _require_nonempty(counts, center, radii):
@@ -274,6 +302,9 @@ def ball_stats(mesh, f: ElemField, center, radii, q=1.0):
     Returns (counts, means, oscs) of shapes (R,), (R, N, 2) and (R,), with
     osc_q = (mean of |f - mean|^q)^(1/q) taken against the ball mean
     directly.  An empty ball has count 0 and nan mean and oscillation.
+    Radii may come in any order.  A center or radius that is not finite,
+    or a radius that is not positive, raises ValueError.  Members are
+    gathered with np.take and weighted by the uniform element area.
     """
     if q < 1.0:
         raise ValueError("q must be at least 1")
@@ -283,15 +314,18 @@ def ball_stats(mesh, f: ElemField, center, radii, q=1.0):
     for k, idx in enumerate(_ball_members(mesh, center, radii)):
         if idx.size == 0:
             continue
-        w = mesh.areas[idx]
-        w = w / w.sum()
-        block = f.tensors[idx]
+        w = np.full(idx.size, mesh.element_area)
+        w /= w.sum()
+        block = np.take(f.tensors, idx, axis=0)
         mean = np.einsum("e,enk->nk", w, block)
-        diff = block - mean
-        dev = np.sqrt(np.einsum("enk,enk->e", diff, diff))
+        block -= mean
+        dev = np.einsum("enk,enk->e", block, block)
+        np.sqrt(dev, out=dev)
+        dev **= q
+        dev *= w
         counts[k] = idx.size
         means[k] = mean
-        oscs[k] = np.sum(w * dev ** q) ** (1.0 / q)
+        oscs[k] = np.sum(dev) ** (1.0 / q)
     return counts, means, oscs
 
 

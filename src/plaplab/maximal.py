@@ -93,8 +93,8 @@ def _plain_maximal(mesh, norms, q, rs, x):
     _require_nonempty([idx.size for idx in members], x, rs)
     best = 0.0
     for idx in members:
-        w = mesh.areas[idx]
-        val = (np.sum(w * norms[idx] ** q) / w.sum()) ** (1.0 / q)
+        w = np.full(idx.size, mesh.element_area)
+        val = (np.sum(w * np.take(norms, idx) ** q) / w.sum()) ** (1.0 / q)
         best = max(best, val)
     return best
 

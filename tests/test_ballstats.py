@@ -1,10 +1,14 @@
 """Property tests of the ball-statistics kernel against brute-force definitions.
 
-Membership is checked against a full scan of every barycenter, batched
-ball families against the per-ball query, oscillations against the textbook
-formula, and the norm table's oscillation seminorms against a constant
-shift of the field.
+Membership is checked against a full scan of every barycenter, the kernel
+bitwise against a straightforward reference kernel, batched ball families
+against the per-ball query, oscillations against the textbook formula, and
+the norm table's oscillation seminorms against a constant shift of the
+field.
 """
+
+import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +69,89 @@ def test_membership_is_the_full_scan(mesh, rel, radii):
         else:
             got = ball_elements(mesh, center, r)
             assert got.dtype == expect.dtype and np.array_equal(got, expect)
+
+
+@SETTINGS
+@given(meshes)
+def test_barycenter_axes_reproduce_the_barycenters(mesh):
+    xs, ys = mesh._barycenter_axes
+    M = mesh.cells_per_side
+    b = mesh.barycenters.reshape(2, M, M, 2)
+    assert np.array_equal(b[..., 0], np.broadcast_to(xs[:, None, :], (2, M, M)))
+    assert np.array_equal(b[..., 1], np.broadcast_to(ys[:, :, None], (2, M, M)))
+
+
+def _reference_ball_stats(mesh, f, center, radii, q):
+    """ball_stats the straightforward way, kept as the bitwise reference:
+    every radius masked over the whole cell box of the largest one,
+    distances from the gathered barycenters, fancy-index gathers and
+    out-of-place arithmetic."""
+    center = np.asarray(center, dtype=float)
+    r_max = max(radii)
+
+    def cell_range(c, lo):
+        return (max(math.floor((c - r_max - lo) / mesh.h), 0),
+                max(math.floor((c + r_max - lo) / mesh.h) + 1, 0))
+
+    ax, bx = cell_range(float(center[0]), mesh.bounds[0])
+    ay, by = cell_range(float(center[1]), mesh.bounds[2])
+    M = mesh.cells_per_side
+    cand = np.arange(2 * M * M).reshape(2, M, M)[:, ay:by, ax:bx].ravel()
+    d = mesh.barycenters[cand] - center
+    d2 = d[:, 0] ** 2 + d[:, 1] ** 2
+    counts = np.zeros(len(radii), dtype=np.int64)
+    means = np.full((len(radii),) + f.tensors.shape[1:], np.nan)
+    oscs = np.full(len(radii), np.nan)
+    for k, r in enumerate(radii):
+        idx = cand[d2 < r * r]
+        if idx.size == 0:
+            continue
+        w = mesh.areas[idx]
+        w = w / w.sum()
+        block = f.tensors[idx]
+        mean = np.einsum("e,enk->nk", w, block)
+        diff = block - mean
+        dev = np.sqrt(np.einsum("enk,enk->e", diff, diff))
+        counts[k] = idx.size
+        means[k] = mean
+        oscs[k] = np.sum(w * dev ** q) ** (1.0 / q)
+    return counts, means, oscs
+
+
+ORDERS = {
+    "as drawn": lambda rs: rs,
+    "ascending": sorted,
+    "descending": lambda rs: sorted(rs, reverse=True),
+    "repeated": lambda rs: rs + rs[::-1] + rs[:1],
+}
+
+
+@SETTINGS
+@given(meshes, rel_points, rel_radii, st.sampled_from(sorted(ORDERS)),
+       st.one_of(st.floats(1.0, 4.0), st.sampled_from([1.0, 2.0, 3.0])),
+       st.integers(1, 3), offsets, st.integers(0, 2 ** 16))
+def test_kernel_is_bitwise_the_reference(mesh, rel, radii, order, q, rows,
+                                         offset, seed):
+    center = _point(mesh, rel)
+    radii = ORDERS[order]([s * mesh.h for s in radii])
+    _, f = _field(mesh, seed, offset, rows)
+    got = ball_stats(mesh, f, center, radii, q)
+    expect = _reference_ball_stats(mesh, f, center, radii, q)
+    for a, b in zip(got, expect):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("center, r, named", [
+    ((0.5, 0.5), math.inf, "radius inf"),
+    ((math.inf, 0.5), 0.1, "center (inf, 0.5)"),
+    ((0.5, math.nan), 0.1, "center (0.5, nan)"),
+    ((0.5, 0.5), math.nan, "radius nan"),
+])
+def test_non_finite_query_is_a_value_error_naming_it(center, r, named):
+    mesh = Mesh((0.0, 1.0, 0.0, 1.0), 8)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ball_stats(mesh, ElemField.zeros(mesh), center, [0.2, r])
 
 
 @SETTINGS

@@ -151,6 +151,11 @@ def test_basic_estimate_smoke():
     assert rep.all_passed
     for rec in rep.cases:
         assert np.isfinite(rec["fitted_constant"])
+    # the shifted datum has the base's discrete solution and solves from it,
+    # so the check sees the invariance, not where two solves stopped
+    (shift,) = [a for a in rep.assertions
+                if a.name == "ratio invariant under F -> F + const"]
+    assert shift.value <= 1e-12
 
 
 def test_norm_table_values_and_invariance():
