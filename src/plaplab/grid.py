@@ -166,9 +166,11 @@ class Mesh:
         M = self.cells_per_side
 
         def axis(c, lo):
-            first = math.floor((c - r - lo) / self.h)
-            stop = math.floor((c + r - lo) / self.h) + 1
-            return min(max(first, 0), M), min(max(stop, 0), M)
+            # clipped before floor, which rejects the +-inf that a huge r or
+            # far c gives: a huge ball then holds the mesh, a far one nothing
+            first = math.floor(min(max((c - r - lo) / self.h, 0.0), M))
+            stop = math.floor(min(max((c + r - lo) / self.h, -1.0), M - 1)) + 1
+            return first, stop
 
         return (axis(float(center[0]), self.bounds[0])
                 + axis(float(center[1]), self.bounds[2]))
@@ -271,7 +273,7 @@ def _ball_members(mesh, center, radii):
     """
     center = np.asarray(center, dtype=float)
     if not np.all(np.isfinite(center)):
-        raise ValueError(f"ball center {tuple(center.tolist())} is not finite")
+        raise ValueError(f"ball center {_point_str(center)} is not finite")
     for r in radii:
         if not 0.0 < r < math.inf:
             raise ValueError(f"ball radius {r} must be positive and finite")
@@ -288,11 +290,16 @@ def _ball_members(mesh, center, radii):
     return members
 
 
+def _point_str(x):
+    """A point as plain floats, '(0.5, 0.5)', for error messages."""
+    return str(tuple(np.asarray(x, dtype=float).tolist()))
+
+
 def _require_nonempty(counts, center, radii):
     for count, r in zip(counts, radii):
         if count == 0:
             raise EmptyBallError(
-                f"ball of radius {r} at {tuple(center)} is below mesh resolution")
+                f"ball of radius {r} at {_point_str(center)} is below mesh resolution")
 
 
 def ball_stats(mesh, f: ElemField, center, radii, q=1.0):

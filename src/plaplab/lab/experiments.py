@@ -87,7 +87,6 @@ class _Case:
         else:
             self.tensor_fn = cases.smooth_tensor_fn(rng, cfg.comps)
         self.bounds = cfg.bounds
-        self._realized = {}
 
     def problem(self, M):
         mesh = Mesh(self.bounds, M)
@@ -102,9 +101,7 @@ class _Case:
         return DirichletProblem(self.p, mesh, F, g)
 
     def on_grid(self, M):
-        if M not in self._realized:
-            self._realized[M] = _solved(self.problem(M))
-        return self._realized[M]
+        return _solved(self.problem(M))
 
 
 def _sweep(cfg, ps, n_seeds):
@@ -578,21 +575,18 @@ def xi_profile(omega, r):
 
     Below 1 this is -integral_r^1; the square mesh window also carries the
     corners with |x| > 1, where the natural extension +integral_1^r applies.
+    r may be an array; a scalar gives a float.
     """
-    r = float(r)
-    if r == 1.0:
-        return 0.0
-    if r < 1.0:
-        return -omega.integral_dr_over_r(r, 1.0)
-    return omega.integral_dr_over_r(1.0, r)
+    r = np.asarray(r, dtype=float)
+    out = np.sign(r - 1.0) * omega.integral_dr_over_r(np.minimum(r, 1.0),
+                                                       np.maximum(r, 1.0))
+    return float(out) if out.ndim == 0 else out
 
 
 def _counterexample_fields(omega, mesh):
     """Nodal u = y * xi(|x|) and the matching divergence-form datum F."""
     xn, yn = mesh.nodes[:, 0], mesh.nodes[:, 1]
-    rn = np.hypot(xn, yn)
-    rn_safe = np.maximum(rn, 1e-300)
-    xi_vals = np.array([xi_profile(omega, max(r, 1e-12)) for r in rn_safe])
+    xi_vals = xi_profile(omega, np.maximum(np.hypot(xn, yn), 1e-12))
     u = NodalField((yn * xi_vals)[:, None])
     b = mesh.barycenters
     xb, yb = b[:, 0], b[:, 1]
@@ -609,9 +603,8 @@ def analytic_gradient(omega, points):
     x, y = points[:, 0], points[:, 1]
     r = np.hypot(x, y)
     om = omega(r)
-    xi_vals = np.array([xi_profile(omega, rv) for rv in r])
     gx = x * y / r ** 2 * om
-    gy = xi_vals + y ** 2 / r ** 2 * om
+    gy = xi_profile(omega, r) + y ** 2 / r ** 2 * om
     return np.stack([gx, gy], axis=1)
 
 

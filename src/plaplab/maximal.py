@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _ball_members, _require_nonempty, ball_stats
+from .grid import _ball_members, _point_str, _require_nonempty, ball_stats
 
 __all__ = [
     "RadiiSet",
@@ -59,7 +59,7 @@ class RadiiSet:
 def _check_margin(mesh, x, r_needed, require_interior):
     if require_interior and mesh.boundary_distance(x) <= r_needed:
         raise MarginError(
-            f"point {tuple(x)} is within {r_needed} of the boundary")
+            f"point {_point_str(x)} is within {r_needed} of the boundary")
 
 
 def sharp_maximal(mesh, f, q, radii: RadiiSet, x, require_interior=True):
@@ -84,7 +84,7 @@ def weighted_local_sharp(mesh, f, q, omega, R, radii: RadiiSet, x,
     rs = radii.below(R)
     counts, _, oscs = ball_stats(mesh, f, x, rs, q)
     _require_nonempty(counts, x, rs)
-    return max([0.0] + [float(osc) / omega(r) for r, osc in zip(rs, oscs)])
+    return max(0.0, float(np.max(oscs / omega(rs))))
 
 
 def _plain_maximal(mesh, norms, q, rs, x):

@@ -3,9 +3,9 @@ oscillation potential.
 
 A Modulus is a concrete modulus-of-continuity family carrying an
 almost-decreasing certificate (beta, c_omega): omega(r) <= c_omega *
-rho^(-beta) * omega(r * rho) on a sampled (r, rho) grid.  Its logarithmic
-integrals (the Dini transform, the inverse-tail weight zeta) are closed
-form per family; no quadrature is used in the transform paths.
+rho^(-beta) * omega(r * rho) on a sampled (r, rho) grid.  The modulus, its
+logarithmic integrals and their transforms (Dini, inverse-tail zeta) take
+arrays: one numpy closed form per family, no quadrature and no loop.
 
 The oscillation potential of a field at a point is the dyadic-in-radius sum
 of q-mean oscillations weighted by log(1/theta), a Riemann sum of the
@@ -89,7 +89,7 @@ class Modulus:
             sigma, scale = self._sigma_scale()
             if np.any(r >= scale):
                 raise ValueError("argument beyond the modulus scale")
-            out = np.log(scale / r) ** (-sigma)
+            out = _log_ratio(scale, r) ** (-sigma)
         return float(out) if out.ndim == 0 else out
 
     def _sigma_scale(self):
@@ -123,31 +123,39 @@ class Modulus:
         return sigma > 1.0
 
     def integral_dr_over_r(self, a, b):
-        """Closed form of integral_a^b omega(rho)/rho d rho, 0 <= a < b."""
-        if not (0.0 <= a < b):
-            raise ValueError("need 0 <= a < b")
+        """Closed form of integral_a^b omega(rho)/rho d rho, for any 0 <= a <= b
+        (a == b gives 0), broadcast over arrays; scalars give a float.  a < 0,
+        a > b or b at the scale of a log family raise ValueError, a == 0
+        raises DiniDivergence unless the modulus is Dini-finite."""
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if not np.all((0.0 <= a) & (a <= b)):
+            raise ValueError("need 0 <= a <= b")
         if self.family == "power":
             (beta,) = self.params
-            return (b ** beta - a ** beta) / beta
-        if a == 0.0 and not self.dini_finite:
+            out = (b ** beta - a ** beta) / beta
+        elif np.any(a == 0.0) and not self.dini_finite:
             raise DiniDivergence("logarithmic integral diverges at zero")
-        if self.family == "constant":
-            return math.log(b / a)
-        sigma, scale = self._sigma_scale()
-        if b >= scale:
-            raise ValueError("integration range beyond the modulus scale")
-        tb = math.log(scale / b)
-        if sigma == 1.0:
-            if a == 0.0:
-                raise DiniDivergence("logarithmic integral diverges at zero")
-            ta = math.log(scale / a)
-            return math.log(ta / tb)
-        if a == 0.0:
-            if sigma <= 1.0:
-                raise DiniDivergence("logarithmic integral diverges at zero")
-            return tb ** (1.0 - sigma) / (sigma - 1.0)
-        ta = math.log(scale / a)
-        return (tb ** (1.0 - sigma) - ta ** (1.0 - sigma)) / (sigma - 1.0)
+        elif self.family == "constant":
+            out = _log_ratio(b, a)
+        else:
+            sigma, scale = self._sigma_scale()
+            if np.any(b >= scale):
+                raise ValueError("integration range beyond the modulus scale")
+            ta, tb = _log_ratio(scale, a), _log_ratio(scale, b)
+            if sigma == 1.0:
+                out = np.log(ta / tb)
+            else:
+                out = (tb ** (1.0 - sigma) - ta ** (1.0 - sigma)) / (sigma - 1.0)
+        return float(out) if out.ndim == 0 else out
+
+
+def _log_ratio(num, den):
+    """log(num / den) for num > 0 and 0 <= den <= num: inf at den == 0, and
+    a difference of logs where a subnormal den overflows the quotient."""
+    with np.errstate(divide="ignore", over="ignore"):
+        quotient = num / den
+        return np.where(np.isinf(quotient), np.log(num) - np.log(den),
+                        np.log(quotient))
 
 
 def power_modulus(beta):
@@ -373,10 +381,7 @@ class VarpiTransform:
     def __call__(self, r):
         if not self.finite:
             raise DiniDivergence("the modulus fails the Dini condition")
-        r = np.asarray(r, dtype=float)
-        if r.ndim == 0:
-            return self.omega.integral_dr_over_r(0.0, float(r))
-        return np.array([self.omega.integral_dr_over_r(0.0, float(x)) for x in r])
+        return self.omega.integral_dr_over_r(0.0, r)
 
 
 def dini_transform(omega: Modulus):
@@ -393,18 +398,12 @@ class ZetaTransform:
         self.n = int(n)
         self.R0 = float(R0)
 
-    def _one(self, r):
-        if not (0.0 < r < self.R0):
-            raise ValueError("zeta is defined on (0, R0)")
-        a = r ** (1.0 / self.n)
-        b = self.R0 ** (1.0 / self.n)
-        return 1.0 / self.omega.integral_dr_over_r(a, b)
-
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
-        if r.ndim == 0:
-            return self._one(float(r))
-        return np.array([self._one(float(x)) for x in r])
+        if not np.all((0.0 < r) & (r < self.R0)):
+            raise ValueError("zeta is defined on (0, R0)")
+        return 1.0 / self.omega.integral_dr_over_r(r ** (1.0 / self.n),
+                                                   self.R0 ** (1.0 / self.n))
 
 
 def zeta_transform(omega: Modulus, n, R0):

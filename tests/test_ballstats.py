@@ -154,6 +154,22 @@ def test_non_finite_query_is_a_value_error_naming_it(center, r, named):
         ball_stats(mesh, ElemField.zeros(mesh), center, [0.2, r])
 
 
+def test_huge_radius_holds_the_mesh_and_a_far_center_is_empty():
+    # (c -+ r - lo) / h overflows to +-inf here: the cell range must clip it
+    mesh = Mesh((0.0, 1.0, 0.0, 1.0), 8)
+    signal, f = _field(mesh, 0, 0.0)
+    counts, means, _ = ball_stats(mesh, f, (0.5, 0.5), [1e308, 0.3])
+    assert counts[0] == mesh.num_elements
+    np.testing.assert_allclose(means[0], signal.mean(axis=0), rtol=1e-12, atol=1e-15)
+    mean, osc = ball_oscillation(mesh, f, (0.5, 0.5), 1e308)
+    assert np.array_equal(mean, means[0]) and np.isfinite(osc)
+    for center in [(1e308, 0.5), (0.5, -1e308), (-1e308, 1e308)]:
+        counts, _, _ = ball_stats(mesh, f, center, [0.2, 1e3])
+        assert counts.tolist() == [0, 0]
+        with pytest.raises(EmptyBallError):
+            ball_oscillation(mesh, f, center, 0.2)
+
+
 @SETTINGS
 @given(meshes, st.lists(rel_points, min_size=1, max_size=5), rel_radii,
        st.floats(1.0, 4.0), offsets, st.integers(0, 2 ** 16))

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from plaplab.grid import ElemField, Mesh, write_elem_field
 from plaplab.lab.cases import (boundary_knots, perimeter_coordinate,
@@ -133,6 +136,17 @@ def test_xi_profile_anchor_and_extension():
     for r in (0.05, 0.2):
         assert xi_profile(om_e, r) == pytest.approx(-math.log(math.log(math.e / r)),
                                                     rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(float, hnp.array_shapes(min_dims=0, max_dims=2, max_side=4),
+                  elements=st.one_of(st.floats(1e-12, 1.4), st.just(1.0))),
+       st.sampled_from([math.e ** 2, math.e]))
+def test_xi_profile_on_arrays_is_per_element(r, scale):
+    omega = dini_log_modulus(scale, cert_r_max=0.3)
+    expect = [xi_profile(omega, float(x)) for x in r.ravel()]
+    assert all(type(x) is float for x in expect)
+    assert np.array_equal(xi_profile(omega, r), np.reshape(expect, r.shape))
 
 
 def test_report_determinism_across_runs(tmp_path):

@@ -1,9 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from plaplab.grid import ElemField, Mesh
+from plaplab.grid import ElemField, EmptyBallError, Mesh
 from plaplab.maximal import (MarginError, RadiiSet, plain_maximal, riesz_ratio,
                              sharp_maximal, weighted_local_sharp)
 from plaplab.oscillation import constant_modulus, power_modulus
@@ -56,6 +57,16 @@ def test_margin_errors():
     # clipped evaluation is allowed on request
     assert sharp_maximal(mesh, f, 1.0, radii, (0.2, 0.5),
                          require_interior=False) >= 0.0
+
+
+def test_error_messages_print_array_points_as_plain_floats():
+    mesh = Mesh((0, 1, 0, 1), 8)
+    f = indicator_field(mesh, [0])
+    x = np.array([0.5, 0.5])
+    with pytest.raises(MarginError, match=re.escape("point (0.5, 0.5) is within")):
+        sharp_maximal(mesh, f, 1.0, RadiiSet(0.1, 0.6), x)
+    with pytest.raises(EmptyBallError, match=re.escape("at (0.5, 0.5) is below")):
+        sharp_maximal(mesh, f, 1.0, RadiiSet(1e-4, 1e-3), x)
 
 
 def test_constant_field_vanishes():

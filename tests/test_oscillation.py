@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
 from plaplab.fluxmaps import Exponent
@@ -41,6 +44,8 @@ def test_modulus_families_evaluate():
     assert om(1.0) == pytest.approx(0.5)          # 1/log(e^2)
     om2 = log_inverse_modulus(2.0, math.e ** 2)
     assert om2(1.0) == pytest.approx(0.25)
+    # scale / r overflows at a subnormal r; log(scale / r) must not
+    assert om2(1e-320) == pytest.approx((2.0 + 320 * math.log(10.0)) ** -2.0, rel=1e-12)
 
 
 def test_modulus_certificate_validation():
@@ -73,6 +78,90 @@ def test_log_integral_closed_forms():
     got = omd.integral_dr_over_r(0.01, 0.5)
     expect = quad(lambda r: omd(r) / r, 0.01, 0.5)[0]
     assert got == pytest.approx(expect, rel=1e-9)
+
+
+MODULI = [power_modulus(0.3), power_modulus(1.7), constant_modulus(),
+          log_inverse_modulus(0.6), log_inverse_modulus(1.0),
+          log_inverse_modulus(2.5), dini_log_modulus(), dini_log_modulus(math.e)]
+
+
+@st.composite
+def log_ranges(draw):
+    """A modulus with broadcastable limits 0 <= a <= b, b at most scale / e.
+
+    a is 0 somewhere only for a Dini-finite modulus, and may be subnormal;
+    scalars and arrays of up to two axes are mixed."""
+    om = draw(st.sampled_from(MODULI))
+    top = om.params[-1] / math.e if om.family in ("log_inverse", "dini_log") else 4.0
+    shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2,
+                                                    max_side=3))
+    b = top * draw(hnp.arrays(float, shapes.input_shapes[1],
+                              elements=st.floats(1e-6, 1.0)))
+    a = b.min() * draw(hnp.arrays(float, shapes.input_shapes[0],
+                                  elements=st.floats(0.0, 1.0)))
+    assume(om.dini_finite or np.all(a > 0.0))
+    return om, a, b
+
+
+def _quad_dr_over_r(om, a, b):
+    """integral_a^b omega(rho)/rho d rho by adaptive quadrature.
+
+    A log family is integrated in t = log(scale / rho), where omega is
+    t^(-sigma): exp of a far negative log rho would be subnormal and
+    inexact.  The others are integrated in s = log rho, or from a = 0 in rho.
+    """
+    kw = dict(epsabs=1e-14, epsrel=1e-12, limit=200)
+    if a == b:
+        return 0.0
+    if om.family in ("log_inverse", "dini_log"):
+        sigma, scale = om._sigma_scale()
+        ta = math.log(scale) - math.log(a) if a > 0.0 else math.inf
+        return quad(lambda t: t ** -sigma, math.log(scale / b), ta, **kw)[0]
+    if a > 0.0:
+        return quad(lambda s: om(math.exp(s)), math.log(a), math.log(b), **kw)[0]
+    return quad(lambda r: om(r) / r, 0.0, b, **kw)[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(log_ranges())
+def test_log_integral_on_arrays_is_the_scalar_closed_form_and_quad(case):
+    om, a, b = case
+    got = om.integral_dr_over_r(a, b)
+    A, B = np.broadcast_arrays(a, b)
+    scalars = [om.integral_dr_over_r(float(x), float(y))
+               for x, y in zip(A.ravel(), B.ravel())]
+    assert all(type(v) is float for v in scalars)
+    assert type(got) is float if A.ndim == 0 else got.shape == A.shape
+    np.testing.assert_array_equal(got, np.reshape(scalars, A.shape))
+    for x, y, v in zip(A.ravel(), B.ravel(), scalars):
+        assert v == pytest.approx(_quad_dr_over_r(om, x, y), rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_ranges(), st.data())
+def test_log_integral_range_errors(case, data):
+    om, a, b = case
+    a, b = np.broadcast_arrays(a, b)
+    k = data.draw(st.integers(0, a.size - 1))
+    assert np.all(om.integral_dr_over_r(b, b) == 0.0)
+    bad = a.copy()
+    bad.flat[k] = b.flat[k] * 1.5 + 1e-9
+    with pytest.raises(ValueError):
+        om.integral_dr_over_r(bad, b)
+    bad.flat[k] = -1e-9
+    with pytest.raises(ValueError):
+        om.integral_dr_over_r(bad, b)
+    bad.flat[k] = 0.0
+    if om.dini_finite:
+        assert np.all(np.isfinite(om.integral_dr_over_r(bad, b)))
+    else:
+        with pytest.raises(DiniDivergence):
+            om.integral_dr_over_r(bad, b)
+    if om.family in ("log_inverse", "dini_log"):
+        far = b.copy()
+        far.flat[k] = om.params[-1]
+        with pytest.raises(ValueError):
+            om.integral_dr_over_r(a, far)
 
 
 # --- campanato / vmo / hoelder ----------------------------------------------------
