@@ -135,10 +135,6 @@ class ShiftedPower:
     def derivative(self, t):
         return shifted_power_prime(self.p, self.a, t)
 
-    def conjugate_shift(self):
-        """The paired function with exponent p' and shift a^(p-1)."""
-        return ShiftedPower(self.p.conjugate(), _norm_power(self.a, self.p.p - 1.0))
-
 
 @dataclass(frozen=True)
 class EquivalenceExpressions:

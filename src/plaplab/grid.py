@@ -6,10 +6,14 @@ are reproducible across runs.  Nodal fields carry vector data at vertices,
 element fields carry one N x 2 tensor per triangle (gradients, right-hand
 sides, flux fields).  Ball queries go by element barycenter against an open
 ball, which gives exact per-ball measures and deterministic ties.  All
-ball statistics come from one kernel, `ball_stats`.  It forms squared
-distances once over the cells around the largest ball, from the separable
-barycenter x and y coordinates, compares each radius only on its own cells,
-and takes deviations from each ball mean directly.
+ball statistics come from one kernel, batched over centers and radii:
+`ball_stats` is its one-center case, and ball families are one call.  By
+bounded chunks of centers, it forms squared distances once over each
+center's cells around the largest ball, from the separable barycenter x and
+y coordinates, and compares each radius only on the cells that can hold
+it.  Members are gathered with one np.take per chunk, and means and
+deviations from each ball mean are segment sums, so a ball's result does
+not depend on the other balls of a call.
 """
 
 import functools
@@ -112,11 +116,6 @@ class Mesh:
     def num_elements(self):
         return len(self.elements)
 
-    @property
-    def total_area(self):
-        x0, x1, y0, y1 = self.bounds
-        return (x1 - x0) * (y1 - y0)
-
     def boundary_distance(self, point):
         """Distance from a point to the boundary of the rectangle."""
         x0, x1, y0, y1 = self.bounds
@@ -146,34 +145,14 @@ class Mesh:
 
     @functools.cached_property
     def _barycenter_axes(self):
-        """(xs, ys), each of shape (2, M): xs[t, ix] is the barycenter x of
+        """(xs, ys) as one (2, 2, M) array: xs[t, ix] is the barycenter x of
         every triangle of kind t in cell column ix, ys[t, iy] the barycenter
         y of every one in cell row iy.  Nodes come from linspace/meshgrid,
         so a vertex x depends on ix alone and these reproduce `barycenters`
         exactly."""
         M = self.cells_per_side
         b = self.barycenters.reshape(2, M, M, 2)
-        return b[:, 0, :, 0].copy(), b[:, :, 0, 1].copy()
-
-    def cell_range(self, center, r):
-        """Cells [ax, bx) x [ay, by), clipped to the mesh, met by the square
-        of half side r around center, as (ax, bx, ay, by).
-
-        Every barycenter lies h/3 inside its cell, so these cells hold every
-        element whose barycenter is closer than r to the center, and a
-        smaller r gives a sub-range.
-        """
-        M = self.cells_per_side
-
-        def axis(c, lo):
-            # clipped before floor, which rejects the +-inf that a huge r or
-            # far c gives: a huge ball then holds the mesh, a far one nothing
-            first = math.floor(min(max((c - r - lo) / self.h, 0.0), M))
-            stop = math.floor(min(max((c + r - lo) / self.h, -1.0), M - 1)) + 1
-            return first, stop
-
-        return (axis(float(center[0]), self.bounds[0])
-                + axis(float(center[1]), self.bounds[2]))
+        return np.stack([b[:, 0, :, 0], b[:, :, 0, 1]])
 
     def interior_points(self, margin, stride=1):
         """Barycenters at distance > margin from the boundary, subsampled."""
@@ -263,31 +242,117 @@ def integrate(mesh, f):
     return float(np.sum(mesh.areas * f))
 
 
-def _ball_members(mesh, center, radii):
-    """Per radius, the elements whose barycenter lies in the open ball
-    B_r(center), in ascending element index (possibly empty).
+# Centers per kernel chunk are chosen so that one chunk's window of squared
+# distances holds at most this many entries, which bounds the kernel's memory.
+_CHUNK_ENTRIES = 1 << 18
+# Radii above this act as it.  Axis offsets are clipped to the largest radius,
+# which decides no ball differently, and so every squared distance stays
+# finite: twice the square of this cap is below the largest double.
+_R_CAP = 2.0 ** 511
 
-    Squared distances are formed once over the cells of the largest ball,
-    as an outer sum of the separable x and y terms; each radius is then
-    compared only on its own cell sub-range.
-    """
-    center = np.asarray(center, dtype=float)
-    if not np.all(np.isfinite(center)):
-        raise ValueError(f"ball center {_point_str(center)} is not finite")
+
+def _ball_centers(centers):
+    """Centers as a (C, 2) float array; a non-finite one raises ValueError."""
+    centers = np.asarray(centers, dtype=float).reshape(-1, 2)
+    if not np.isfinite(centers).all():
+        bad = centers[np.argmin(np.isfinite(centers).all(axis=1))]
+        raise ValueError(f"ball center {_point_str(bad)} is not finite")
+    return centers
+
+
+def _ball_radii(radii):
+    """Radii as Python floats, capped at _R_CAP; one that is not positive
+    and finite raises ValueError."""
+    out = []
     for r in radii:
+        r = float(r)
         if not 0.0 < r < math.inf:
             raise ValueError(f"ball radius {r} must be positive and finite")
-    ax, bx, ay, by = mesh.cell_range(center, max(radii, default=0.0))
-    xs, ys = mesh._barycenter_axes
-    dx2 = (xs[:, ax:bx] - center[0]) ** 2
-    dy2 = (ys[:, ay:by] - center[1]) ** 2
-    d2 = dx2[:, None, :] + dy2[:, :, None]           # (triangle, iy, ix)
-    members = []
-    for r in radii:
-        rx, sx, ry, sy = mesh.cell_range(center, r)
-        box = (slice(None), slice(ry - ay, sy - ay), slice(rx - ax, sx - ax))
-        members.append(mesh._element_grid[:, ry:sy, rx:sx][d2[box] < r * r])
-    return members
+        out.append(min(r, _R_CAP))
+    return out
+
+
+def _ball_chunks(mesh, centers, radii):
+    """The elements whose barycenter lies in the open ball B_r(c), for every
+    center c of a (C, 2) array and every radius r of a list, by chunks of
+    centers.
+
+    Yields (lo, hi, members, counts) per chunk centers[lo:hi]: members[k]
+    holds the members of the balls of radius radii[k], center after center,
+    each ball's in (triangle, iy, ix) order, which is ascending element
+    index, and counts[k] their numbers per center.
+
+    A center's cell range at radius r is the cells met by the square of half
+    side r around it: every barycenter lies h/3 inside its cell, so it holds
+    every member.  A chunk's centers get windows of one shape that hold
+    their ranges at r_max, so the chunk's squared distances
+    (xs[t, ix] - cx)**2 + (ys[t, iy] - cy)**2 are one array, an outer sum
+    of the separable barycenter axes.  Each radius is then compared with
+    r * r on the sub-window that holds its ranges for the whole chunk.
+    """
+    if not radii:
+        return
+    M, h = mesh.cells_per_side, mesh.h
+    axes = mesh._barycenter_axes
+    R = len(radii)
+    r_max = max(radii)
+    k_max = radii.index(r_max)
+    signed = np.array([-r for r in radii] + radii)
+    origin = np.array(mesh.bounds[::2])[:, None]
+    # flat index of axes[axis, t, 0]
+    axis_rows = np.arange(0, 4 * M, M).reshape(2, 2, 1)
+    side = min(M, 2.0 * r_max / h + 2.0)
+    per_chunk = max(1, _CHUNK_ENTRIES // int(2.0 * side * side))
+    for lo in range(0, len(centers), per_chunk):
+        cs = centers[lo:lo + per_chunk]
+        c = len(cs)
+        # per (center, axis), the first cells floor(clip((c - r - origin) / h,
+        # 0, M)) and then the stops floor(clip((c + r - origin) / h, -1, M - 1))
+        # + 1.  The numerator is clipped first, so that a far center or a huge
+        # radius cannot overflow the quotient.
+        cells = cs[:, :, None] + signed - origin
+        np.maximum(cells, -h, out=cells)
+        np.minimum(cells, (M + 1) * h, out=cells)
+        cells /= h
+        np.floor(cells, out=cells)
+        cells[:, :, R:] += 1.0
+        np.maximum(cells, 0.0, out=cells)
+        np.minimum(cells, M, out=cells)
+        cells = cells.astype(np.int64)
+        first = cells[:, :, k_max]
+        w = max(int((cells[:, :, R + k_max] - first).max()), 0)
+        start = np.minimum(first, M - w)                              # (c, 2)
+        cells -= start[:, :, None]
+        x0, y0 = cells[:, :, :R].min(axis=0).tolist()
+        x1, y1 = cells[:, :, R:].max(axis=0).tolist()
+        # offsets axes[axis, t, start + i] - center[axis], clipped to r_max:
+        # that decides no ball of radius <= r_max differently
+        offsets = np.take(axes, start[:, :, None, None] + axis_rows + np.arange(w))
+        offsets -= cs[:, :, None, None]
+        np.maximum(offsets, -r_max, out=offsets)
+        np.minimum(offsets, r_max, out=offsets)
+        offsets *= offsets
+        d2 = offsets[:, 0, :, None, :] + offsets[:, 1, :, :, None]   # (c, t, iy, ix)
+        elems = ((start[:, 1] * M + start[:, 0])[:, None, None, None]
+                 + mesh._element_grid[:, :w, :w])
+        members = []
+        counts = np.empty((R, c), dtype=np.int64)
+        for k, r in enumerate(radii):
+            box = (slice(None), slice(None), slice(y0[k], y1[k]), slice(x0[k], x1[k]))
+            inside = d2[box] < r * r
+            members.append(elems[box][inside])
+            counts[k] = inside.reshape(c, -1).sum(axis=1)
+        yield lo, lo + c, members, counts
+
+
+def _ball_members(mesh, center, radii):
+    """Per radius, the elements whose barycenter lies in the open ball
+    B_r(center), in ascending element index (possibly empty): the kernel's
+    membership for one center."""
+    for _, _, members, _ in _ball_chunks(mesh, _ball_centers(center),
+                                         _ball_radii(radii)):
+        return members
+    return []
 
 
 def _point_str(x):
@@ -302,6 +367,45 @@ def _require_nonempty(counts, center, radii):
                 f"ball of radius {r} at {_point_str(center)} is below mesh resolution")
 
 
+def _ball_family_stats(mesh, f: ElemField, centers, radii, q):
+    """Element counts, mean tensors and q-mean oscillations over the open
+    balls B_r(c) of every center c of a (C, 2) array and every radius r.
+
+    Returns (counts, means, oscs) of shapes (R, C), (R, C, N, 2) and (R, C).
+    Per chunk of centers, the members of all its balls are gathered with
+    one np.take, and every ball's sums are segment sums (np.add.reduceat),
+    so a ball's result does not depend on the other balls of the call.
+    """
+    if q < 1.0:
+        raise ValueError("q must be at least 1")
+    centers, radii = _ball_centers(centers), _ball_radii(radii)
+    shape = f.tensors.shape[1:]
+    width = math.prod(shape)
+    counts = np.zeros((len(radii), len(centers)), dtype=np.int64)
+    means = np.full(counts.shape + shape, np.nan)
+    oscs = np.full(counts.shape, np.nan)
+    for lo, hi, members, chunk_counts in _ball_chunks(mesh, centers, radii):
+        counts[:, lo:hi] = chunk_counts
+        full = chunk_counts > 0
+        n = chunk_counts[full]
+        if n.size == 0:
+            continue
+        idx = np.concatenate(members)
+        block = np.take(f.tensors, idx, axis=0).reshape(idx.size, width)
+        starts = np.cumsum(n) - n
+        mean = np.add.reduceat(block, starts, axis=0) / n[:, None]
+        block -= np.repeat(mean, n, axis=0)
+        block *= block
+        dev = block[:, 0].copy()
+        for j in range(1, width):
+            dev += block[:, j]
+        np.sqrt(dev, out=dev)
+        dev **= q
+        means[:, lo:hi][full] = mean.reshape((n.size,) + shape)
+        oscs[:, lo:hi][full] = (np.add.reduceat(dev, starts) / n) ** (1.0 / q)
+    return counts, means, oscs
+
+
 def ball_stats(mesh, f: ElemField, center, radii, q=1.0):
     """Element counts, mean tensors and q-mean oscillations over the open
     balls B_r(center), one per radius.
@@ -310,30 +414,12 @@ def ball_stats(mesh, f: ElemField, center, radii, q=1.0):
     osc_q = (mean of |f - mean|^q)^(1/q) taken against the ball mean
     directly.  An empty ball has count 0 and nan mean and oscillation.
     Radii may come in any order.  A center or radius that is not finite,
-    or a radius that is not positive, raises ValueError.  Members are
-    gathered with np.take and weighted by the uniform element area.
+    or a radius that is not positive, raises ValueError.  This is the
+    batched kernel with one center, so it equals that center's entries of
+    a many-center call bitwise.
     """
-    if q < 1.0:
-        raise ValueError("q must be at least 1")
-    counts = np.zeros(len(radii), dtype=np.int64)
-    means = np.full((len(radii),) + f.tensors.shape[1:], np.nan)
-    oscs = np.full(len(radii), np.nan)
-    for k, idx in enumerate(_ball_members(mesh, center, radii)):
-        if idx.size == 0:
-            continue
-        w = np.full(idx.size, mesh.element_area)
-        w /= w.sum()
-        block = np.take(f.tensors, idx, axis=0)
-        mean = np.einsum("e,enk->nk", w, block)
-        block -= mean
-        dev = np.einsum("enk,enk->e", block, block)
-        np.sqrt(dev, out=dev)
-        dev **= q
-        dev *= w
-        counts[k] = idx.size
-        means[k] = mean
-        oscs[k] = np.sum(dev) ** (1.0 / q)
-    return counts, means, oscs
+    counts, means, oscs = _ball_family_stats(mesh, f, center, radii, q)
+    return counts[:, 0], means[:, 0], oscs[:, 0]
 
 
 def ball_elements(mesh, center, r):

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _ball_members, _point_str, _require_nonempty, ball_stats
+from .grid import (_ball_family_stats, _ball_members, _point_str, _require_nonempty,
+                   ball_stats)
 
 __all__ = [
     "RadiiSet",
@@ -57,22 +58,33 @@ class RadiiSet:
 
 
 def _check_margin(mesh, x, r_needed, require_interior):
-    if require_interior and mesh.boundary_distance(x) <= r_needed:
-        raise MarginError(
-            f"point {_point_str(x)} is within {r_needed} of the boundary")
+    """MarginError naming the first of the points x (one point or a (P, 2)
+    array) within r_needed of the boundary."""
+    if not require_interior:
+        return
+    for point in np.reshape(x, (-1, 2)):
+        if mesh.boundary_distance(point) <= r_needed:
+            raise MarginError(
+                f"point {_point_str(point)} is within {r_needed} of the boundary")
 
 
 def sharp_maximal(mesh, f, q, radii: RadiiSet, x, require_interior=True):
     """Max over the radius set of the q-mean oscillation of f on B_r(x).
 
-    With require_interior=False balls are clipped by the domain instead of
-    rejected, which changes only the fitted constants.
+    x is one point, which gives a float, or a (P, 2) array of points, which
+    gives a (P,) array from one batched kernel call; each entry equals the
+    single-point value bitwise.  A failing margin or an empty ball raises
+    for the first such point.  With require_interior=False balls are
+    clipped by the domain instead of rejected, which changes only the
+    fitted constants.
     """
     _check_margin(mesh, x, radii.r_max, require_interior)
     rs = radii.values()
-    counts, _, oscs = ball_stats(mesh, f, x, rs, q)
-    _require_nonempty(counts, x, rs)
-    return max(0.0, float(oscs.max()))
+    counts, _, oscs = _ball_family_stats(mesh, f, x, rs, q)
+    for point, point_counts in zip(np.reshape(x, (-1, 2)), counts.T):
+        _require_nonempty(point_counts, point, rs)
+    out = np.maximum(0.0, oscs.max(axis=0))
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def weighted_local_sharp(mesh, f, q, omega, R, radii: RadiiSet, x,

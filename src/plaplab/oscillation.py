@@ -12,7 +12,8 @@ of q-mean oscillations weighted by log(1/theta), a Riemann sum of the
 radial dr/r integral of per-ball oscillations.
 
 Every ball statistic here (ball families, the potential) comes from the
-grid's single ball kernel, `grid.ball_stats`, one call per center.
+grid's single ball kernel, which is batched over centers: a ball family is
+one kernel call, and the potential at a point is one call with one center.
 """
 
 import math
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ElemField, ball_stats
+from .grid import ElemField, _ball_family_stats, ball_stats
 
 __all__ = [
     "Modulus",
@@ -229,17 +230,14 @@ class PotentialParams:
 
 
 def ball_family_oscillations(mesh, f, centers, radii, q):
-    """Mean-oscillation of f over many balls, one kernel call per center.
+    """Mean-oscillation of f over many balls, by one batched kernel call.
 
     centers: (C, 2) array; radii: list of radii shared by all centers.
     Returns (oscs, counts) arrays of shape (len(radii), C); empty balls get
-    osc = nan and count 0.
+    osc = nan and count 0.  Each ball's value equals the single-ball query's
+    bitwise.
     """
-    centers = np.asarray(centers, dtype=float)
-    oscs = np.empty((len(radii), len(centers)))
-    counts = np.empty((len(radii), len(centers)), dtype=np.int64)
-    for j, center in enumerate(centers):
-        counts[:, j], _, oscs[:, j] = ball_stats(mesh, f, center, radii, q)
+    counts, _, oscs = _ball_family_stats(mesh, f, centers, radii, q)
     return oscs, counts
 
 
@@ -304,7 +302,9 @@ class InscribedSups:
 
 
 def inscribed_sups(mesh, f, q=1.0, family=None):
-    """InscribedSups of f over a ball family, by one batched pass.
+    """InscribedSups of f over a ball family, evaluating only its inscribed
+    balls: one batched call per radius, on the centers whose boundary
+    distance exceeds that radius.
 
     The default family puts centers on every 2nd barycenter with dyadic
     radii.  f is first shifted by minus its global mean.  That leaves every
@@ -315,14 +315,14 @@ def inscribed_sups(mesh, f, q=1.0, family=None):
     if len(centers) == 0 or len(radii) == 0:
         raise ValueError("empty ball family")
     centered = ElemField(f.tensors - f.tensors.mean(axis=0))
-    oscs, _ = ball_family_oscillations(mesh, centered, centers, radii, q)
     x0, x1, y0, y1 = mesh.bounds
     inset = np.minimum(np.minimum(centers[:, 0] - x0, x1 - centers[:, 0]),
                        np.minimum(centers[:, 1] - y0, y1 - centers[:, 1]))
     sups = []
-    for k, r in enumerate(radii):
-        mask = (inset > r) & np.isfinite(oscs[k])
-        sups.append(float(np.max(oscs[k][mask])) if np.any(mask) else None)
+    for r in radii:
+        (oscs,), _ = ball_family_oscillations(mesh, centered, centers[inset > r], [r], q)
+        oscs = oscs[np.isfinite(oscs)]
+        sups.append(float(np.max(oscs)) if oscs.size else None)
     return InscribedSups(list(radii), sups)
 
 

@@ -1,10 +1,12 @@
 """Property tests of the ball-statistics kernel against brute-force definitions.
 
 Membership is checked against a full scan of every barycenter, the kernel
-bitwise against a straightforward reference kernel, batched ball families
-against the per-ball query, oscillations against the textbook formula, and
-the norm table's oscillation seminorms against a constant shift of the
-field.
+bitwise against a straightforward reference kernel in the same summation
+order and within a stated bound of the area-weighted formula it replaced,
+many-center calls (over several chunks) and batched sharp maximal values
+bitwise against single-center calls, oscillations against the textbook
+formula, and the norm table's oscillation seminorms against a constant
+shift of the field.
 """
 
 import math
@@ -15,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plaplab import grid
 from plaplab.grid import (ElemField, EmptyBallError, Mesh, ball_elements,
                           ball_oscillation, ball_stats)
 from plaplab.lab.config import ExperimentConfig
 from plaplab.lab.experiments import norm_table
+from plaplab.maximal import MarginError, RadiiSet, sharp_maximal
 from plaplab.oscillation import ball_family_oscillations
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -81,11 +85,10 @@ def test_barycenter_axes_reproduce_the_barycenters(mesh):
     assert np.array_equal(b[..., 1], np.broadcast_to(ys[:, :, None], (2, M, M)))
 
 
-def _reference_ball_stats(mesh, f, center, radii, q):
-    """ball_stats the straightforward way, kept as the bitwise reference:
-    every radius masked over the whole cell box of the largest one,
-    distances from the gathered barycenters, fancy-index gathers and
-    out-of-place arithmetic."""
+def _reference_members(mesh, center, radii):
+    """Per radius, the members the straightforward way: every radius masked
+    over the whole cell box of the largest one, with distances from the
+    gathered barycenters."""
     center = np.asarray(center, dtype=float)
     r_max = max(radii)
 
@@ -99,23 +102,57 @@ def _reference_ball_stats(mesh, f, center, radii, q):
     cand = np.arange(2 * M * M).reshape(2, M, M)[:, ay:by, ax:bx].ravel()
     d = mesh.barycenters[cand] - center
     d2 = d[:, 0] ** 2 + d[:, 1] ** 2
+    return [cand[d2 < r * r] for r in radii]
+
+
+def _segment_sum(x):
+    """A sum the way np.add.reduceat sums one segment: its first term plus
+    the pairwise np.sum of the rest."""
+    return x[0] + np.sum(x[1:]) if x.size > 1 else x[0]
+
+
+def _reference_ball_stats(mesh, f, center, radii, q):
+    """ball_stats the straightforward way, kept as the bitwise reference:
+    fancy-index gathers, out-of-place arithmetic, each sum a _segment_sum,
+    the components of |f - mean|^2 added left to right, and powers taken on
+    arrays, as the kernel takes them."""
     counts = np.zeros(len(radii), dtype=np.int64)
     means = np.full((len(radii),) + f.tensors.shape[1:], np.nan)
     oscs = np.full(len(radii), np.nan)
-    for k, r in enumerate(radii):
-        idx = cand[d2 < r * r]
+    for k, idx in enumerate(_reference_members(mesh, center, radii)):
+        n = idx.size
+        if n == 0:
+            continue
+        block = f.tensors[idx].reshape(n, -1)
+        mean = np.array([_segment_sum(col) for col in block.T]) / n
+        diff = block - mean
+        sq = diff * diff
+        dev = sq[:, 0]
+        for j in range(1, sq.shape[1]):
+            dev = dev + sq[:, j]
+        dev = np.sqrt(dev) ** q
+        counts[k] = n
+        means[k] = mean.reshape(f.tensors.shape[1:])
+        oscs[k] = (np.array([_segment_sum(dev) / n]) ** (1.0 / q))[0]
+    return counts, means, oscs
+
+
+def _area_weighted_stats(mesh, f, center, radii, q):
+    """The area-weighted formula the kernel replaced, for the gap test:
+    weights area / sum(area), means and deviations by einsum."""
+    means = np.full((len(radii),) + f.tensors.shape[1:], np.nan)
+    oscs = np.full(len(radii), np.nan)
+    for k, idx in enumerate(_reference_members(mesh, center, radii)):
         if idx.size == 0:
             continue
         w = mesh.areas[idx]
         w = w / w.sum()
         block = f.tensors[idx]
-        mean = np.einsum("e,enk->nk", w, block)
-        diff = block - mean
+        means[k] = np.einsum("e,enk->nk", w, block)
+        diff = block - means[k]
         dev = np.sqrt(np.einsum("enk,enk->e", diff, diff))
-        counts[k] = idx.size
-        means[k] = mean
         oscs[k] = np.sum(w * dev ** q) ** (1.0 / q)
-    return counts, means, oscs
+    return means, oscs
 
 
 ORDERS = {
@@ -142,6 +179,82 @@ def test_kernel_is_bitwise_the_reference(mesh, rel, radii, order, q, rows,
         assert a.tobytes() == b.tobytes()
 
 
+@SETTINGS
+@given(meshes, rel_points, rel_radii,
+       st.one_of(st.floats(1.0, 4.0), st.sampled_from([1.0, 2.0, 3.0])),
+       st.integers(1, 3), offsets, st.integers(0, 2 ** 16))
+def test_kernel_is_within_roundoff_of_the_area_weighted_formula(
+        mesh, rel, radii, q, rows, offset, seed):
+    # the kernel takes plain means (sum / n) where the replaced formula
+    # weighted by area / sum(area): on a ball of n members with entries of
+    # magnitude at most s, means agree to 2 n eps s per entry and q-mean
+    # oscillations to 2 n eps (s + osc)
+    center = _point(mesh, rel)
+    radii = [s * mesh.h for s in radii]
+    _, f = _field(mesh, seed, offset, rows)
+    _, means, oscs = ball_stats(mesh, f, center, radii, q)
+    old_means, old_oscs = _area_weighted_stats(mesh, f, center, radii, q)
+    eps = np.finfo(float).eps
+    for k, idx in enumerate(_reference_members(mesh, center, radii)):
+        if idx.size == 0:
+            assert np.isnan(oscs[k]) and np.isnan(old_oscs[k])
+            continue
+        bound = 2.0 * idx.size * eps * np.abs(f.tensors[idx]).max()
+        assert np.abs(means[k] - old_means[k]).max() <= bound
+        assert abs(oscs[k] - old_oscs[k]) <= bound + 2.0 * idx.size * eps * oscs[k]
+
+
+@SETTINGS
+@given(meshes, st.lists(rel_points, min_size=1, max_size=12), rel_radii,
+       st.floats(1.0, 4.0), st.integers(1, 3), offsets, st.integers(0, 2 ** 16),
+       st.sampled_from([1, 50, 400, grid._CHUNK_ENTRIES]))
+def test_many_centers_equal_single_centers_bitwise(mesh, rels, radii, q, rows,
+                                                   offset, seed, chunk_entries):
+    # a small chunk constant spreads the centers over several chunks; no
+    # ball's result may depend on the other centers or on the chunking
+    centers = np.array([_point(mesh, rel) for rel in rels])
+    radii = [s * mesh.h for s in radii]
+    _, f = _field(mesh, seed, offset, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid, "_CHUNK_ENTRIES", chunk_entries)
+        counts, means, oscs = grid._ball_family_stats(mesh, f, centers, radii, q)
+    for j, center in enumerate(centers):
+        one = ball_stats(mesh, f, center, radii, q)
+        for got, expect in zip((counts[:, j], means[:, j], oscs[:, j]), one):
+            assert got.tobytes() == expect.tobytes()
+        assert counts[:, j].tolist() == [_full_scan(mesh, center, r).size
+                                         for r in radii]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(8, 16), st.lists(st.tuples(*[st.one_of(st.floats(0.31, 0.69),
+                                                          st.floats(0.0, 1.0))] * 2),
+                                    min_size=1, max_size=10),
+       st.sampled_from([1.0, 1.5, 2.0]), st.integers(0, 2 ** 16))
+def test_batched_sharp_maximal_is_the_per_point_value(M, pts, q, seed):
+    mesh = Mesh((0.0, 1.0, 0.0, 1.0), M)
+    _, f = _field(mesh, seed, 0.0, 1)
+    pts = np.array(pts)
+    # margin failures with the first, empty balls with the second
+    for radii, interior in [(RadiiSet(2.0 * mesh.h, 0.3), True),
+                            (RadiiSet(0.3 * mesh.h, 0.3), False)]:
+        single = []
+        for x in pts:
+            try:
+                single.append(sharp_maximal(mesh, f, q, radii, x, interior))
+            except (MarginError, EmptyBallError) as exc:
+                single.append(exc)
+        errors = [v for v in single if isinstance(v, Exception)]
+        if errors:
+            # the batch raises what the first failing point raises
+            with pytest.raises(type(errors[0]), match=re.escape(str(errors[0]))):
+                sharp_maximal(mesh, f, q, radii, pts, interior)
+        else:
+            got = sharp_maximal(mesh, f, q, radii, pts, interior)
+            assert got.shape == (len(pts),)
+            assert got.tobytes() == np.array(single).tobytes()
+
+
 @pytest.mark.parametrize("center, r, named", [
     ((0.5, 0.5), math.inf, "radius inf"),
     ((math.inf, 0.5), 0.1, "center (inf, 0.5)"),
@@ -163,6 +276,15 @@ def test_huge_radius_holds_the_mesh_and_a_far_center_is_empty():
     np.testing.assert_allclose(means[0], signal.mean(axis=0), rtol=1e-12, atol=1e-15)
     mean, osc = ball_oscillation(mesh, f, (0.5, 0.5), 1e308)
     assert np.array_equal(mean, means[0]) and np.isfinite(osc)
+    # a huge numpy radius, and a huge radius at a far center
+    counts, _, _ = ball_stats(mesh, f, (0.5, 0.5), np.array([1e308]))
+    assert counts.tolist() == [mesh.num_elements]
+    counts, _, _ = ball_stats(mesh, f, (0.5, 1e308), [1e308])
+    assert counts.tolist() == [0]
+    _, counts = ball_family_oscillations(
+        mesh, f, [(0.5, 0.5), (1e308, 0.5), (0.5, 1e308)], np.array([0.2, 1e308]), 1.0)
+    assert counts[:, 1:].tolist() == [[0, 0], [0, 0]]
+    assert counts[1, 0] == mesh.num_elements
     for center in [(1e308, 0.5), (0.5, -1e308), (-1e308, 1e308)]:
         counts, _, _ = ball_stats(mesh, f, center, [0.2, 1e3])
         assert counts.tolist() == [0, 0]

@@ -1,15 +1,21 @@
-"""The benchmark's span tracer binds plaplab functions by module and name.
+"""The benchmark's span tracer binds plaplab functions by module and name,
+and its ballstats workload checks plaplab's ball values against its own
+float-membership reference.
 
-A traced benchmark run fails if one of them is renamed or deleted, so the
-bindings are checked here, without running the benchmark.
+A traced benchmark run fails if a traced function is renamed or deleted, and
+a benchmark run counts failures if the ball values drift from the reference,
+so both are checked here: the bindings without running the benchmark, the
+ballstats checks in-process at the smoke size.
 """
 
+import contextlib
 import importlib
 import importlib.util
 import os
 
-SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "perfbench", "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+SPANS = os.path.join(PERFBENCH, "spans.py")
 
 
 def _spans():
@@ -27,3 +33,17 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert not missing
     assert callable(importlib.import_module("plaplab.grid").Mesh)
+
+
+def test_ballstats_workload_checks_pass_at_smoke_size(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    bench = workloads.BallStats("smoke", str(tmp_path))
+    inputs = bench.setup(3)
+    out = bench.run(inputs, lambda name: contextlib.nullcontext())
+    attempted, failed = bench.check(inputs, out)
+    assert attempted > 0 and failed == 0
+    attempted, failed = bench.check_batched(inputs)
+    assert attempted > 0 and failed == 0
+    defect = bench.offset_defect(inputs)
+    assert defect["balls_checked"] > 0 and defect["balls_over_tol"] == 0

@@ -322,21 +322,29 @@ def test_no_experiment_solves_the_same_problem_twice(monkeypatch):
 
 
 def test_norm_table_makes_one_ball_family_pass(monkeypatch):
-    # BMO, Campanato and VMO all read one table of inscribed sups
+    # BMO, Campanato and VMO all read one table of inscribed sups, and the
+    # family's batched calls together evaluate every inscribed (center, r)
+    # ball exactly once and no other ball
+    from collections import Counter
+
     from plaplab import oscillation
 
-    calls = []
+    balls = Counter()
     real = oscillation.ball_family_oscillations
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(mesh, f, centers, radii, q):
+        balls.update((x, y, r) for x, y in np.asarray(centers).tolist() for r in radii)
+        return real(mesh, f, centers, radii, q)
 
     monkeypatch.setattr(oscillation, "ball_family_oscillations", counting)
     mesh = Mesh((0, 1, 0, 1), 16)
     t = np.random.default_rng(9).normal(size=(mesh.num_elements, 1, 2))
     rows = dict(norm_table(mesh, ElemField(t), ExperimentConfig(**SMALL)))
-    assert len(calls) == 1
+    centers, radii = oscillation.default_ball_family(mesh)
+    inscribed = Counter((x, y, r) for x, y in centers.tolist() for r in radii
+                        if mesh.boundary_distance((x, y)) > r)
+    assert balls == inscribed and max(balls.values()) == 1
+    assert len(inscribed) < len(centers) * len(radii)
     vmo = [v for name, v in rows.items() if name.startswith("VMO[")]
     assert rows["BMO"] == vmo[-1]
 
