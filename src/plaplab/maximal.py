@@ -122,7 +122,9 @@ def riesz_ratio(mesh, f, q, radii: RadiiSet, stride=1):
 
     Evaluates the plain maximal operator on interior barycenters, rearranges
     the resulting values, and fits the smallest C with
-    (M^q f)*(s) <= C * ((|f|^q)**(s))^(1/q) at every breakpoint s.
+    (M^q f)*(s) <= C * ((|f|^q)**(s))^(1/q) at every breakpoint s.  The
+    stride defines which points the fit uses (every stride-th interior
+    barycenter); it does not approximate a sup over all points.
     """
     from .rearrange import StepFunction, double_star, rearrange
 

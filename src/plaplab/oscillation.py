@@ -246,7 +246,10 @@ def default_ball_family(mesh, stride=2, r_min_cells=2.0):
 
     Returns (centers, radii_list): shared dyadic radii from r_min up to the
     largest radius inscribed anywhere, with per-center admissibility decided
-    by the boundary distance at query time.
+    by the boundary distance at query time.  The stride defines the family:
+    it holds every stride-th barycenter as a center, and its sups are sups
+    over exactly these balls, not an approximation of a sup over all
+    centers.
     """
     centers = mesh.barycenters[::stride]
     r_min = r_min_cells * mesh.h

@@ -31,6 +31,7 @@ from .hardy import (
     LorentzSpec,
     OrliczSpec,
     DecreasingPieces,
+    QuadratureError,
     average_transform,
     tail_log_transform,
     xq_norm,
@@ -46,6 +47,6 @@ __all__ = [
     "SampledYoung", "young_conjugate", "orlicz_target", "young_from_spec",
     "HypothesisViolation", "default_grid",
     "LebesgueSpec", "LorentzSpec", "OrliczSpec", "DecreasingPieces",
-    "average_transform", "tail_log_transform", "xq_norm",
+    "QuadratureError", "average_transform", "tail_log_transform", "xq_norm",
     "hardy_check_avg", "hardy_check_tail",
 ]

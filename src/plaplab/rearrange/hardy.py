@@ -1,23 +1,40 @@
 """One-dimensional Hardy-type ratio checks behind the norm reduction principle.
 
-Two operators act on decreasing step profiles phi:
+Two operators act on step profiles phi:
 
 * the running average  s -> (1/s) * integral_0^s phi(r) dr, whose pieces are
-  exactly of the form b + a/s,
+  exactly of the form v + a/s,
 * the logarithmic tail  s -> integral_s^infty phi(r) dr / r, piecewise
-  c + v log(s_i / s).
+  v log(S / s) + t with S the right end of the piece.
 
-Both transforms are computed exactly piece by piece; the norms of the
-transformed (no longer step) functions are integrated per piece with
-adaptive quadrature.  Averages extend past the support of phi with their
-exact C/s tail up to a finite horizon, so borderline exponents come out
-large and growing instead of flatly infinite.
+Both transforms are exact.  A DecreasingPieces stores them as coefficient
+arrays, raised to one common power, and every norm of a transformed profile
+is evaluated on all of its pieces at once:
+
+* Lebesgue and Lorentz (finite r) norms are integrals of s^alpha f(s)^r.  The
+  piece that touches 0 is integrated in closed form: an average piece is
+  constant there, a tail piece gives an upper incomplete gamma function.
+  Every other piece goes to one fixed Gauss-Legendre rule on sub-intervals
+  at most a decade wide, in log s, or in log(g / v) for a tail piece
+  v log(S / s) + t that vanishes within a piece-length of it.  The rule of
+  twice the order checks each piece: QuadratureError where the two differ
+  by more than 1e-10 relative.
+* The Lorentz r = inf functional is an exact sup: each piece's endpoints and
+  the one interior stationary point of a tail piece.
+* Orlicz (Luxemburg) norms take a constant piece at 0 exactly and every
+  other piece by the same rule, a tail piece at 0 down to s = 1e-300.  The
+  transform is evaluated at the nodes once, so each bisection step of the
+  Luxemburg search is one dot product.
+
+Averages extend past the support of phi with their exact C/s tail up to a
+finite horizon, so borderline exponents come out large and growing instead
+of flatly infinite.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import gamma, gammaincc, hyperu
 
 from .stepfun import (StepFunction, _luxemburg_search, lorentz_norm,
                       luxemburg_norm, lq_norm)
@@ -27,6 +44,7 @@ __all__ = [
     "LorentzSpec",
     "OrliczSpec",
     "DecreasingPieces",
+    "QuadratureError",
     "average_transform",
     "tail_log_transform",
     "xq_norm",
@@ -34,99 +52,188 @@ __all__ = [
     "hardy_check_tail",
 ]
 
-_QUAD_OPTS = dict(limit=200, epsabs=1e-12, epsrel=1e-10)
+_ORDER = 16            # Gauss-Legendre nodes per sub-interval, checked at twice the order
+_RTOL = 1e-10          # largest relative gap between the two rules on a piece
+_TINY = 1e-300         # where the rule in s stops short of 0
+_FLOOR = 1e-30         # where the rule in x stops short of a zero of g
+_NODES, _WEIGHTS = (np.concatenate(pair) for pair in zip(
+    *(np.polynomial.legendre.leggauss(n) for n in (_ORDER, 2 * _ORDER))))
 
 
-def _quad_log(fn, lo, hi):
-    """Adaptive quadrature with decade splitting, robust on wide spans."""
-    if hi <= lo:
-        return 0.0
-    anchor = max(lo, hi * 1e-16)
-    cuts = [lo]
-    c = anchor if lo == 0.0 else lo
-    while c * 10.0 < hi:
-        c *= 10.0
-        cuts.append(c)
-    cuts.append(hi)
-    total = 0.0
-    for a, b in zip(cuts, cuts[1:]):
-        if b > a:
-            val, _ = quad(fn, a, b, **_QUAD_OPTS)
-            total += val
-    return total
+class QuadratureError(ArithmeticError):
+    """The fixed rule and the rule of twice its order disagree on a piece.
+
+    Carries the piece (index, lo, hi, tail, v, coefficient, power) and the
+    integrals of both rules over it.
+    """
+
+    def __init__(self, piece, coarse, fine):
+        super().__init__(
+            f"Gauss-Legendre rules of order {_ORDER} and {2 * _ORDER} disagree on "
+            f"piece {piece}: {coarse!r} vs {fine!r}")
+        self.piece = piece
+        self.coarse = coarse
+        self.fine = fine
 
 
 class DecreasingPieces:
-    """A nonincreasing, nonnegative function given piecewise by callables."""
+    """A nonincreasing, nonnegative function given piecewise in closed form.
 
-    def __init__(self, pieces):
-        # pieces: list of (lo, hi, fn) with 0 <= lo < hi
-        self.pieces = [(float(lo), float(hi), fn) for lo, hi, fn in pieces]
-        for lo, hi, _ in self.pieces:
-            if not (0.0 <= lo < hi):
-                raise ValueError("piece endpoints must satisfy 0 <= lo < hi")
+    Piece i lives on (lo[i], hi[i]] (on [0, hi[i]] when lo[i] = 0) and equals
+    g_i(s) ** power, with g_i(s) = v[i] * log(hi[i] / s) + c[i] on a tail
+    piece and v[i] + c[i] / s on an average piece; 0 off every piece.  An
+    average piece that touches 0 must be constant (c = 0).
+    """
+
+    def __init__(self, lo, hi, tail, v, c, power=1.0):
+        self.lo, self.hi, self.v, self.c = (np.asarray(x, dtype=float) for x in (lo, hi, v, c))
+        self.tail = np.asarray(tail, dtype=bool)
+        self.power = float(power)
+        if not (self.lo.ndim == 1 and all(x.shape == self.lo.shape for x in
+                                          (self.hi, self.tail, self.v, self.c))):
+            raise ValueError("piece arrays must be matching 1-d arrays")
+        if not np.all((0.0 <= self.lo) & (self.lo < self.hi)):
+            raise ValueError("piece endpoints must satisfy 0 <= lo < hi")
+        if np.any(self.hi[:-1] > self.lo[1:]):
+            raise ValueError("pieces must be sorted and must not overlap")
+        if np.any((self.lo == 0.0) & ~self.tail & (self.c != 0.0)):
+            raise ValueError("an average piece that touches 0 must be constant")
+        if not self.power > 0.0:
+            raise ValueError("exponent must be positive")
+
+    def _base(self, k, logs):
+        """The unpowered pieces k at s = exp(logs) > 0."""
+        v, c = self.v[k], self.c[k]
+        return np.where(self.tail[k], v * (np.log(self.hi[k]) - logs) + c,
+                        v + c * np.exp(-logs))
+
+    def _at_zero(self, k):
+        """The limits of the unpowered pieces k at s = 0+."""
+        v = self.v[k]
+        return np.where(self.tail[k], np.where(v > 0.0, np.inf, self.c[k]), v)
+
+    def _flat_at_zero(self):
+        """The pieces that touch 0 and are constant: every average piece
+        there, and a tail piece with v = 0."""
+        return (self.lo == 0.0) & ~(self.tail & (self.v > 0.0))
 
     def __call__(self, s):
-        s = float(s)
-        for lo, hi, fn in self.pieces:
-            if lo < s <= hi or (lo == 0.0 and s <= hi):
-                return max(float(fn(s)), 0.0)
-        return 0.0
+        """Evaluation on the pieces' half-open intervals; 0 off every piece."""
+        s = np.asarray(s, dtype=float)
+        idx = np.searchsorted(self.hi, s, side="left")
+        k = np.minimum(idx, len(self.hi) - 1)
+        inside = (idx < len(self.hi)) & ((s > self.lo[k]) | (self.lo[k] == 0.0))
+        pos = s > 0.0
+        g = np.where(pos, self._base(k, np.log(np.where(pos, s, 1.0))), self._at_zero(k))
+        out = np.where(inside, np.maximum(g, 0.0) ** self.power, 0.0)
+        return float(out) if out.ndim == 0 else out
 
     def powered(self, expo):
         if expo <= 0.0:
             raise ValueError("exponent must be positive")
-        return DecreasingPieces(
-            [(lo, hi, (lambda f: (lambda s: f(s) ** expo))(fn))
-             for lo, hi, fn in self.pieces])
+        return DecreasingPieces(self.lo, self.hi, self.tail, self.v, self.c,
+                                self.power * expo)
 
 
-def average_transform(sf: StepFunction, horizon=None):
-    """Exact running average of a decreasing step profile.
+def _rule(pw, pieces):
+    """Both Gauss-Legendre rules on the given pieces: (piece, log s, g, weight).
 
-    On the i-th piece the average equals v_i + (C_{i-1} - v_i S_{i-1}) / s
-    with C the cumulative integral; past the support it decays like
-    C_total / s, kept up to the horizon (default: the profile's own total
-    measure, i.e. no extension).
+    A tail piece whose g = v log(hi / s) + c vanishes within one piece-length
+    of it (c / v at most log(hi / lo)) is integrated in log x, x = g / v, so
+    the rule resolves every power of g near its zero at s = hi exp(c / v);
+    x runs down to at most _FLOOR of its upper end.  Every other piece is
+    integrated in log s.  A piece that touches 0 is taken down to s = _TINY,
+    about 690 units of x below its right end.  Sub-intervals are equal and
+    at most a decade wide.  Arrays are (sub-interval, node), the coarse
+    rule's nodes first; the weights are those of ds.
     """
-    pieces = []
-    right = sf.boundaries
-    left = np.concatenate([[0.0], right[:-1]])
-    cum = np.concatenate([[0.0], np.cumsum(sf.measures * sf.values)])
-    for i in range(len(sf.values)):
-        v = sf.values[i]
-        a = cum[i] - v * left[i]
-        pieces.append((left[i], right[i],
-                       (lambda vv, aa: (lambda s: vv + aa / s))(v, a)))
-    total = sf.total_measure
-    horizon = total if horizon is None else float(horizon)
-    if horizon > total:
-        c_total = float(cum[-1])
-        pieces.append((total, horizon, (lambda s: c_total / s)))
-    return DecreasingPieces(pieces)
+    lo, hi, v, c = pw.lo[pieces], pw.hi[pieces], pw.v[pieces], pw.c[pieces]
+    lo = np.maximum(lo, _TINY)
+    span = np.log(hi / lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x0 = c / v
+    in_x = pw.tail[pieces] & (v > 0.0) & (x0 <= span)
+    x0 = np.where(in_x, x0, 0.0)
+    top = np.where(in_x, x0 + span, hi)
+    bottom = np.where(in_x, np.maximum(x0, top * _FLOOR), lo)
+
+    lbot, ltop = np.log(bottom), np.log(top)
+    parts = np.maximum(np.ceil((ltop - lbot) / np.log(10.0)), 1.0).astype(np.intp)
+    sub = np.repeat(np.arange(len(pieces)), parts)
+    first = np.repeat(np.cumsum(parts) - parts, parts)
+    half = 0.5 * ((ltop - lbot) / parts)[sub]
+    left = lbot[sub] + 2.0 * half * (np.arange(len(sub)) - first)
+    u = left[:, None] + half[:, None] * (_NODES + 1.0)
+    var = np.exp(u)
+    xk = in_x[sub][:, None]
+    piece = pieces[sub]
+    logs = np.where(xk, (np.log(hi) + x0)[sub][:, None] - var, u)
+    g = np.where(xk, v[sub][:, None] * var, pw._base(piece[:, None], u))
+    weights = _WEIGHTS * half[:, None] * var * np.where(xk, np.exp(logs), 1.0)
+    return piece, logs, np.maximum(g, 0.0), weights
 
 
-def tail_log_transform(sf: StepFunction):
-    """Exact logarithmic tail integral of a step profile.
+def _rule_sums(pw, piece, values):
+    """Per-piece integrals of both rules; QuadratureError where they disagree."""
+    n = len(pw.lo)
+    coarse = np.bincount(piece, values[:, :_ORDER].sum(axis=1), minlength=n)
+    fine = np.bincount(piece, values[:, _ORDER:].sum(axis=1), minlength=n)
+    bad = np.flatnonzero(~(np.abs(coarse - fine) <= _RTOL * np.abs(fine)))
+    if len(bad):
+        i = int(bad[0])
+        raise QuadratureError((i, float(pw.lo[i]), float(pw.hi[i]), bool(pw.tail[i]),
+                               float(pw.v[i]), float(pw.c[i]), pw.power),
+                              float(coarse[i]), float(fine[i]))
+    return fine
 
-    integral_s^infty phi(r) dr/r is v_i log(S_i / s) plus the accumulated
-    contributions of the pieces beyond S_i; zero past the support.
+
+def _tail_at_zero(pw, i, kappa, beta):
+    """Closed-form integral of s^(kappa - 1) g(s)^beta over the tail piece i
+    at 0, v > 0."""
+    hi, v, c = pw.hi[i], pw.v[i], pw.c[i]
+    # with s = hi exp(c/v - w): hi^kappa v^beta e^z int_{c/v}^inf w^beta
+    # e^(-kappa w) dw, z = kappa c / v
+    z = kappa * c / v
+    if z < 1.0:
+        return (hi ** kappa * v ** beta * kappa ** -(beta + 1.0) * np.exp(z)
+                * gamma(beta + 1.0) * gammaincc(beta + 1.0, z))
+    # the same by Tricomi's U, free of overflow for large z
+    return hi ** kappa * c ** beta * z * hyperu(1.0, beta + 2.0, z) / kappa
+
+
+def _power_moment(pw, alpha, beta):
+    """Integral of s^alpha f(s)^(beta / power) over every piece of pw."""
+    kappa = alpha + 1.0
+    flat = pw._flat_at_zero()
+    total = np.sum(pw._at_zero(flat) ** beta * pw.hi[flat] ** kappa) / kappa
+    total += sum(_tail_at_zero(pw, i, kappa, beta)
+                 for i in np.flatnonzero((pw.lo == 0.0) & ~flat))
+    rest = np.flatnonzero(pw.lo > 0.0)
+    if len(rest):
+        piece, logs, g, weights = _rule(pw, rest)
+        total += _rule_sums(pw, piece, weights * np.exp(alpha * logs) * g ** beta).sum()
+    return float(total)
+
+
+def _lorentz_sup(pw, q):
+    """sup over s of s^(1/q) f(s), exact: endpoints and stationary points.
+
+    With f = g^c this is the c-th power of the sup of s^(1/(q c)) g(s).  An
+    average piece is monotone or has its stationary point at a minimum, so
+    its sup sits at an endpoint; a tail piece peaks at s = hi exp(t/v - q c).
     """
-    right = sf.boundaries
-    left = np.concatenate([[0.0], right[:-1]])
-    # tail[i] = contribution of pieces strictly after piece i
-    seg = sf.values * np.log(np.where(left > 0.0, right / np.maximum(left, 1e-300), 1.0))
-    # the first piece reaches s = 0 where the log integral diverges; its own
-    # segment value over (s, S_0] is handled in the closure below
-    tails = np.concatenate([np.cumsum(seg[::-1])[::-1][1:], [0.0]])
-    pieces = []
-    for i in range(len(sf.values)):
-        v = sf.values[i]
-        s_hi = right[i]
-        t = tails[i]
-        pieces.append((left[i], right[i],
-                       (lambda vv, hh, tt: (lambda s: vv * np.log(hh / s) + tt))(v, s_hi, t)))
-    return DecreasingPieces(pieces)
+    qc = q * pw.power
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        peak = pw.hi * np.exp(pw.c / pw.v - qc)
+    inside = pw.tail & (peak > pw.lo) & (peak < pw.hi)
+    k = np.concatenate([np.arange(len(pw.lo)), np.arange(len(pw.lo)), np.flatnonzero(inside)])
+    s = np.concatenate([pw.lo, pw.hi, peak[inside]])
+    pos = s > 0.0
+    logs = np.log(np.where(pos, s, 1.0))
+    h = np.maximum(pw._base(k, logs), 0.0) * np.exp(logs / qc)
+    # at s = 0 the weight s^(1/(q c)) wins over the logarithm of a tail piece
+    h = np.where(pos, h, 0.0 if qc < np.inf else pw._at_zero(k))
+    return float(h.max()) ** pw.power
 
 
 @dataclass(frozen=True)
@@ -137,10 +244,7 @@ class LebesgueSpec:
         return lq_norm(sf, self.q)
 
     def norm_pieces(self, pw):
-        total = 0.0
-        for lo, hi, fn in pw.pieces:
-            total += _quad_log(lambda s: fn(s) ** self.q, lo, hi)
-        return total ** (1.0 / self.q)
+        return _power_moment(pw, 0.0, self.q * pw.power) ** (1.0 / self.q)
 
     def label(self):
         return f"L^{self.q:g}"
@@ -156,16 +260,8 @@ class LorentzSpec:
 
     def norm_pieces(self, pw):
         if self.r == np.inf:
-            best = 0.0
-            for lo, hi, fn in pw.pieces:
-                ss = np.geomspace(max(lo, hi * 1e-12), hi, 128)
-                best = max(best, max(s ** (1.0 / self.q) * fn(s) for s in ss))
-            return best
-        expo = self.r / self.q - 1.0
-        total = 0.0
-        for lo, hi, fn in pw.pieces:
-            total += _quad_log(lambda s: s ** expo * fn(s) ** self.r, lo, hi)
-        return total ** (1.0 / self.r)
+            return _lorentz_sup(pw, self.q)
+        return _power_moment(pw, self.r / self.q - 1.0, self.r * pw.power) ** (1.0 / self.r)
 
     def label(self):
         return f"L^({self.q:g},{self.r:g})"
@@ -179,22 +275,66 @@ class OrliczSpec:
         return luxemburg_norm(sf, self.phi)
 
     def norm_pieces(self, pw, rel_tol=1e-8):
+        flat = pw._flat_at_zero()
+        piece, _, g, weights = _rule(pw, np.flatnonzero(~flat))
+        f = g ** pw.power
+        # the constant pieces at 0 are exact one-node rules
+        f_fine = np.concatenate([f[:, _ORDER:].ravel(), pw._at_zero(flat) ** pw.power])
+        w_fine = np.concatenate([weights[:, _ORDER:].ravel(), pw.hi[flat]])
+
         def modular(lam):
-            total = 0.0
-            for lo, hi, fn in pw.pieces:
-                # cap so stray infinities from e.g. capped powers stay comparable
-                total += _quad_log(
-                    lambda s: min(float(self.phi(fn(s) / lam)), 1e300), lo, hi)
+            with np.errstate(over="ignore"):
+                total = float(self.phi(f_fine / lam) @ w_fine)
             return total if np.isfinite(total) else np.inf
 
-        top = max(fn(lo if lo > 0 else hi * 1e-9) for lo, hi, fn in pw.pieces)
+        top = float(f_fine.max(initial=0.0))
         if top == 0.0:
             return 0.0
-        return _luxemburg_search(modular, max(top, 1.0), 2000,
-                                 "no finite Luxemburg norm for this function", rel_tol)
+        lam = _luxemburg_search(modular, max(top, 1.0), 2000,
+                                "no finite Luxemburg norm for this function", rel_tol)
+        if lam > 0.0:
+            with np.errstate(over="ignore"):
+                _rule_sums(pw, piece, weights * self.phi(f / lam))
+        return lam
 
     def label(self):
         return "Orlicz"
+
+
+def average_transform(sf: StepFunction, horizon=None):
+    """Exact running average of a decreasing step profile.
+
+    On the i-th piece the average equals v_i + (C_{i-1} - v_i S_{i-1}) / s
+    with C the cumulative integral; past the support it decays like
+    C_total / s, kept up to the horizon (default: the profile's own total
+    measure, i.e. no extension).
+    """
+    right = sf.boundaries
+    left = np.concatenate([[0.0], right[:-1]])
+    cum = np.concatenate([[0.0], np.cumsum(sf.measures * sf.values)])
+    lo, hi, v, a = left, right, sf.values, cum[:-1] - sf.values * left
+    total = sf.total_measure
+    horizon = total if horizon is None else float(horizon)
+    if horizon > total:
+        lo, hi = np.append(lo, total), np.append(hi, horizon)
+        v, a = np.append(v, 0.0), np.append(a, cum[-1])
+    return DecreasingPieces(lo, hi, np.zeros(len(lo), dtype=bool), v, a)
+
+
+def tail_log_transform(sf: StepFunction):
+    """Exact logarithmic tail integral of a step profile.
+
+    integral_s^infty phi(r) dr/r is v_i log(S_i / s) plus the accumulated
+    contributions of the pieces beyond S_i; zero past the support.
+    """
+    right = sf.boundaries
+    left = np.concatenate([[0.0], right[:-1]])
+    # the first piece reaches s = 0, where its own log integral diverges; it
+    # is a tail piece like the others, so its segment value is never formed
+    seg = sf.values * np.log(np.where(left > 0.0, right / np.maximum(left, 1e-300), 1.0))
+    # tails[i] = contribution of pieces strictly after piece i
+    tails = np.concatenate([np.cumsum(seg[::-1])[::-1][1:], [0.0]])
+    return DecreasingPieces(left, right, np.ones(len(right), dtype=bool), sf.values, tails)
 
 
 def xq_norm(spec, q0, obj):

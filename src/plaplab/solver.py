@@ -245,8 +245,9 @@ class _BandSystem:
     What does not depend on kappa is built once: the colour numbering; the
     (W, E, S, N) edges of every interior node and the edge of every
     red-black coupling; the red and black node of every coupling; the band
-    slot of every pair of couplings at one red node; and the gradient of g
-    extended by zero, whose flux lifts g into the right-hand side.
+    slot of every pair of couplings at one red node; the band buffer that
+    each step zeroes and refills in place; and the gradient of g extended by
+    zero, whose flux lifts g into the right-hand side.
     """
 
     def __init__(self, prob):
@@ -294,9 +295,15 @@ class _BandSystem:
         self.width = 1 + int((row - col).max(initial=0))
         coupling_type = np.min_scalar_type(num_couplings)
         self.pair_i, self.pair_j = pair_i.astype(coupling_type), pair_j.astype(coupling_type)
-        # S's diagonal slots first, for D_b, then one slot per pair
+        # S's diagonal slots first, for D_b, then one slot per pair; the
+        # distinct slots, and the bin of each entry among them
         slot = np.concatenate([np.arange(n - nr) * self.width, col * self.width + row - col])
-        self.slot = slot.astype(np.min_scalar_type(self.width * (n - nr)))
+        band_slot, slot_bin = np.unique(slot, return_inverse=True)
+        self.band_slot = band_slot.astype(np.min_scalar_type(self.width * (n - nr)))
+        self.slot_bin = slot_bin.astype(np.min_scalar_type(len(band_slot)))
+        # one band for every step, (black node, offset) in C order, so its
+        # transpose is the Fortran-order lower band that LAPACK factors in place
+        self.band = np.zeros((n - nr, self.width))
         self.red_of = red_of.astype(np.min_scalar_type(nr))
         self.black_of = black_of.astype(np.min_scalar_type(n - nr))
         self.g_full = np.zeros((mesh.num_nodes, prob.components))
@@ -308,10 +315,11 @@ class _BandSystem:
 
         d_r holds the red pivots; B and the multipliers B / d_r are indexed
         by coupling.  ab is in Fortran order, so that LAPACK factors it in
-        place without a copy.  LinAlgError if a red pivot is not finite and
-        positive.
+        place without a copy; it is this system's one band buffer, so the
+        next condense overwrites it.  LinAlgError if a red pivot is not
+        finite and positive.
         """
-        nr, nb = len(self.red), len(self.black)
+        nr = len(self.red)
         M = self.prob.mesh.cells_per_side
         lower, upper = kappa.reshape(2, M, M)           # [iy, ix]: cell (ix, iy)
         # a horizontal edge is a leg of the lower triangle above it and of the
@@ -326,9 +334,11 @@ class _BandSystem:
             raise LinAlgError("red pivot not finite and positive")
         mult = B / d_r[self.red_of]
         fill = B[self.pair_i] * mult[self.pair_j]
-        ab = np.bincount(self.slot, weights=np.concatenate([d_b, -fill]),
-                         minlength=self.width * nb).reshape(nb, self.width).T
-        return ab, d_r, B, mult
+        # bincount adds the entries of one slot in their order
+        self.band.fill(0.0)
+        self.band.reshape(-1)[self.band_slot] = np.bincount(
+            self.slot_bin, weights=np.concatenate([d_b, -fill]), minlength=len(self.band_slot))
+        return self.band.T, d_r, B, mult
 
     def solve(self, kappa):
         """Nodal values of the solution; LinAlgError if the solve fails."""

@@ -1,11 +1,13 @@
 """The benchmark's span tracer binds plaplab functions by module and name,
-and its ballstats workload checks plaplab's ball values against its own
-float-membership reference.
+its ballstats workload checks plaplab's ball values against its own
+float-membership reference, and its battery workload counts every report
+assertion and every non-finite fitted constant as a failure.
 
 A traced benchmark run fails if a traced function is renamed or deleted, and
-a benchmark run counts failures if the ball values drift from the reference,
-so both are checked here: the bindings without running the benchmark, the
-ballstats checks in-process at the smoke size.
+a benchmark run counts failures if the ball values drift from the reference
+or a report assertion fails, so all three are checked here: the bindings
+without running the benchmark, the ballstats and battery checks in-process
+at the smoke size.
 """
 
 import contextlib
@@ -47,3 +49,13 @@ def test_ballstats_workload_checks_pass_at_smoke_size(tmp_path, monkeypatch):
     assert attempted > 0 and failed == 0
     defect = bench.offset_defect(inputs)
     assert defect["balls_checked"] > 0 and defect["balls_over_tol"] == 0
+
+
+def test_battery_workload_checks_pass_at_smoke_size(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    bench = workloads.Battery("smoke", str(tmp_path))
+    cfg = bench.setup(3)
+    reports = bench.run(cfg, lambda name: contextlib.nullcontext())
+    attempted, failed = bench.check(cfg, reports)
+    assert attempted > 0 and failed == 0

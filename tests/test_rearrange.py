@@ -1,19 +1,26 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from plaplab.fluxmaps import Exponent
 from plaplab.grid import Mesh
-from plaplab.rearrange import (CapYoung, ExpYoung, HypothesisViolation,
-                               JumpYoung, LebesgueSpec, LorentzSpec,
-                               OrliczSpec, PowerYoung, SampledYoung,
+from plaplab.rearrange import (CapYoung, DecreasingPieces, ExpYoung,
+                               HypothesisViolation, JumpYoung, LebesgueSpec,
+                               LorentzSpec, OrliczSpec, PiecewiseConstant,
+                               PowerYoung, QuadratureError, SampledYoung,
                                StepFunction, average_transform, double_star,
                                hardy_check_avg, hardy_check_tail, lorentz_norm,
                                lq_norm, luxemburg_norm, marcinkiewicz_norm,
                                orlicz_target, read_step_function, rearrange,
                                tail_log_transform, write_step_function,
                                young_conjugate, young_from_spec)
+from plaplab.rearrange.stepfun import _luxemburg_search
 from plaplab.rearrange.young import _numeric_conjugate
 
 
@@ -342,8 +349,6 @@ def test_orlicz_spec_norms_agree_with_luxemburg():
 
 def test_tail_transform_offset_indicator_closed_form():
     # the raw indicator of (1, 2): tail integral log(2 / max(s, 1)) on (0, 2)
-    from plaplab.rearrange import PiecewiseConstant
-
     phi = PiecewiseConstant(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
     tail = tail_log_transform(phi)
     for s in (0.2, 0.8, 1.0):
@@ -362,3 +367,155 @@ def test_step_function_invariants_enforced():
         StepFunction(np.array([-1.0]), np.array([1.0]))            # negative value
     sf = StepFunction(np.array([2.0, 1.0]), np.array([0.5, 0.5]))
     assert sf.total_measure == pytest.approx(1.0)
+
+
+# --- the array-valued Hardy pipeline against adaptive quadrature -------------------
+
+
+def _quad_log(fn, lo, hi):
+    """Adaptive quadrature with decade splitting, the reference for the fixed rule."""
+    anchor = max(lo, hi * 1e-16)
+    cuts = [lo]
+    c = anchor if lo == 0.0 else lo
+    while c * 10.0 < hi:
+        c *= 10.0
+        cuts.append(c)
+    cuts.append(hi)
+    return sum(quad(fn, a, b, limit=200, epsabs=1e-12, epsrel=1e-10)[0]
+               for a, b in zip(cuts, cuts[1:]) if b > a)
+
+
+def _piece_closures(pw):
+    """(lo, hi, f) per piece, f a scalar closure of the powered piece."""
+    out = []
+    for lo, hi, tail, v, c in zip(pw.lo, pw.hi, pw.tail, pw.v, pw.c):
+        lo, hi, v, c, e = float(lo), float(hi), float(v), float(c), pw.power
+        if tail:
+            fn = (lambda v, c, hi: lambda s: (v * math.log(hi / s) + c) ** e)(v, c, hi)
+        else:
+            fn = (lambda v, c: lambda s: (v + c / s) ** e)(v, c)
+        out.append((lo, hi, fn))
+    return out
+
+
+def _reference_norm(spec, pw):
+    """The norm of a DecreasingPieces by per-piece adaptive quadrature.
+
+    The Lorentz r = inf sup is brute force: 2049 log-spaced samples per
+    piece, then a bounded scalar search between the best sample's
+    neighbours.
+    """
+    pieces = _piece_closures(pw)
+    if isinstance(spec, LebesgueSpec):
+        return sum(_quad_log(lambda s: fn(s) ** spec.q, lo, hi)
+                   for lo, hi, fn in pieces) ** (1.0 / spec.q)
+    if isinstance(spec, LorentzSpec) and spec.r == np.inf:
+        best = 0.0
+        for lo, hi, fn in pieces:
+            h = (lambda fn: lambda x: math.exp(x / spec.q) * fn(math.exp(x)))(fn)
+            xs = np.linspace(math.log(max(lo, hi * 1e-12)), math.log(hi), 2049)
+            vals = [h(x) for x in xs]
+            k = int(np.argmax(vals))
+            a, b = xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)]
+            res = minimize_scalar(lambda x: -h(x), bounds=(a, b), method="bounded",
+                                  options={"xatol": 1e-13})
+            best = max(best, vals[k], -res.fun)
+        return best
+    if isinstance(spec, LorentzSpec):
+        expo = spec.r / spec.q - 1.0
+        return sum(_quad_log(lambda s: s ** expo * fn(s) ** spec.r, lo, hi)
+                   for lo, hi, fn in pieces) ** (1.0 / spec.r)
+
+    def modular(lam):
+        with np.errstate(over="ignore"):
+            total = sum(_quad_log(lambda s: min(float(spec.phi(fn(s) / lam)), 1e300), lo, hi)
+                        for lo, hi, fn in pieces)
+        return total if np.isfinite(total) else np.inf
+
+    top = max(fn(lo if lo > 0 else hi * 1e-9) for lo, hi, fn in pieces)
+    return _luxemburg_search(modular, max(top, 1.0), 2000, "no finite norm", 1e-8)
+
+
+def _profiles(monotone, max_pieces):
+    # quad's absolute tolerance of 1e-12 would leave the reference inexact on
+    # profiles near the underflow threshold, so values are 0 or at least 1e-3
+    values = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 5.0)),
+                      min_size=1, max_size=max_pieces)
+    measures = st.lists(st.floats(0.01, 0.5), min_size=max_pieces, max_size=max_pieces)
+    if monotone:
+        return st.builds(lambda v, m: StepFunction.from_samples(v, m[:len(v)]), values, measures)
+    return st.builds(lambda v, m: PiecewiseConstant(v, m[:len(v)]), values, measures)
+
+
+_EXPONENTS = st.sampled_from([Exponent(1.5), Exponent(2.0), Exponent(3.0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_profiles(True, 12), _profiles(False, 12), _EXPONENTS,
+       st.floats(1.0, 6.0), st.floats(1.2, 8.0))
+def test_lebesgue_and_lorentz_pieces_match_quadrature(sf, raw, p, q_leb, q_lor):
+    horizon = sf.total_measure * 3.0
+    transforms = [average_transform(sf, horizon).powered(1.0 / p.pprime),
+                  tail_log_transform(sf), tail_log_transform(raw)]
+    for spec in (LebesgueSpec(q_leb), LorentzSpec(q_lor, 1.0), LorentzSpec(q_lor, np.inf)):
+        for pw in transforms:
+            got, ref = spec.norm_pieces(pw), _reference_norm(spec, pw)
+            assert got == pytest.approx(ref, rel=1e-9, abs=1e-300), (spec, pw.power)
+            if getattr(spec, "r", None) == np.inf:
+                assert got >= ref * (1.0 - 1e-15)        # exact sup, never below samples
+
+
+@settings(max_examples=6, deadline=None)
+@given(_profiles(True, 5), _profiles(False, 5),
+       st.sampled_from([PowerYoung(2.0), PowerYoung(3.0, 0.5), ExpYoung(1.0, 2.0),
+                        ExpYoung(0.5, 1.5), CapYoung(2.0)]))
+def test_orlicz_pieces_match_quadrature(sf, raw, phi):
+    spec = OrliczSpec(phi)
+    transforms = [average_transform(sf, sf.total_measure * 3.0)]
+    # a tail transform is unbounded at 0, so its capped-power norm is infinite
+    if not isinstance(phi, CapYoung):
+        transforms += [tail_log_transform(sf), tail_log_transform(raw)]
+    for pw in transforms:
+        assert spec.norm_pieces(pw) == pytest.approx(_reference_norm(spec, pw), rel=2e-8)
+
+
+def test_piece_at_zero_indicator_average_closed_form():
+    # the average of the indicator of (0, 1) is 1 on (0, 1] and 1/s on (1, H]
+    ind = StepFunction(np.array([1.0]), np.array([1.0]))
+    H = 1e3
+    avg = average_transform(ind, horizon=H)
+    for q in (1.5, 2.0, 4.0):
+        closed = (1.0 + (1.0 - H ** (1.0 - q)) / (q - 1.0)) ** (1.0 / q)
+        assert LebesgueSpec(q).norm_pieces(avg) == pytest.approx(closed, rel=1e-13)
+    # L^(6,1): the interval (0, 1e-15] alone holds 3e-3 of the constant piece
+    closed = 6.0 + 1.2 * (1.0 - H ** (-5.0 / 6.0))
+    assert LorentzSpec(6.0, 1.0).norm_pieces(avg) == pytest.approx(closed, rel=1e-13)
+
+
+@pytest.mark.parametrize("v,t", [(2.0, 0.0), (2.0, 0.3), (0.5, 3.0), (1e-3, 2.0), (0.0, 1.5)])
+def test_piece_at_zero_tail_incomplete_gamma(v, t):
+    # one tail piece v log(S/s) + t on (0, S]: the integral of s^alpha g^beta is
+    # S^kappa v^beta e^z kappa^-(beta+1) Gamma(beta+1, z), z = kappa t/v, whose
+    # e^z overflows a float for z > 709: evaluated in mpmath
+    S = 0.7
+    pw = DecreasingPieces([0.0], [S], [True], [v], [t])
+    for q, r in ((2.0, 2.0), (6.0, 1.0), (3.0, 4.5)):
+        kappa, beta = r / q, r
+        if v == 0.0:
+            closed = t ** beta * S ** kappa / kappa
+        else:
+            z = mpmath.mpf(kappa * t / v)
+            closed = float(S ** kappa * mpmath.mpf(v) ** beta * mpmath.exp(z)
+                           * kappa ** -(beta + 1.0) * mpmath.gammainc(beta + 1.0, z))
+        got = LorentzSpec(q, r).norm_pieces(pw) ** r
+        assert got == pytest.approx(closed, rel=1e-12)
+
+
+def test_unresolved_piece_raises_quadrature_error():
+    # (1/s)^60 on (1, 10] falls by 60 decades across one rule's interval
+    pw = DecreasingPieces([0.0, 1.0], [1.0, 10.0], [False, False], [1.0, 0.0], [0.0, 1.0])
+    with pytest.raises(QuadratureError) as info:
+        LebesgueSpec(60.0).norm_pieces(pw)
+    err = info.value
+    assert err.piece[:3] == (1, 1.0, 10.0)
+    assert err.coarse != err.fine and np.isfinite(err.fine)
