@@ -7,13 +7,13 @@ element fields carry one N x 2 tensor per triangle (gradients, right-hand
 sides, flux fields).  Ball queries go by element barycenter against an open
 ball, which gives exact per-ball measures and deterministic ties.  All
 ball statistics come from one kernel, batched over centers and radii:
-`ball_stats` is its one-center case, and ball families are one call.  By
-bounded chunks of centers, it forms squared distances once over each
-center's cells around the largest ball, from the separable barycenter x and
-y coordinates, and compares each radius only on the cells that can hold
-it.  Members are gathered with one np.take per chunk, and means and
-deviations from each ball mean are segment sums, so a ball's result does
-not depend on the other balls of a call.
+`ball_stats` takes one center or a (P, 2) array of them in one call, and
+ball families are one call.  By bounded chunks of centers, it forms squared
+distances once over each center's cells around the largest ball, from the
+separable barycenter x and y coordinates, and compares each radius only on
+the cells that can hold it.  Members are gathered with one np.take per
+chunk, and means and deviations from each ball mean are segment sums, so a
+ball's result does not depend on the other balls of a call.
 """
 
 import functools
@@ -116,11 +116,14 @@ class Mesh:
     def num_elements(self):
         return len(self.elements)
 
-    def boundary_distance(self, point):
-        """Distance from a point to the boundary of the rectangle."""
+    def boundary_distance(self, points):
+        """Distance to the boundary of the rectangle from one point (a
+        float) or from each point of a (P, 2) array (a (P,) array)."""
         x0, x1, y0, y1 = self.bounds
-        x, y = float(point[0]), float(point[1])
-        return min(x - x0, x1 - x, y - y0, y1 - y)
+        points = np.asarray(points, dtype=float)
+        x, y = points[..., 0], points[..., 1]
+        d = np.minimum(np.minimum(x - x0, x1 - x), np.minimum(y - y0, y1 - y))
+        return float(d) if d.ndim == 0 else d
 
     def locate_element(self, point):
         """Index of the triangle containing a point (ties go to the lower one)."""
@@ -156,12 +159,8 @@ class Mesh:
 
     def interior_points(self, margin, stride=1):
         """Barycenters at distance > margin from the boundary, subsampled."""
-        x0, x1, y0, y1 = self.bounds
-        b = self.barycenters
-        d = np.minimum(np.minimum(b[:, 0] - x0, x1 - b[:, 0]),
-                       np.minimum(b[:, 1] - y0, y1 - b[:, 1]))
-        idx = np.flatnonzero(d > margin)
-        return b[idx[::stride]]
+        idx = np.flatnonzero(self.boundary_distance(self.barycenters) > margin)
+        return self.barycenters[idx[::stride]]
 
 
 class NodalField:
@@ -360,18 +359,23 @@ def _point_str(x):
     return str(tuple(np.asarray(x, dtype=float).tolist()))
 
 
-def _require_nonempty(counts, center, radii):
-    for count, r in zip(counts, radii):
-        if count == 0:
-            raise EmptyBallError(
-                f"ball of radius {r} at {_point_str(center)} is below mesh resolution")
+def _require_nonempty(counts, centers, radii):
+    """EmptyBallError naming the first center with an empty ball and its
+    first empty radius: counts is (R, C) over the (C, 2) centers, or (R,)
+    for one center."""
+    empty = np.atleast_2d(np.transpose(counts)) == 0
+    if empty.any():
+        j, k = np.argwhere(empty)[0]
+        center = _point_str(np.reshape(centers, (-1, 2))[j])
+        raise EmptyBallError(f"ball of radius {radii[k]} at {center} is below mesh resolution")
 
 
-def _ball_family_stats(mesh, f: ElemField, centers, radii, q):
-    """Element counts, mean tensors and q-mean oscillations over the open
-    balls B_r(c) of every center c of a (C, 2) array and every radius r.
+def _ball_family_stats(mesh, values, centers, radii, q):
+    """Element counts, means and q-mean oscillations of an (E, ...) array of
+    per-element values over the open balls B_r(c) of every center c of a
+    (C, 2) array and every radius r.
 
-    Returns (counts, means, oscs) of shapes (R, C), (R, C, N, 2) and (R, C).
+    Returns (counts, means, oscs) of shapes (R, C), (R, C, ...) and (R, C).
     Per chunk of centers, the members of all its balls are gathered with
     one np.take, and every ball's sums are segment sums (np.add.reduceat),
     so a ball's result does not depend on the other balls of the call.
@@ -379,7 +383,7 @@ def _ball_family_stats(mesh, f: ElemField, centers, radii, q):
     if q < 1.0:
         raise ValueError("q must be at least 1")
     centers, radii = _ball_centers(centers), _ball_radii(radii)
-    shape = f.tensors.shape[1:]
+    shape = values.shape[1:]
     width = math.prod(shape)
     counts = np.zeros((len(radii), len(centers)), dtype=np.int64)
     means = np.full(counts.shape + shape, np.nan)
@@ -391,7 +395,7 @@ def _ball_family_stats(mesh, f: ElemField, centers, radii, q):
         if n.size == 0:
             continue
         idx = np.concatenate(members)
-        block = np.take(f.tensors, idx, axis=0).reshape(idx.size, width)
+        block = np.take(values, idx, axis=0).reshape(idx.size, width)
         starts = np.cumsum(n) - n
         mean = np.add.reduceat(block, starts, axis=0) / n[:, None]
         block -= np.repeat(mean, n, axis=0)
@@ -410,16 +414,18 @@ def ball_stats(mesh, f: ElemField, center, radii, q=1.0):
     """Element counts, mean tensors and q-mean oscillations over the open
     balls B_r(center), one per radius.
 
-    Returns (counts, means, oscs) of shapes (R,), (R, N, 2) and (R,), with
-    osc_q = (mean of |f - mean|^q)^(1/q) taken against the ball mean
-    directly.  An empty ball has count 0 and nan mean and oscillation.
-    Radii may come in any order.  A center or radius that is not finite,
-    or a radius that is not positive, raises ValueError.  This is the
-    batched kernel with one center, so it equals that center's entries of
-    a many-center call bitwise.
+    For one center, returns (counts, means, oscs) of shapes (R,), (R, N, 2)
+    and (R,), with osc_q = (mean of |f - mean|^q)^(1/q) taken against the
+    ball mean directly; for a (P, 2) array of centers, shapes (R, P),
+    (R, P, N, 2) and (R, P) from one kernel call, each entry bitwise the
+    one-center value.  An empty ball has count 0 and nan mean and
+    oscillation.  Radii may come in any order.  A center or radius that is
+    not finite, or a radius that is not positive, raises ValueError.
     """
-    counts, means, oscs = _ball_family_stats(mesh, f, center, radii, q)
-    return counts[:, 0], means[:, 0], oscs[:, 0]
+    counts, means, oscs = _ball_family_stats(mesh, f.tensors, center, radii, q)
+    if np.ndim(center) == 1:
+        return counts[:, 0], means[:, 0], oscs[:, 0]
+    return counts, means, oscs
 
 
 def ball_elements(mesh, center, r):
@@ -430,13 +436,16 @@ def ball_elements(mesh, center, r):
 
 
 def ball_oscillation(mesh, f: ElemField, center, r, q=1.0):
-    """Area-weighted mean tensor and q-mean oscillation over a ball.
+    """Mean tensor and q-mean oscillation over a ball.
 
-    Returns (mean, osc_q) with osc_q = (mean of |f - mean|^q)^(1/q).
+    Returns (mean, osc_q) with osc_q = (mean of |f - mean|^q)^(1/q) for one
+    center, and (means, oscs) of shapes (P, N, 2) and (P,) for a (P, 2)
+    array of centers, from one kernel call.  An empty ball raises
+    EmptyBallError for the first center that has one.
     """
     counts, means, oscs = ball_stats(mesh, f, center, [r], q)
     _require_nonempty(counts, center, [r])
-    return means[0], float(oscs[0])
+    return means[0], float(oscs[0]) if np.ndim(center) == 1 else oscs[0]
 
 
 def boundary_values(mesh, fn, components=1):

@@ -19,8 +19,8 @@ import numpy as np
 
 from ..fluxmaps import Exponent, a_map, v_map
 from ..grid import (ElemField, Mesh, NodalField, _ball_members, _require_nonempty,
-                    ball_elements, ball_oscillation, ball_stats, gradient, integrate)
-from ..maximal import RadiiSet, sharp_maximal, weighted_local_sharp
+                    ball_oscillation, ball_stats, gradient, integrate)
+from ..maximal import RadiiSet, plain_maximal, sharp_maximal, weighted_local_sharp
 from ..oscillation import (PotentialParams, constant_modulus, dini_log_modulus,
                            dini_transform, holder_seminorm, inscribed_sups,
                            modulus_from_spec, oscillation_potential, power_modulus)
@@ -366,18 +366,15 @@ def exp_decay(cfg: ExperimentConfig):
         R_b = 0.2 * _side(cfg)
         pts = _probe_points(cfg, R_b, per_side=6)
         fscale = max(_field_scale(rec["prob"].F), 1e-300)
-        rows = {d: [] for d in (0.1, 0.25, 0.5)}
-        skipped = 0
-        for x in pts:
-            _, lhs = ball_oscillation(mesh, rec["A"], x, theta * R_b, qmin)
-            _, t1 = ball_oscillation(mesh, rec["A"], x, R_b, qmin)
-            _, t2 = ball_oscillation(mesh, rec["prob"].F, x, R_b, p.pprime)
-            if t2 < DENOM_FLOOR * fscale:
-                skipped += 1
-                continue
-            for d in rows:
-                rows[d].append(max(lhs - d * t1, 0.0) / t2)
-        fits = {d: (max(v) if v else 0.0) for d, v in rows.items()}
+        _, lhs = ball_oscillation(mesh, rec["A"], pts, theta * R_b, qmin)
+        _, t1 = ball_oscillation(mesh, rec["A"], pts, R_b, qmin)
+        _, t2 = ball_oscillation(mesh, rec["prob"].F, pts, R_b, p.pprime)
+        kept = ~(t2 < DENOM_FLOOR * fscale)
+        skipped = int(np.count_nonzero(~kept))
+        fits = {}
+        for d in (0.1, 0.25, 0.5):
+            ratios = np.maximum(lhs[kept] - d * t1[kept], 0.0) / t2[kept]
+            fits[d] = float(ratios.max()) if ratios.size else 0.0
         report.add_case(case=f"one-step-p{p_value}", p=p_value, M=min(cfg.grids),
                         seed=0, theta=theta,
                         fitted_constant=fits[0.5],
@@ -433,15 +430,12 @@ def exp_oscillation_estimate(cfg: ExperimentConfig):
             if radii is None:
                 continue
             fscale = max(_field_scale(rec["prob"].F), 1e-300)
-            fits, excluded = [], 0
-            for lhs, rhs in _weighted_sides(cfg, rec, omega, R, radii, per_side=8):
-                if rhs < DENOM_FLOOR * fscale:
-                    excluded += 1
-                    continue
-                fits.append(lhs / rhs)
-            c_fit = float(max(fits)) if fits else 0.0
-            records.append(_add_row(report, case, M, beta=beta,
-                                    fitted_constant=c_fit, n_excluded=excluded))
+            lhs, rhs = _weighted_sides(cfg, rec, omega, R, radii, per_side=8)
+            kept = ~(rhs < DENOM_FLOOR * fscale)
+            fits = lhs[kept] / rhs[kept]
+            c_fit = float(fits.max()) if fits.size else 0.0
+            records.append(_add_row(report, case, M, beta=beta, fitted_constant=c_fit,
+                                    n_excluded=int(np.count_nonzero(~kept))))
     _fit_checks(report, cfg, records, "fitted constants finite")
 
     # constant weight reduces to the two-term mean-oscillation comparison
@@ -449,24 +443,24 @@ def exp_oscillation_estimate(cfg: ExperimentConfig):
         base = _Case(cfg, cfg.ps[0], 0).on_grid(M0)
     radii = _local_radii(report, cfg, base["mesh"], R)
     if radii is not None:
-        vals = [lhs / max(rhs, 1e-300) for lhs, rhs in
-                _weighted_sides(cfg, base, constant_modulus(), R, radii, per_side=5)]
+        lhs, rhs = _weighted_sides(cfg, base, constant_modulus(), R, radii, per_side=5)
+        worst = float((lhs / np.maximum(rhs, 1e-300)).max())
         report.check("constant-weight comparison finite", "isfinite",
-                     np.isfinite(max(vals)), value=round(max(vals), 3))
+                     np.isfinite(worst), value=round(worst, 3))
     return report
 
 
 def _weighted_sides(cfg, rec, omega, R, radii, per_side):
-    """Per probe point, the weighted local sharp field of the flux and the
-    right side: that of the datum plus the flux's p'-oscillation over the
-    doubled ball divided by omega(R)."""
+    """At the probe points, the weighted local sharp field of the flux and
+    the right side: that of the datum plus the flux's p'-oscillation over
+    the doubled ball divided by omega(R); two (P,) arrays."""
     mesh, A, F = rec["mesh"], rec["A"], rec["prob"].F
     q = rec["prob"].p.pprime
-    for x in _probe_points(cfg, 2.0 * R, per_side=per_side):
-        lhs = weighted_local_sharp(mesh, A, 1.0, omega, R, radii, x)
-        rhs = weighted_local_sharp(mesh, F, q, omega, R, radii, x)
-        _, tail = ball_oscillation(mesh, A, x, 2.0 * R, q)
-        yield lhs, rhs + tail / omega(R)
+    pts = _probe_points(cfg, 2.0 * R, per_side=per_side)
+    lhs = weighted_local_sharp(mesh, A, 1.0, omega, R, radii, pts)
+    rhs = weighted_local_sharp(mesh, F, q, omega, R, radii, pts)
+    _, tail = ball_oscillation(mesh, A, pts, 2.0 * R, q)
+    return lhs, rhs + tail / omega(R)
 
 
 # --- pointwise potential bound ---------------------------------------------------
@@ -489,19 +483,15 @@ def exp_potential(cfg: ExperimentConfig):
     for case, M, rec in _sweep(cfg, cfg.ps, min(2, cfg.n_seeds)):
         mesh = rec["mesh"]
         params = PotentialParams(R=R, theta=cfg.radii_ratio, p=case.p)
-        anorm = rec["A"].norms()
-        fits = []
-        for x in _probe_points(cfg, R, per_side=8):
-            lhs = anorm[mesh.locate_element(x)]
-            pot = oscillation_potential(mesh, rec["prob"].F, x, params)
-            idx = ball_elements(mesh, x, R)
-            mean = float(np.take(anorm, idx).mean())
-            rhs = pot + mean
-            if rhs > 0.0:
-                fits.append(lhs / rhs)
-            cauchy_violations += _dyadic_mean_defects(mesh, rec["A"], x, params)
+        pts = _probe_points(cfg, R, per_side=8)
+        lhs = rec["A"].norms()[[mesh.locate_element(x) for x in pts]]
+        # the ball mean of |A| on B_R: the plain maximal over the one radius R
+        rhs = (oscillation_potential(mesh, rec["prob"].F, pts, params)
+               + plain_maximal(mesh, rec["A"], 1.0, RadiiSet(R, R), pts))
+        fits = lhs[rhs > 0.0] / rhs[rhs > 0.0]
+        cauchy_violations += _dyadic_mean_defects(mesh, rec["A"], pts, params)
         records.append(_add_row(report, case, M,
-                                fitted_constant=float(max(fits)) if fits else 0.0))
+                                fitted_constant=float(fits.max()) if fits.size else 0.0))
     _fit_checks(report, cfg, records, "fitted constants finite")
     report.check("nested dyadic flux means obey the exact mean inequality",
                  "zero violations at 1e-12 slack", cauchy_violations == 0,
@@ -539,25 +529,21 @@ def exp_potential(cfg: ExperimentConfig):
     return report
 
 
-def _dyadic_mean_defects(mesh, A, x, params, slack=1e-12):
-    """Violations of |mean_small - mean_big| <= (measure ratio) * osc_1(big).
+def _dyadic_mean_defects(mesh, A, pts, params, slack=1e-12):
+    """Violations of |mean_small - mean_big| <= (measure ratio) * osc_1(big)
+    over the successive dyadic balls at the points of a (P, 2) array.
 
     The bound is exact for nested discrete balls, so the dyadic means are
     Cauchy whenever the tail oscillations are summable.
     """
-    stats = []
-    for count, mean, osc1 in zip(*ball_stats(mesh, A, x, params.radii(mesh), 1.0)):
-        if count == 0:
-            break
-        stats.append((count, mean, osc1))
-    violations = 0
-    for (cnt_big, mean_big, osc_big), (cnt_small, mean_small, _) in zip(stats, stats[1:]):
-        bound = (cnt_big / cnt_small) * osc_big
-        diff = float(np.sqrt(np.sum((mean_small - mean_big) ** 2)))
-        scale = max(osc_big, 1.0)
-        if diff > bound * (1.0 + slack) + slack * scale:
-            violations += 1
-    return violations
+    counts, means, oscs = ball_stats(mesh, A, pts, params.radii(mesh), 1.0)
+    # the balls of a point are nested, so a nonempty small one has a nonempty big one
+    pair = counts[1:] > 0
+    osc_big = oscs[:-1][pair]
+    bound = (counts[:-1][pair] / counts[1:][pair]) * osc_big
+    diff = np.sqrt(np.sum((means[1:][pair] - means[:-1][pair]) ** 2, axis=(1, 2)))
+    return int(np.count_nonzero(
+        diff > bound * (1.0 + slack) + slack * np.maximum(osc_big, 1.0)))
 
 
 # --- the sharp Dini counterexample ------------------------------------------------

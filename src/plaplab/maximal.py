@@ -5,15 +5,16 @@ centered balls with a geometrically decaying radius set.  That restriction
 (and the dyadic radius quantization) only moves the fitted comparison
 constants, which is all the experiments track.  Evaluation points must keep
 a margin of the largest radius from the boundary unless clipped balls are
-explicitly requested.
+explicitly requested.  Every operator takes one point or a (P, 2) array of
+points: an array is one call of the grid's ball kernel, and each entry is
+bitwise the one-point value.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (_ball_family_stats, _ball_members, _point_str, _require_nonempty,
-                   ball_stats)
+from .grid import _ball_family_stats, _point_str, _require_nonempty
 
 __all__ = [
     "RadiiSet",
@@ -62,10 +63,22 @@ def _check_margin(mesh, x, r_needed, require_interior):
     array) within r_needed of the boundary."""
     if not require_interior:
         return
-    for point in np.reshape(x, (-1, 2)):
-        if mesh.boundary_distance(point) <= r_needed:
-            raise MarginError(
-                f"point {_point_str(point)} is within {r_needed} of the boundary")
+    points = np.reshape(x, (-1, 2))
+    near = np.flatnonzero(mesh.boundary_distance(points) <= r_needed)
+    if near.size:
+        raise MarginError(f"point {_point_str(points[near[0]])} is within "
+                          f"{r_needed} of the boundary")
+
+
+def _local_sharp(mesh, f, q, rs, weights, x, r_needed, require_interior):
+    """max(0, max over the radii rs of osc_q(f; B_r(x)) / weights), at one
+    point (a float) or at each point of a (P, 2) array (a (P,) array) from
+    one kernel call."""
+    _check_margin(mesh, x, r_needed, require_interior)
+    counts, _, oscs = _ball_family_stats(mesh, f.tensors, x, rs, q)
+    _require_nonempty(counts, x, rs)
+    out = np.maximum(0.0, (oscs / weights).max(axis=0))
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def sharp_maximal(mesh, f, q, radii: RadiiSet, x, require_interior=True):
@@ -78,43 +91,34 @@ def sharp_maximal(mesh, f, q, radii: RadiiSet, x, require_interior=True):
     clipped by the domain instead of rejected, which changes only the
     fitted constants.
     """
-    _check_margin(mesh, x, radii.r_max, require_interior)
-    rs = radii.values()
-    counts, _, oscs = _ball_family_stats(mesh, f, x, rs, q)
-    for point, point_counts in zip(np.reshape(x, (-1, 2)), counts.T):
-        _require_nonempty(point_counts, point, rs)
-    out = np.maximum(0.0, oscs.max(axis=0))
-    return float(out[0]) if np.ndim(x) == 1 else out
+    return _local_sharp(mesh, f, q, radii.values(), 1.0, x, radii.r_max,
+                        require_interior)
 
 
 def weighted_local_sharp(mesh, f, q, omega, R, radii: RadiiSet, x,
                          require_interior=True):
-    """Localized, weighted variant: max over r < R of osc_q / omega(r)."""
+    """Localized, weighted variant: max over r < R of osc_q / omega(r).
+
+    x is one point or a (P, 2) array, as for sharp_maximal; the margin is R.
+    """
     if radii.r_max >= R:
         raise ValueError("radius set must stay strictly below the locality R")
-    _check_margin(mesh, x, R, require_interior)
     rs = radii.below(R)
-    counts, _, oscs = ball_stats(mesh, f, x, rs, q)
-    _require_nonempty(counts, x, rs)
-    return max(0.0, float(np.max(oscs / omega(rs))))
-
-
-def _plain_maximal(mesh, norms, q, rs, x):
-    """plain_maximal from the pointwise norms |f|, one ball gather per point."""
-    members = _ball_members(mesh, x, rs)
-    _require_nonempty([idx.size for idx in members], x, rs)
-    best = 0.0
-    for idx in members:
-        w = np.full(idx.size, mesh.element_area)
-        val = (np.sum(w * np.take(norms, idx) ** q) / w.sum()) ** (1.0 / q)
-        best = max(best, val)
-    return best
+    return _local_sharp(mesh, f, q, rs, omega(rs)[:, None], x, R, require_interior)
 
 
 def plain_maximal(mesh, f, q, radii: RadiiSet, x, require_interior=True):
-    """Max over the radius set of the q-mean of |f| on B_r(x)."""
+    """Max over the radius set of the q-mean of |f| on B_r(x).
+
+    x is one point or a (P, 2) array, as for sharp_maximal.  The q-means
+    are the kernel's ball means of |f|^q.
+    """
     _check_margin(mesh, x, radii.r_max, require_interior)
-    return _plain_maximal(mesh, f.norms(), q, radii.values(), x)
+    rs = radii.values()
+    counts, means, _ = _ball_family_stats(mesh, f.norms() ** q, x, rs, 1.0)
+    _require_nonempty(counts, x, rs)
+    out = (means ** (1.0 / q)).max(axis=0)
+    return float(out[0]) if np.ndim(x) == 1 else out
 
 
 def riesz_ratio(mesh, f, q, radii: RadiiSet, stride=1):
@@ -131,10 +135,9 @@ def riesz_ratio(mesh, f, q, radii: RadiiSet, stride=1):
     pts = mesh.interior_points(radii.r_max * (1.0 + 1e-9), stride)
     if len(pts) == 0:
         raise MarginError("no interior points clear the largest radius")
-    norms, rs = f.norms(), radii.values()
-    vals = np.array([_plain_maximal(mesh, norms, q, rs, x) for x in pts])
+    vals = plain_maximal(mesh, f, q, radii, pts)
     lhs = StepFunction.from_samples(vals, np.full(len(vals), mesh.element_area))
-    rhs = rearrange(mesh, norms ** q)
+    rhs = rearrange(mesh, f.norms() ** q)
     ratios = []
     s_prev = 0.0
     for m, v in zip(lhs.measures, lhs.values):

@@ -13,7 +13,7 @@ radial dr/r integral of per-ball oscillations.
 
 Every ball statistic here (ball families, the potential) comes from the
 grid's single ball kernel, which is batched over centers: a ball family is
-one kernel call, and the potential at a point is one call with one center.
+one kernel call, and so is the potential at a (P, 2) array of points.
 """
 
 import math
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import ElemField, _ball_family_stats, ball_stats
+from .grid import ElemField, _ball_family_stats
+from .maximal import _check_margin
 
 __all__ = [
     "Modulus",
@@ -237,7 +238,7 @@ def ball_family_oscillations(mesh, f, centers, radii, q):
     osc = nan and count 0.  Each ball's value equals the single-ball query's
     bitwise.
     """
-    counts, _, oscs = _ball_family_stats(mesh, f, centers, radii, q)
+    counts, _, oscs = _ball_family_stats(mesh, f.tensors, centers, radii, q)
     return oscs, counts
 
 
@@ -318,9 +319,7 @@ def inscribed_sups(mesh, f, q=1.0, family=None):
     if len(centers) == 0 or len(radii) == 0:
         raise ValueError("empty ball family")
     centered = ElemField(f.tensors - f.tensors.mean(axis=0))
-    x0, x1, y0, y1 = mesh.bounds
-    inset = np.minimum(np.minimum(centers[:, 0] - x0, x1 - centers[:, 0]),
-                       np.minimum(centers[:, 1] - y0, y1 - centers[:, 1]))
+    inset = mesh.boundary_distance(centers)
     sups = []
     for r in radii:
         (oscs,), _ = ball_family_oscillations(mesh, centered, centers[inset > r], [r], q)
@@ -428,14 +427,19 @@ def oscillation_potential(mesh, F, x, params: PotentialParams):
 
     Sums osc_{p'}(F; B_{theta^i R}(x)) * log(1/theta) while theta^i R stays
     at or above twice the mesh width, a Riemann sum of the dr/r integral of
-    per-ball oscillations.  The ball B_R(x) must be inside the mesh.
+    per-ball oscillations.  x is one point, which gives a float, or a (P, 2)
+    array, which gives a (P,) array from one kernel call.  The ball B_R(x)
+    must be inside the mesh: MarginError names the first point whose ball is
+    not.
     """
     R, theta = params.R, params.theta
-    if mesh.boundary_distance(x) <= R:
-        raise ValueError("the outer ball must stay inside the mesh")
+    _check_margin(mesh, x, R, require_interior=True)
     if R < 2.0 * mesh.h:
         raise ValueError("R below mesh resolution")
     weight = math.log(1.0 / theta)
     # inside the mesh a ball of radius >= 2h holds its center's cell: never empty
-    _, _, oscs = ball_stats(mesh, F, x, params.radii(mesh), params.p.pprime)
-    return sum(float(osc) * weight for osc in oscs)
+    _, _, oscs = _ball_family_stats(mesh, F.tensors, x, params.radii(mesh),
+                                    params.p.pprime)
+    # the radii's rows added left to right, outermost first
+    pot = sum(oscs * weight)
+    return float(pot[0]) if np.ndim(x) == 1 else pot

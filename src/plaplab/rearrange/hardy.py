@@ -246,9 +246,6 @@ class LebesgueSpec:
     def norm_pieces(self, pw):
         return _power_moment(pw, 0.0, self.q * pw.power) ** (1.0 / self.q)
 
-    def label(self):
-        return f"L^{self.q:g}"
-
 
 @dataclass(frozen=True)
 class LorentzSpec:
@@ -262,9 +259,6 @@ class LorentzSpec:
         if self.r == np.inf:
             return _lorentz_sup(pw, self.q)
         return _power_moment(pw, self.r / self.q - 1.0, self.r * pw.power) ** (1.0 / self.r)
-
-    def label(self):
-        return f"L^({self.q:g},{self.r:g})"
 
 
 @dataclass(frozen=True)
@@ -296,9 +290,6 @@ class OrliczSpec:
             with np.errstate(over="ignore"):
                 _rule_sums(pw, piece, weights * self.phi(f / lam))
         return lam
-
-    def label(self):
-        return "Orlicz"
 
 
 def average_transform(sf: StepFunction, horizon=None):

@@ -3,10 +3,10 @@
 Membership is checked against a full scan of every barycenter, the kernel
 bitwise against a straightforward reference kernel in the same summation
 order and within a stated bound of the area-weighted formula it replaced,
-many-center calls (over several chunks) and batched sharp maximal values
-bitwise against single-center calls, oscillations against the textbook
-formula, and the norm table's oscillation seminorms against a constant
-shift of the field.
+many-center calls (over several chunks) and the batched values of every
+point-wise ball function bitwise against single-point calls, oscillations
+against the textbook formula, and the norm table's oscillation seminorms
+against a constant shift of the field.
 """
 
 import math
@@ -18,12 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plaplab import grid
+from plaplab.fluxmaps import Exponent
 from plaplab.grid import (ElemField, EmptyBallError, Mesh, ball_elements,
                           ball_oscillation, ball_stats)
 from plaplab.lab.config import ExperimentConfig
 from plaplab.lab.experiments import norm_table
-from plaplab.maximal import MarginError, RadiiSet, sharp_maximal
-from plaplab.oscillation import ball_family_oscillations
+from plaplab.maximal import (MarginError, RadiiSet, plain_maximal, sharp_maximal,
+                             weighted_local_sharp)
+from plaplab.oscillation import (PotentialParams, ball_family_oscillations,
+                                 oscillation_potential, power_modulus)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -137,20 +140,27 @@ def _reference_ball_stats(mesh, f, center, radii, q):
     return counts, means, oscs
 
 
-def _area_weighted_stats(mesh, f, center, radii, q):
-    """The area-weighted formula the kernel replaced, for the gap test:
-    weights area / sum(area), means and deviations by einsum."""
-    means = np.full((len(radii),) + f.tensors.shape[1:], np.nan)
+def _area_weighted_stats(mesh, values, center, radii, q):
+    """The area-weighted formulas the kernel replaced, for the gap test: for
+    a tensor field, weights area / sum(area), means and deviations by
+    einsum; for a scalar field, the mean sum(area * v) / sum(area) that the
+    plain maximal function took of |f|^q."""
+    means = np.full((len(radii),) + values.shape[1:], np.nan)
     oscs = np.full(len(radii), np.nan)
     for k, idx in enumerate(_reference_members(mesh, center, radii)):
         if idx.size == 0:
             continue
         w = mesh.areas[idx]
-        w = w / w.sum()
-        block = f.tensors[idx]
-        means[k] = np.einsum("e,enk->nk", w, block)
-        diff = block - means[k]
-        dev = np.sqrt(np.einsum("enk,enk->e", diff, diff))
+        block = values[idx]
+        if block.ndim == 1:
+            means[k] = np.sum(w * block) / w.sum()
+            dev = np.abs(block - means[k])
+            w = w / w.sum()
+        else:
+            w = w / w.sum()
+            means[k] = np.einsum("e,enk->nk", w, block)
+            diff = block - means[k]
+            dev = np.sqrt(np.einsum("enk,enk->e", diff, diff))
         oscs[k] = np.sum(w * dev ** q) ** (1.0 / q)
     return means, oscs
 
@@ -182,24 +192,27 @@ def test_kernel_is_bitwise_the_reference(mesh, rel, radii, order, q, rows,
 @SETTINGS
 @given(meshes, rel_points, rel_radii,
        st.one_of(st.floats(1.0, 4.0), st.sampled_from([1.0, 2.0, 3.0])),
-       st.integers(1, 3), offsets, st.integers(0, 2 ** 16))
+       st.integers(0, 3), offsets, st.integers(0, 2 ** 16))
 def test_kernel_is_within_roundoff_of_the_area_weighted_formula(
         mesh, rel, radii, q, rows, offset, seed):
-    # the kernel takes plain means (sum / n) where the replaced formula
-    # weighted by area / sum(area): on a ball of n members with entries of
-    # magnitude at most s, means agree to 2 n eps s per entry and q-mean
-    # oscillations to 2 n eps (s + osc)
+    # the kernel takes plain means (sum / n) where the replaced formulas
+    # weighted by area: on a ball of n members with entries of magnitude at
+    # most s, means agree to 2 n eps s per entry and q-mean oscillations to
+    # 2 n eps (s + osc).  rows = 0 draws the scalar field |f|^q, whose ball
+    # means are the plain maximal function's q-means.
     center = _point(mesh, rel)
     radii = [s * mesh.h for s in radii]
-    _, f = _field(mesh, seed, offset, rows)
-    _, means, oscs = ball_stats(mesh, f, center, radii, q)
-    old_means, old_oscs = _area_weighted_stats(mesh, f, center, radii, q)
+    _, f = _field(mesh, seed, offset, max(rows, 1))
+    values = f.tensors if rows else f.norms() ** q
+    _, means, oscs = grid._ball_family_stats(mesh, values, center, radii, q)
+    means, oscs = means[:, 0], oscs[:, 0]
+    old_means, old_oscs = _area_weighted_stats(mesh, values, center, radii, q)
     eps = np.finfo(float).eps
     for k, idx in enumerate(_reference_members(mesh, center, radii)):
         if idx.size == 0:
             assert np.isnan(oscs[k]) and np.isnan(old_oscs[k])
             continue
-        bound = 2.0 * idx.size * eps * np.abs(f.tensors[idx]).max()
+        bound = 2.0 * idx.size * eps * np.abs(values[idx]).max()
         assert np.abs(means[k] - old_means[k]).max() <= bound
         assert abs(oscs[k] - old_oscs[k]) <= bound + 2.0 * idx.size * eps * oscs[k]
 
@@ -217,7 +230,8 @@ def test_many_centers_equal_single_centers_bitwise(mesh, rels, radii, q, rows,
     _, f = _field(mesh, seed, offset, rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(grid, "_CHUNK_ENTRIES", chunk_entries)
-        counts, means, oscs = grid._ball_family_stats(mesh, f, centers, radii, q)
+        counts, means, oscs = grid._ball_family_stats(mesh, f.tensors, centers,
+                                                      radii, q)
     for j, center in enumerate(centers):
         one = ball_stats(mesh, f, center, radii, q)
         for got, expect in zip((counts[:, j], means[:, j], oscs[:, j]), one):
@@ -226,33 +240,68 @@ def test_many_centers_equal_single_centers_bitwise(mesh, rels, radii, q, rows,
                                          for r in radii]
 
 
+# every point-wise ball function as (call, axis of its points in the output)
+POINTWISE = {
+    "sharp_maximal": (lambda mesh, f, q, radii, x, interior:
+                      sharp_maximal(mesh, f, q, radii, x, interior), 0),
+    "weighted_local_sharp": (lambda mesh, f, q, radii, x, interior:
+                             weighted_local_sharp(mesh, f, q, power_modulus(0.5),
+                                                  1.01 * radii.r_max, radii, x,
+                                                  interior), 0),
+    "plain_maximal": (lambda mesh, f, q, radii, x, interior:
+                      plain_maximal(mesh, f, q, radii, x, interior), 0),
+    "ball_oscillation": (lambda mesh, f, q, radii, x, interior:
+                         ball_oscillation(mesh, f, x, radii.r_min, q), 0),
+    "ball_stats": (lambda mesh, f, q, radii, x, interior:
+                   ball_stats(mesh, f, x, radii.values(), q), 1),
+    "oscillation_potential": (lambda mesh, f, q, radii, x, interior:
+                              oscillation_potential(mesh, f, x, PotentialParams(
+                                  radii.r_max, 0.5, Exponent(3.0))), 0),
+}
+
+
+def _parts(result):
+    return tuple(np.asarray(v) for v in (result if isinstance(result, tuple)
+                                         else (result,)))
+
+
+@pytest.mark.parametrize("name", sorted(POINTWISE))
 @settings(max_examples=30, deadline=None)
 @given(st.integers(8, 16), st.lists(st.tuples(*[st.one_of(st.floats(0.31, 0.69),
                                                           st.floats(0.0, 1.0))] * 2),
                                     min_size=1, max_size=10),
        st.sampled_from([1.0, 1.5, 2.0]), st.integers(0, 2 ** 16))
-def test_batched_sharp_maximal_is_the_per_point_value(M, pts, q, seed):
+def test_batched_is_the_per_point_value(name, M, pts, q, seed):
+    call, axis = POINTWISE[name]
     mesh = Mesh((0.0, 1.0, 0.0, 1.0), M)
     _, f = _field(mesh, seed, 0.0, 1)
     pts = np.array(pts)
-    # margin failures with the first, empty balls with the second
+    # margin failures and outer balls outside the mesh with the first, empty
+    # balls with the second
     for radii, interior in [(RadiiSet(2.0 * mesh.h, 0.3), True),
                             (RadiiSet(0.3 * mesh.h, 0.3), False)]:
         single = []
         for x in pts:
             try:
-                single.append(sharp_maximal(mesh, f, q, radii, x, interior))
-            except (MarginError, EmptyBallError) as exc:
+                single.append(_parts(call(mesh, f, q, radii, x, interior)))
+            except ValueError as exc:        # MarginError and EmptyBallError too
                 single.append(exc)
         errors = [v for v in single if isinstance(v, Exception)]
         if errors:
             # the batch raises what the first failing point raises
-            with pytest.raises(type(errors[0]), match=re.escape(str(errors[0]))):
-                sharp_maximal(mesh, f, q, radii, pts, interior)
+            with pytest.raises(type(errors[0]), match=re.escape(str(errors[0]))) as info:
+                call(mesh, f, q, radii, pts, interior)
+            assert type(info.value) is type(errors[0])
         else:
-            got = sharp_maximal(mesh, f, q, radii, pts, interior)
-            assert got.shape == (len(pts),)
-            assert got.tobytes() == np.array(single).tobytes()
+            got = _parts(call(mesh, f, q, radii, pts, interior))
+            for j, one in enumerate(single):
+                for batch, part in zip(got, one):
+                    entry = np.take(batch, j, axis=axis)
+                    assert entry.dtype == part.dtype and entry.shape == part.shape
+                    assert entry.tobytes() == part.tobytes()
+        # no points give empty arrays
+        none = _parts(call(mesh, f, q, radii, np.empty((0, 2)), interior))
+        assert all(part.shape[axis] == 0 for part in none)
 
 
 @pytest.mark.parametrize("center, r, named", [

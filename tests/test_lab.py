@@ -364,3 +364,31 @@ def test_decay_slopes_gather_once_per_center(monkeypatch):
     alpha, kappa = experiments.measure_alpha(ExperimentConfig(), 3.0, 24)
     assert alpha is not None and kappa is not None
     assert len(calls) == 5                   # every default center clears R
+
+
+def test_ball_queries_do_not_grow_with_the_probe_lattice(monkeypatch):
+    # every probe set is one batched ball query, so a 6 x 6 lattice makes as
+    # many kernel calls as a 3 x 3 one; a per-point loop around a ball query
+    # fails here
+    from plaplab import grid
+    from plaplab.lab import experiments
+
+    calls = []
+    real_chunks, real_probes = grid._ball_chunks, experiments._probe_points
+
+    def counting(*args):
+        calls.append(1)
+        return real_chunks(*args)
+
+    monkeypatch.setattr(grid, "_ball_chunks", counting)
+    cfg = ExperimentConfig(**SMALL)
+    counts = []
+    for n in (3, 6):
+        monkeypatch.setattr(experiments, "_probe_points",
+                            lambda cfg, margin, per_side=10, n=n: real_probes(cfg, margin, n))
+        calls.clear()
+        for run in (experiments.exp_decay, experiments.exp_oscillation_estimate,
+                    experiments.exp_potential):
+            run(cfg)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

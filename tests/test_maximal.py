@@ -223,9 +223,10 @@ def test_riesz_rearranged_bound_stable():
     assert max(fits) / min(fits) < 2.0
 
 
-def test_plain_maximal_gathers_once_per_point(monkeypatch):
-    from plaplab import maximal
-    from plaplab.grid import _ball_members, ball_elements
+def test_plain_maximal_is_one_kernel_call(monkeypatch):
+    # the q-mean of |f| on a ball is the kernel's plain mean of |f|^q, bitwise
+    # (the area-weighted formula it replaced is checked in test_ballstats)
+    from plaplab import grid
 
     rng = np.random.default_rng(4)
     mesh = Mesh((0, 1, 0, 1), 20)
@@ -234,19 +235,19 @@ def test_plain_maximal_gathers_once_per_point(monkeypatch):
     x = (0.47, 0.52)
     norms = f.norms()
     expected = 0.0
-    for r in radii.values():                 # one gather per radius
-        idx = ball_elements(mesh, x, r)
-        w = mesh.areas[idx]
-        expected = max(expected, (np.sum(w * norms[idx] ** 1.5) / w.sum()) ** (1.0 / 1.5))
+    for r in radii.values():                 # one single-point call per radius
+        _, (mean,), _ = grid._ball_family_stats(mesh, norms ** 1.5, [x], [r], 1.0)
+        expected = max(expected, float(mean[0] ** (1.0 / 1.5)))
     calls = []
+    real = grid._ball_chunks
 
     def counting(*args):
         calls.append(1)
-        return _ball_members(*args)
+        return real(*args)
 
-    monkeypatch.setattr(maximal, "_ball_members", counting)
+    monkeypatch.setattr(grid, "_ball_chunks", counting)
     assert plain_maximal(mesh, f, 1.5, radii, x) == expected
     assert len(calls) == 1
-    pts = mesh.interior_points(radii.r_max * (1.0 + 1e-9), 40)
+    assert len(mesh.interior_points(radii.r_max * (1.0 + 1e-9), 40)) > 1
     riesz_ratio(mesh, f, 2.0, radii, stride=40)
-    assert len(calls) == 1 + len(pts)
+    assert len(calls) == 2                   # every interior point in one call
