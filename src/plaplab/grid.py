@@ -68,6 +68,10 @@ class Mesh:
         X, Y = np.meshgrid(xs, ys, indexing="xy")
         # node index = iy * (M+1) + ix
         self.nodes = np.column_stack([X.ravel(), Y.ravel()])
+        iy, ix = np.divmod(np.arange(len(self.nodes)), M + 1)
+        on_edge = np.isin(ix, (0, M)) | np.isin(iy, (0, M))
+        self.boundary_nodes = np.flatnonzero(on_edge)
+        self.interior_nodes = np.flatnonzero(~on_edge)
 
         ix, iy = np.meshgrid(np.arange(M), np.arange(M), indexing="xy")
         ix = ix.ravel()
@@ -84,13 +88,6 @@ class Mesh:
         self.areas = np.full(len(self.elements), self.element_area)
         verts = self.nodes[self.elements]            # (E, 3, 2)
         self.barycenters = verts.mean(axis=1)
-
-        on_edge = (
-            np.isclose(self.nodes[:, 0], x0) | np.isclose(self.nodes[:, 0], x1)
-            | np.isclose(self.nodes[:, 1], y0) | np.isclose(self.nodes[:, 1], y1)
-        )
-        self.boundary_nodes = np.flatnonzero(on_edge)
-        self.interior_nodes = np.flatnonzero(~on_edge)
 
         # gradients of the three barycentric basis functions per element
         d1 = verts[:, 1] - verts[:, 0]

@@ -90,14 +90,15 @@ def random_smooth_potential(mesh, n_components, rng):
 
 
 def perimeter_coordinate(mesh, points):
-    """Arc-length position of boundary points walking the rectangle edges."""
+    """Arc-length position of boundary points walking the rectangle edges;
+    each point must lie exactly on an edge, as boundary nodes do."""
     x0, x1, y0, y1 = mesh.bounds
     W, H = x1 - x0, y1 - y0
     x, y = points[:, 0], points[:, 1]
     t = np.empty(len(points))
-    on_bottom = np.isclose(y, y0)
-    on_right = np.isclose(x, x1) & ~on_bottom
-    on_top = np.isclose(y, y1) & ~on_bottom & ~on_right
+    on_bottom = y == y0
+    on_right = (x == x1) & ~on_bottom
+    on_top = (y == y1) & ~on_bottom & ~on_right
     on_left = ~(on_bottom | on_right | on_top)
     t[on_bottom] = x[on_bottom] - x0
     t[on_right] = W + (y[on_right] - y0)

@@ -54,6 +54,12 @@ def _spec(text):
     return parts[0], tuple(float(x) for x in parts[1:])
 
 
+def _assert_mode(text):
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"config key 'assert_mode' must be true or false, not {text!r}")
+    return text.lower() == "true"
+
+
 _KEYS = {   # config key: (ExperimentConfig field, reader of its text)
     "p": ("ps", _floats),
     "grids": ("grids", _ints),
@@ -68,7 +74,7 @@ _KEYS = {   # config key: (ExperimentConfig field, reader of its text)
     "young": ("young_spec", _spec),
     "lorentz_r": ("lorentz_r", float),
     "stability_factor": ("stability_factor", float),
-    "assert_mode": ("assert_mode", lambda t: t.lower() in ("1", "true", "yes", "on")),
+    "assert_mode": ("assert_mode", _assert_mode),
 }
 
 
@@ -107,20 +113,6 @@ class ExperimentConfig:
         return cls.from_mapping(parse_config_file(path))
 
     def echo(self):
-        """Plain dict snapshot embedded into every report."""
-        return {
-            "p": list(self.ps),
-            "grids": list(self.grids),
-            "seed": self.seed,
-            "n_seeds": self.n_seeds,
-            "comps": self.comps,
-            "bounds": list(self.bounds),
-            "radii_ratio": self.radii_ratio,
-            "r_min_cells": self.r_min_cells,
-            "r_max_frac": self.r_max_frac,
-            "modulus": [self.modulus_spec[0], list(self.modulus_spec[1])],
-            "young": [self.young_spec[0], list(self.young_spec[1])],
-            "lorentz_r": self.lorentz_r,
-            "stability_factor": self.stability_factor,
-            "assert_mode": self.assert_mode,
-        }
+        """Snapshot under the config keys, embedded into every report (which
+        writes tuples as lists)."""
+        return {key: getattr(self, name) for key, (name, _) in _KEYS.items()}

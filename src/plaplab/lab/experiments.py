@@ -64,8 +64,7 @@ def _solved(prob, tol=1e-8, start=None):
     sol = solve(prob, _solver_config(tol), start)
     grad = gradient(prob.mesh, sol.u)
     return {"mesh": prob.mesh, "prob": prob, "sol": sol, "grad": grad,
-            "A": ElemField(a_map(prob.p, grad.tensors)),
-            "V": ElemField(v_map(prob.p, grad.tensors))}
+            "A": ElemField(a_map(prob.p, grad.tensors))}
 
 
 class _Case:
@@ -287,6 +286,7 @@ def measure_alpha(cfg, p_value, M, seed_idx=0, n_centers=5):
     g = cases.trace_from_knots(mesh, knots)
     F = ElemField.zeros(mesh, rows=cfg.comps)
     rec = _solved(DirichletProblem(p, mesh, F, g))       # p-harmonic
+    V = ElemField(v_map(p, rec["grad"].tensors))
     x0, x1, y0, y1 = cfg.bounds
     cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     side = x1 - x0
@@ -299,7 +299,7 @@ def measure_alpha(cfg, p_value, M, seed_idx=0, n_centers=5):
         center = (cx + off[0], cy + off[1])
         if mesh.boundary_distance(center) <= R:
             continue
-        sa, sk = _decay_slopes(mesh, (rec["V"], rec["A"]), center, R, thetas)
+        sa, sk = _decay_slopes(mesh, (V, rec["A"]), center, R, thetas)
         if sa is not None:
             alphas.append(sa)          # sup |V dV| ~ theta^alpha
         if sk is not None:

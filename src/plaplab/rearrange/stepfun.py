@@ -1,12 +1,15 @@
 """Exact decreasing rearrangements as step functions.
 
 A StepFunction is the nonincreasing, right-continuous profile of a
-nonnegative field, stored piece by piece as (measure, value).  Every norm
-here (Lebesgue, Lorentz, Luxemburg, Marcinkiewicz) is evaluated in closed
-form on the pieces; rearrangements are never resampled.
+nonnegative field, stored piece by piece as (measure, value); rearrangements
+are never resampled.  Its Lebesgue, Lorentz and Luxemburg norms are those of
+the norm engine in `hardy`, which takes the profile as constant pieces; the
+Marcinkiewicz functional is an exact sup over the piece boundaries.
 """
 
 import numpy as np
+
+from .hardy import DecreasingPieces, LebesgueSpec, LorentzSpec, OrliczSpec
 
 __all__ = [
     "StepFunction",
@@ -92,12 +95,6 @@ class StepFunction(PiecewiseConstant):
             raise ValueError("scaling factor must be nonnegative")
         return StepFunction(self.values * factor, self.measures.copy())
 
-    def powered(self, expo):
-        """Pointwise power; keeps monotonicity for expo > 0."""
-        if expo <= 0.0:
-            raise ValueError("exponent must be positive")
-        return StepFunction(self.values ** expo, self.measures.copy())
-
 
 def rearrange(mesh, f):
     """Decreasing rearrangement of a per-element scalar field.
@@ -121,12 +118,12 @@ def double_star(sf: StepFunction, s):
 
 
 def lq_norm(sf: StepFunction, q):
-    """Plain Lebesgue norm computed directly on the pieces."""
+    """Lebesgue norm; q = inf is the largest value."""
     if q == np.inf:
         return float(sf.values[0]) if len(sf.values) else 0.0
     if q < 1.0:
         raise ValueError("q must be at least 1")
-    return float(np.sum(sf.measures * sf.values ** q) ** (1.0 / q))
+    return LebesgueSpec(q).norm(DecreasingPieces.from_step(sf))
 
 
 def _lorentz_admissible(q, r):
@@ -140,71 +137,21 @@ def _lorentz_admissible(q, r):
 
 
 def lorentz_norm(sf: StepFunction, q, r):
-    """Two-parameter Lorentz functional, exact piecewise.
+    """Two-parameter Lorentz functional.
 
     For finite r this is the r-norm of s^(1/q - 1/r) f*(s); r = inf takes
-    the supremum of s^(1/q) f*(s).
+    the supremum of s^(1/q) f*(s), and (q, r) = (inf, inf) the largest value.
     """
     _lorentz_admissible(q, r)
-    if len(sf.values) == 0:
-        return 0.0
-    right = sf.boundaries
-    left = np.concatenate([[0.0], right[:-1]])
-    if r == np.inf:
-        if q == np.inf:
-            return float(sf.values[0])
-        return float(np.max(sf.values * right ** (1.0 / q)))
-    expo = r / q
-    chunks = sf.values ** r * (right ** expo - left ** expo) / expo
-    return float(np.sum(chunks) ** (1.0 / r))
+    if q == np.inf:
+        return float(sf.values[0]) if len(sf.values) else 0.0
+    return LorentzSpec(q, r).norm(DecreasingPieces.from_step(sf))
 
 
-def luxemburg_norm(sf: StepFunction, phi, rel_tol=1e-10):
-    """Smallest lambda with sum of measure * phi(value / lambda) <= 1.
-
-    Found by geometric bracketing plus bisection to the requested relative
-    tolerance; exact 0 for the zero profile.
-    """
-    mask = sf.values > 0.0
-    if not np.any(mask):
-        return 0.0
-    vals = sf.values[mask]
-    meas = sf.measures[mask]
-
-    def modular(lam):
-        return float(np.sum(meas * phi(vals / lam)))
-
-    return _luxemburg_search(modular, float(vals[0]) or 1.0, 4000,
-                             "no finite Luxemburg norm for this profile", rel_tol)
-
-
-def _luxemburg_search(modular, start, max_doublings, message, rel_tol):
-    """Smallest lambda with modular(lambda) <= 1 for a nonincreasing modular.
-
-    Doubles from start until the modular is at most 1 (ValueError(message)
-    after max_doublings), halves until it exceeds 1 to bracket the
-    crossing, then bisects to the relative tolerance; 0 when the modular
-    stays at most 1 down to lambda = 1e-300.
-    """
-    hi = start
-    grow = 0
-    while modular(hi) > 1.0:
-        hi *= 2.0
-        grow += 1
-        if grow > max_doublings:
-            raise ValueError(message)
-    lo = hi
-    while modular(lo) <= 1.0 and lo > 1e-300:
-        lo *= 0.5
-    if lo <= 1e-300:
-        return 0.0
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (hi + lo)
-        if modular(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+def luxemburg_norm(sf: StepFunction, phi):
+    """Smallest lambda with sum of measure * phi(value / lambda) <= 1, to
+    relative 1e-10; exact 0 for the zero profile."""
+    return OrliczSpec(phi).norm(DecreasingPieces.from_step(sf))
 
 
 def marcinkiewicz_norm(sf: StepFunction, eta):

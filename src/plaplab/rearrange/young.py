@@ -42,6 +42,8 @@ def default_grid(t_lo=1e-8, t_hi=1e8, per_decade=64):
 class YoungFunction:
     """Convex, nondecreasing, vanishing at 0; may take the value +inf."""
 
+    infinite_beyond = np.inf      # where it turns +inf, for every t above
+
     def __call__(self, t):
         raise NotImplementedError
 
@@ -121,6 +123,8 @@ class ExpYoung(YoungFunction):
 class CapYoung(YoungFunction):
     """t^q below the knee at 1, +inf beyond: the capped power family."""
 
+    infinite_beyond = 1.0
+
     def __init__(self, q):
         if q < 1.0:
             raise ValueError("need q >= 1")
@@ -141,7 +145,7 @@ class JumpYoung(YoungFunction):
     def __init__(self, threshold):
         if threshold <= 0.0:
             raise ValueError("threshold must be positive")
-        self.threshold = float(threshold)
+        self.threshold = self.infinite_beyond = float(threshold)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)

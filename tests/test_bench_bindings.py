@@ -3,11 +3,12 @@ its ballstats workload checks plaplab's ball values against its own
 float-membership reference, and its battery workload counts every report
 assertion and every non-finite fitted constant as a failure.
 
-A traced benchmark run fails if a traced function is renamed or deleted, and
+A traced benchmark run fails if a traced function is renamed or deleted, or
+if a plaplab module holds a binding of one that the tracer cannot patch, and
 a benchmark run counts failures if the ball values drift from the reference
-or a report assertion fails, so all three are checked here: the bindings
-without running the benchmark, the ballstats and battery checks in-process
-at the smoke size.
+or a report assertion fails, so all of these are checked here: the bindings
+by installing and uninstalling the tracer in-process, the ballstats and
+battery checks in-process at the smoke size.
 """
 
 import contextlib
@@ -35,6 +36,22 @@ def test_every_traced_function_resolves():
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert not missing
     assert callable(importlib.import_module("plaplab.grid").Mesh)
+
+
+def test_tracer_installs_and_uninstalls_in_process():
+    spans = _spans()
+    tracer = spans.Tracer()
+    tracer.install()         # RuntimeError for a binding left unwrapped
+    try:
+        stepfun = importlib.import_module("plaplab.rearrange.stepfun")
+        stepfun.lq_norm(stepfun.StepFunction([2.0, 1.0], [0.5, 0.5]), 2.0)
+        assert "rearrange.lq_norm" in tracer.names
+    finally:
+        tracer.uninstall()
+    wrapped = [f"{module}.{attr}" for _, module, attr in spans.TRACED
+               if not getattr(importlib.import_module(module), attr).__module__
+               .startswith("plaplab")]
+    assert not wrapped
 
 
 def test_ballstats_workload_checks_pass_at_smoke_size(tmp_path, monkeypatch):

@@ -62,6 +62,22 @@ def test_config_rejects_unknown_key(tmp_path):
         ExperimentConfig.from_file(typo)
 
 
+@pytest.mark.parametrize("text,value", [("true", True), ("False", False), ("TRUE", True)])
+def test_config_assert_mode_spellings(tmp_path, text, value):
+    path = tmp_path / "lab.cfg"
+    path.write_text(f"assert_mode = {text}\n")
+    assert ExperimentConfig.from_file(path).assert_mode is value
+
+
+def test_config_rejects_a_misspelled_boolean(tmp_path):
+    # 'ture' used to read as false without a word
+    for text in ("ture", "yes"):
+        path = tmp_path / "lab.cfg"
+        path.write_text(f"assert_mode = {text}\n")
+        with pytest.raises(ValueError, match=f"'assert_mode'.*'{text}'"):
+            ExperimentConfig.from_file(path)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(ps=[])
@@ -124,6 +140,18 @@ def test_perimeter_coordinate_covers_boundary():
     g = rough_boundary_trace(mesh, 2, np.random.default_rng(6))
     assert g.shape == (len(pts), 2)
     assert np.all(np.abs(g) <= 1.0)
+
+
+@pytest.mark.parametrize("x0", [1e4, 1e5])
+def test_translated_square_boundary_is_the_outer_ring(x0):
+    # a coordinate-scaled closeness test took interior nodes near x = 1e4
+    # (or all of them near 1e5) for boundary nodes; the index ring does not
+    M = 16
+    mesh = Mesh((x0, x0 + 1.0, 0.0, 1.0), M)
+    assert len(mesh.boundary_nodes) == 4 * M
+    assert np.array_equal(mesh.interior_nodes, Mesh((0, 1, 0, 1), M).interior_nodes)
+    t = perimeter_coordinate(mesh, mesh.nodes[mesh.boundary_nodes])
+    assert len(np.unique(t)) == 4 * M
 
 
 def test_xi_profile_anchor_and_extension():
