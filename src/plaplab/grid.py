@@ -4,8 +4,14 @@ A mesh splits an M x M grid of square cells into 2*M^2 right triangles,
 every cell cut along its lower-left to upper-right diagonal so that meshes
 are reproducible across runs.  Nodal fields carry vector data at vertices,
 element fields carry one N x 2 tensor per triangle (gradients, right-hand
-sides, flux fields).  Ball queries go by element barycenter against an open
-ball, which gives exact per-ball measures and deterministic ties.  All
+sides, flux fields).  Nodes are the (M + 1) x (M + 1) grid, row-major, and
+elements the lower then the upper triangles of the M x M cells, row-major,
+so every map between them is a slice of the node grid: a mesh is built from
+its separable x and y axes, and the element gradient of a nodal field is a
+difference stencil.  The connectivity arrays `elements` and
+`basis_gradients` are built only when asked for.  Ball queries go by
+element barycenter against an open ball, which gives exact per-ball
+measures and deterministic ties.  All
 ball statistics come from one kernel, batched over centers and radii:
 `ball_stats` takes one center or a (P, 2) array of them in one call, and
 ball families are one call.  By bounded chunks of centers, it forms squared
@@ -63,33 +69,56 @@ class Mesh:
         self.cells_per_side = M
         self.h = (x1 - x0) / M
 
+        # node index = iy * (M+1) + ix, at (xs[ix], ys[iy])
         xs = np.linspace(x0, x1, M + 1)
         ys = np.linspace(y0, y1, M + 1)
-        X, Y = np.meshgrid(xs, ys, indexing="xy")
-        # node index = iy * (M+1) + ix
-        self.nodes = np.column_stack([X.ravel(), Y.ravel()])
-        iy, ix = np.divmod(np.arange(len(self.nodes)), M + 1)
-        on_edge = np.isin(ix, (0, M)) | np.isin(iy, (0, M))
+        # (dx[ix], dy[iy]): the legs of the triangles of cell (ix, iy), as
+        # differences of node coordinates, which round away from h
+        self._cell_widths = (np.diff(xs), np.diff(ys))
+        self.nodes = np.empty(((M + 1) * (M + 1), 2))
+        node_grid = self.nodes.reshape(M + 1, M + 1, 2)
+        node_grid[..., 0] = xs
+        node_grid[..., 1] = ys[:, None]
+        on_edge = np.ones((M + 1, M + 1), dtype=bool)
+        on_edge[1:-1, 1:-1] = False
         self.boundary_nodes = np.flatnonzero(on_edge)
         self.interior_nodes = np.flatnonzero(~on_edge)
 
-        ix, iy = np.meshgrid(np.arange(M), np.arange(M), indexing="xy")
-        ix = ix.ravel()
-        iy = iy.ravel()
-        n00 = iy * (M + 1) + ix
+        self.element_area = 0.5 * self.h * self.h
+        self.areas = np.full(self.num_elements, self.element_area)
+        # A barycenter is the mean ((a + b) + c) / 3 of its vertices in the
+        # order of `elements`.  A vertex x depends on ix alone and a vertex y
+        # on iy alone, so per triangle kind t (0 lower, 1 upper) the
+        # barycenter x is bx[t, ix] and the barycenter y is by[t, iy].
+        x_lo, x_hi, y_lo, y_hi = xs[:-1], xs[1:], ys[:-1], ys[1:]
+        bx = np.stack([(x_lo + x_hi) + x_hi, (x_lo + x_hi) + x_lo]) / 3.0
+        by = np.stack([(y_lo + y_lo) + y_hi, (y_lo + y_hi) + y_hi]) / 3.0
+        # (2, 2, M): the separable barycenter axes the ball kernel reads
+        self._barycenter_axes = np.stack([bx, by])
+        self.barycenters = np.empty((self.num_elements, 2))
+        bary_grid = self.barycenters.reshape(2, M, M, 2)
+        bary_grid[..., 0] = bx[:, None, :]
+        bary_grid[..., 1] = by[:, :, None]
+
+    @functools.cached_property
+    def elements(self):
+        """(2 M^2, 3) vertex indices: the lower triangle (n00, n10, n11) of
+        every cell, row-major, then the upper one (n00, n11, n01).  No
+        solve or ball query reads it; they work on the node grid."""
+        M = self.cells_per_side
+        n00 = (np.arange(M)[:, None] * (M + 1) + np.arange(M)).ravel()
         n10 = n00 + 1
         n01 = n00 + (M + 1)
         n11 = n01 + 1
         lower = np.column_stack([n00, n10, n11])   # below the diagonal
         upper = np.column_stack([n00, n11, n01])   # above the diagonal
-        self.elements = np.vstack([lower, upper]).astype(np.int64)
+        return np.vstack([lower, upper]).astype(np.int64)
 
-        self.element_area = 0.5 * self.h * self.h
-        self.areas = np.full(len(self.elements), self.element_area)
+    @functools.cached_property
+    def basis_gradients(self):
+        """(2 M^2, 3, 2) gradients of the three barycentric basis functions
+        of every element, in the vertex order of `elements`."""
         verts = self.nodes[self.elements]            # (E, 3, 2)
-        self.barycenters = verts.mean(axis=1)
-
-        # gradients of the three barycentric basis functions per element
         d1 = verts[:, 1] - verts[:, 0]
         d2 = verts[:, 2] - verts[:, 0]
         det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -103,7 +132,7 @@ class Mesh:
         grad[:, 1] = inv_t[:, 0]
         grad[:, 2] = inv_t[:, 1]
         grad[:, 0] = -grad[:, 1] - grad[:, 2]
-        self.basis_gradients = grad
+        return grad
 
     @property
     def num_nodes(self):
@@ -111,7 +140,7 @@ class Mesh:
 
     @property
     def num_elements(self):
-        return len(self.elements)
+        return 2 * self.cells_per_side * self.cells_per_side
 
     def boundary_distance(self, points):
         """Distance to the boundary of the rectangle from one point (a
@@ -142,17 +171,6 @@ class Mesh:
         # element index = triangle * M^2 + iy * M + ix, triangle 0 lower, 1 upper
         M = self.cells_per_side
         return np.arange(2 * M * M).reshape(2, M, M)
-
-    @functools.cached_property
-    def _barycenter_axes(self):
-        """(xs, ys) as one (2, 2, M) array: xs[t, ix] is the barycenter x of
-        every triangle of kind t in cell column ix, ys[t, iy] the barycenter
-        y of every one in cell row iy.  Nodes come from linspace/meshgrid,
-        so a vertex x depends on ix alone and these reproduce `barycenters`
-        exactly."""
-        M = self.cells_per_side
-        b = self.barycenters.reshape(2, M, M, 2)
-        return np.stack([b[:, 0, :, 0], b[:, :, 0, 1]])
 
     def interior_points(self, margin, stride=1):
         """Barycenters at distance > margin from the boundary, subsampled."""
@@ -222,12 +240,28 @@ class ElemField:
 
 
 def gradient(mesh, u: NodalField):
-    """Per-triangle constant gradient of the P1 interpolant of u."""
+    """Per-triangle constant gradient of the P1 interpolant of u.
+
+    A difference stencil on the node grid: with u00, u10, u01, u11 the values
+    at the corners of cell (ix, iy) and dx, dy its side lengths, the lower
+    triangle's gradient is ((u10 - u00) / dx, (u11 - u10) / dy) and the
+    upper one's ((u11 - u01) / dx, (u01 - u00) / dy).
+    """
     if u.values.shape[0] != mesh.num_nodes:
         raise ValueError("nodal field does not match the mesh")
-    vert_vals = u.values[mesh.elements]            # (E, 3, N)
-    grads = np.einsum("ein,eik->enk", vert_vals, mesh.basis_gradients)
-    return ElemField(grads)
+    M = mesh.cells_per_side
+    dx, dy = mesh._cell_widths
+    U = u.values.reshape(M + 1, M + 1, -1)           # [iy, ix, n]
+    u00, u10, u01, u11 = U[:-1, :-1], U[:-1, 1:], U[1:, :-1], U[1:, 1:]
+    grads = np.empty((2, M, M, U.shape[2], 2))
+    lower, upper = grads
+    np.subtract(u10, u00, out=lower[..., 0])
+    np.subtract(u11, u10, out=lower[..., 1])
+    np.subtract(u11, u01, out=upper[..., 0])
+    np.subtract(u01, u00, out=upper[..., 1])
+    grads[..., 0] /= dx[:, None]                     # [t, iy, ix, n]
+    grads[..., 1] /= dy[:, None, None]
+    return ElemField(grads.reshape(2 * M * M, -1, 2))
 
 
 def integrate(mesh, f):
@@ -472,34 +506,47 @@ def _read_table(path, header, sizes):
     """Rows 'i_1,...,i_k,value' under a fixed header, as a dense array.
 
     sizes gives each index's extent, or None to take it from the largest
-    index given.  Every index tuple must have exactly one row: a malformed
-    row, an index out of range, a duplicate or a gap raises ValueError
-    naming path:line.
+    index given.  The rows are one np.loadtxt parse, integer indices and a
+    float value; blank lines are skipped.  Every index tuple must have
+    exactly one row: a malformed row (a field that does not parse, a
+    non-integer index, too few or too many fields), an index out of range,
+    a duplicate or a gap raises ValueError naming path:line.
     """
     k = len(sizes)
-    keys, vals, lines = [], [], []
     with open(path) as fh:
         if fh.readline().strip() != header:
             raise ValueError(f"{path}:1: expected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            try:
-                keys.append([int(t) for t in parts[:k]])
-                vals.append(float(parts[k]))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
-            lines.append(lineno)
-    if not lines:
+        lines = fh.read().splitlines()
+    if not any(line.strip() for line in lines):
         raise ValueError(f"{path}:1: no rows after the header")
-    keys = np.array(keys)
+    dtype = [(f"i{j}", np.int64) for j in range(k)] + [("value", np.float64)]
+
+    def parse(rows):
+        return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+    def row_lines():
+        """The file line of every row."""
+        return [n for n, line in enumerate(lines, start=2) if line.strip()]
+
+    try:
+        table = parse(lines)           # skips empty lines, not whitespace-only ones
+    except ValueError:
+        # a malformed row, or a blank line of whitespace: find the first row
+        # that does not parse alone
+        rows = [line for line in lines if line.strip()]
+        for lineno, line in zip(row_lines(), rows):
+            try:
+                parse([line])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: malformed row {line.strip()!r}") from exc
+        table = parse(rows)
+    keys = np.column_stack([table[f"i{j}"] for j in range(k)])
+    vals = table["value"]
     shape = tuple(int(keys[:, j].max()) + 1 if n is None else n
                   for j, n in enumerate(sizes))
     bad = np.flatnonzero(((keys < 0) | (keys >= shape)).any(axis=1))
     if bad.size:
-        raise ValueError(f"{path}:{lines[bad[0]]}: index out of range for shape {shape}")
+        raise ValueError(f"{path}:{row_lines()[bad[0]]}: index out of range for shape {shape}")
     flat = np.ravel_multi_index(keys.T, shape)
     order = np.argsort(flat, kind="stable")
     # sorted, a complete table reads 0, 1, 2, ...: the first place it does
@@ -509,7 +556,8 @@ def _read_table(path, header, sizes):
         i = bad[0] if bad.size else flat.size
         dup = i < flat.size and flat[order[i]] < i
         index = tuple(int(t) for t in np.unravel_index(i - dup, shape))
-        raise ValueError(f"{path}:{lines[order[i]] if i < flat.size else lines[-1]}: "
+        at = row_lines()
+        raise ValueError(f"{path}:{at[order[i]] if i < flat.size else at[-1]}: "
                          f"{'duplicate row' if dup else 'no row'} for index {index}")
     out = np.empty(shape)
     out.flat[flat] = vals

@@ -250,11 +250,19 @@ def exp_basic_estimate(cfg: ExperimentConfig):
 
 
 def _pair_sup(values, cap=400):
-    """Largest pairwise distance among row vectors, deterministically subsampled."""
+    """Largest pairwise distance among row vectors, deterministically subsampled.
+
+    Squared distances add the components left to right, and the one square
+    root is taken of their max: sqrt is monotone and correctly rounded.
+    """
     if len(values) > cap:
         values = values[:: max(1, len(values) // cap)]
-    diffs = values[:, None, :] - values[None, :, :]
-    return float(np.sqrt(np.sum(diffs ** 2, axis=2)).max())
+    first, *rest = values.T
+    sq = np.subtract.outer(first, first) ** 2
+    for column in rest:
+        diff = np.subtract.outer(column, column)
+        sq += diff * diff
+    return float(np.sqrt(sq.max()))
 
 
 def _decay_slopes(mesh, fields, center, R, thetas, floor_cells=3.0):

@@ -364,7 +364,11 @@ def holder_seminorm(mesh, f, omega, max_pairs=10 ** 6):
     for i in range(1, len(idx)):
         d = pts[i] - pts[:i]
         dist = np.hypot(d[:, 0], d[:, 1])
-        diff = np.sqrt(np.sum((vals[i] - vals[:i]) ** 2, axis=1))
+        dv = vals[i] - vals[:i]
+        sq = dv[:, 0] * dv[:, 0]
+        for j in range(1, dv.shape[1]):          # components left to right
+            sq += dv[:, j] * dv[:, j]
+        diff = np.sqrt(sq)
         best = max(best, float(np.max(diff / omega(dist))))
     return best
 

@@ -56,7 +56,7 @@ class YoungFunction:
             raise ValueError("reparameterization power must be positive")
         grid = default_grid()
         vals = self(grid ** lam)
-        return SampledYoung(grid, vals)
+        return SampledYoung(grid, vals, self.infinite_beyond ** (1.0 / lam))
 
     def min_log_slope(self, grid=None):
         """Infimum over the grid of t Phi'(t) / Phi(t), by log differences."""
@@ -158,10 +158,12 @@ class SampledYoung(YoungFunction):
 
     Construction runs a discrete convexity scan (nondecreasing chord
     slopes); strictly positive values are required so the log-log
-    interpolation is well defined.
+    interpolation is well defined.  Samples that are not finite are
+    dropped; past infinite_beyond the function is +inf, not extrapolated.
     """
 
-    def __init__(self, grid, vals):
+    def __init__(self, grid, vals, infinite_beyond=np.inf):
+        self.infinite_beyond = float(infinite_beyond)
         grid = np.asarray(grid, dtype=float)
         vals = np.asarray(vals, dtype=float)
         keep = np.isfinite(vals) & (vals > 0.0)
@@ -196,6 +198,7 @@ class SampledYoung(YoungFunction):
             lv[below] = self._logv[0] + lo_slope * (lt[below] - self._logt[0])
             lv[above] = self._logv[-1] + hi_slope * (lt[above] - self._logt[-1])
             out[pos] = np.exp(lv)
+        out[t > self.infinite_beyond] = np.inf
         return float(out[0]) if scalar else out
 
 

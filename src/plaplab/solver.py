@@ -9,7 +9,11 @@ system for all components at once by one banded Cholesky factorization
 of edge conductances, which couples no two nodes of one checkerboard colour,
 so one colour is eliminated exactly first (red-black static condensation): the
 factored Schur complement keeps the half-bandwidth M - 1 of the natural
-order on half the rows, and takes half the flops.  The step taken is the
+order on half the rows, and takes half the flops.  Its five or six nonzero
+diagonals, the eliminations and the back-substitution are shifted slices of
+the grid of edge conductances, and the nodal loads of an element flux are
+the transpose of the gradient's difference stencil: nothing on this path
+gathers or scatters through the element connectivity.  The step taken is the
 damped Newton minimiser of the regularized energy over the plane of that new
 direction and the previous step, a two-dimensional subspace step as in
 nonlinear conjugate gradients; Newton runs on the energy's slopes, so it
@@ -122,17 +126,25 @@ def regularized_energy(prob: DirichletProblem, u: NodalField, eps):
     return _energy_of(prob, gradient(prob.mesh, u).tensors, eps)
 
 
-def _scatter(index, rows, length):
-    """Sum rows (K, N) into `length` rows by index."""
-    return np.column_stack([
-        np.bincount(index, weights=column, minlength=length) for column in rows.T])
-
-
 def _flux_load(mesh, tensors):
-    """Nodal integrals of tensors . grad(hat), (num nodes, N)."""
-    load = np.einsum("enk,eik->ein", tensors, mesh.basis_gradients)
-    load *= mesh.element_area
-    return _scatter(mesh.elements.ravel(), load.reshape(-1, load.shape[2]), mesh.num_nodes)
+    """Nodal integrals of tensors . grad(hat), (num nodes, N).
+
+    The transpose of `gradient`'s stencil: with X = |e| T_x / dx and
+    Y = |e| T_y / dy per triangle, a lower triangle adds -X to its corner
+    n00, X - Y to n10 and Y to n11, an upper one -Y to n00, X to n11 and
+    Y - X to n01.
+    """
+    M = mesh.cells_per_side
+    dx, dy = mesh._cell_widths
+    T = tensors.reshape(2, M, M, -1, 2)              # [t, iy, ix, n, k]
+    X = T[..., 0] * (mesh.element_area / dx)[:, None]
+    Y = T[..., 1] * (mesh.element_area / dy)[:, None, None]
+    load = np.zeros((M + 1, M + 1, T.shape[3]))      # [iy, ix, n]
+    load[:-1, :-1] -= X[0] + Y[1]                    # n00
+    load[:-1, 1:] += X[0] - Y[0]                     # n10
+    load[1:, 1:] += Y[0] + X[1]                      # n11
+    load[1:, :-1] += Y[1] - X[1]                     # n01
+    return load.reshape(-1, T.shape[3])
 
 
 def _defect_of(prob, grad):
@@ -224,6 +236,27 @@ def _plane_step(at, e0):
     return z, e
 
 
+# The neighbour of interior node (i, j) in each direction, as the pair of
+# interior-grid slices (nodes that have one, their neighbours): a coupling or
+# multiplier grid of that direction is indexed like the first.
+_SIDES = {
+    "W": (np.s_[:, 1:], np.s_[:, :-1]),
+    "E": (np.s_[:, :-1], np.s_[:, 1:]),
+    "S": (np.s_[1:], np.s_[:-1]),
+    "N": (np.s_[:-1], np.s_[1:]),
+}
+
+
+def _neighbour_sum(values, weights):
+    """Sum of w * values[neighbour] at every node of an (m, m, N) interior
+    grid, over the interior neighbours in the (direction, w) order given."""
+    out = np.zeros_like(values)
+    for side, w in weights:
+        node, neighbour = _SIDES[side]
+        out[node] += w[..., None] * values[neighbour]
+    return out
+
+
 class _BandSystem:
     """Frozen-coefficient systems of one problem, condensed onto one colour.
 
@@ -237,124 +270,138 @@ class _BandSystem:
     no two nodes of one colour couple, so K = [[D_r, B], [B^T, D_b]] with D_r
     and D_b diagonal.  The red nodes (odd parity, the smaller colour) are
     eliminated exactly.  The Schur complement S = D_b - B^T D_r^-1 B on the
-    black nodes, numbered row-major, couples them at offsets 1, about
-    (M - 1) / 2 and M - 1: the half-bandwidth of K on half its rows, so the
-    banded Cholesky factorization of S (LAPACK dpbsv) takes half the flops of
-    K's.
+    black nodes has the half-bandwidth of K on half its rows, so the banded
+    Cholesky factorization of S (LAPACK dpbsv) takes half the flops of K's.
 
-    What does not depend on kappa is built once: the colour numbering; the
-    (W, E, S, N) edges of every interior node and the edge of every
-    red-black coupling; the red and black node of every coupling; the band
-    slot of every pair of couplings at one red node; the band buffer that
-    each step zeroes and refills in place; and the gradient of g extended by
-    zero, whose flux lifts g into the right-hand side.
+    Everything is a slice of the m x m grid of interior nodes (i, j) =
+    (ix - 1, iy - 1), m = M - 1.  The black nodes are numbered row-major:
+    row j holds i = j % 2, j % 2 + 2, ..., so each pair of rows (2t, 2t + 1)
+    holds m of them, the first c = ceil(m / 2) from the even row.  S couples
+    black (i, j) to (i + 2, j) at offset 1, to (i - 1, j + 1) and
+    (i + 1, j + 1) at offsets c - 1 and c from an even row and f and f + 1
+    from an odd one (f = m - c), and to (i, j + 2) at offset m: five
+    diagonals for even M, six for odd M.
+
+    Built once: the band buffer that each step zeroes and refills in place,
+    and the gradient of g extended by zero, whose flux lifts g into the
+    right-hand side.
     """
 
     def __init__(self, prob):
         mesh = prob.mesh
         self.prob = prob
-        M = mesh.cells_per_side
-        row_len = M + 1
-        interior = mesh.interior_nodes
-        # node (1, 1) has even parity, so the even colour is the larger one
-        even = np.sum(np.divmod(interior, row_len), axis=0) % 2 == 0
-        self.red, self.black = interior[~even], interior[even]
-        nr, n = len(self.red), len(interior)
-        pos = np.full(mesh.num_nodes, -1)               # red rows first, then black
-        pos[self.red] = np.arange(nr)
-        pos[self.black] = np.arange(nr, n)
-
-        # edges are numbered as condense lays them out: the horizontal
-        # edges (ix, iy)-(ix + 1, iy) for iy = 1 .. M - 1, then the vertical
-        # edges (ix, iy)-(ix, iy + 1) for ix = 1 .. M - 1, each row-major;
-        # the smallest unsigned types that hold every index keep the state small
-        iy, ix = np.divmod(np.concatenate([self.red, self.black]), row_len)
-        east = (iy - 1) * M + ix
-        north = M * (M - 1) + iy * (M - 1) + ix - 1
-        edges = np.stack([east - 1, east, north - (M - 1), north], axis=1)
-        self.edges = edges.astype(np.min_scalar_type(2 * M * (M - 1)))
-
-        # the couplings of each red node by direction (W, E, S, N), -1 where
-        # its neighbour is on the boundary
-        neighbour = pos[self.red[:, None] + np.array([-1, 1, -row_len, row_len])]
-        present = neighbour >= nr
-        number = np.where(present, np.cumsum(present).reshape(nr, 4) - 1, -1)
-        num_couplings = int(present.sum())
-        red_of, black_of = np.flatnonzero(present) // 4, neighbour[present] - nr
-        self.coupling_edge = self.edges[:nr][present]
-
-        # every pair (i >= j) of couplings at one red node fills S[black_i, black_j]
-        pairs = []
-        for s in range(4):
-            for t in range(s + 1):
-                both = present[:, s] & present[:, t]
-                pairs.append((number[both, s], number[both, t]))
-        pair_i, pair_j = map(np.concatenate, zip(*pairs))
-        row = np.maximum(black_of[pair_i], black_of[pair_j])
-        col = np.minimum(black_of[pair_i], black_of[pair_j])
-        self.width = 1 + int((row - col).max(initial=0))
-        coupling_type = np.min_scalar_type(num_couplings)
-        self.pair_i, self.pair_j = pair_i.astype(coupling_type), pair_j.astype(coupling_type)
-        # S's diagonal slots first, for D_b, then one slot per pair; the
-        # distinct slots, and the bin of each entry among them
-        slot = np.concatenate([np.arange(n - nr) * self.width, col * self.width + row - col])
-        band_slot, slot_bin = np.unique(slot, return_inverse=True)
-        self.band_slot = band_slot.astype(np.min_scalar_type(self.width * (n - nr)))
-        self.slot_bin = slot_bin.astype(np.min_scalar_type(len(band_slot)))
+        self.m = m = mesh.cells_per_side - 1
+        self.num_black = (m * m + 1) // 2
+        # the widest coupling, two rows apart, exists from m = 3 on
+        self.width = m + 1 if m >= 3 else 1 + m // 2
         # one band for every step, (black node, offset) in C order, so its
-        # transpose is the Fortran-order lower band that LAPACK factors in place
-        self.band = np.zeros((n - nr, self.width))
-        self.red_of = red_of.astype(np.min_scalar_type(nr))
-        self.black_of = black_of.astype(np.min_scalar_type(n - nr))
+        # transpose is the Fortran-order lower band that LAPACK factors in
+        # place.  Its rows run to a whole row pair, so that it reshapes to
+        # (row pair, black node in the pair, offset), and its m + 1 offsets
+        # hold every one written, more than the width below m = 3.
+        self.band = np.zeros(((m + 1) // 2 * m, m + 1))
         self.g_full = np.zeros((mesh.num_nodes, prob.components))
         self.g_full[mesh.boundary_nodes] = prob.g
         self.grad_g = gradient(mesh, NodalField(self.g_full)).tensors
 
-    def condense(self, kappa):
-        """(S, d_r, B, B / d_r): S in lower band storage, ab[i - j, j] = S[i, j].
+    def _put_black(self, even_out, odd_out, grid, i0=0):
+        """Write the black entries of `grid`, a block of the interior grid
+        from row 0 whose column 0 is interior column i0, into arrays indexed
+        by (row pair, black node in the pair): those of its even rows into
+        even_out, those of its odd rows into odd_out."""
+        even, odd = grid[0::2, i0::2], grid[1::2, 1 - i0::2]
+        c = (self.m + 1) // 2
+        even_out[:even.shape[0], i0:i0 + even.shape[1]] = even
+        odd_out[:odd.shape[0], c:c + odd.shape[1]] = odd
 
-        d_r holds the red pivots; B and the multipliers B / d_r are indexed
-        by coupling.  ab is in Fortran order, so that LAPACK factors it in
-        place without a copy; it is this system's one band buffer, so the
-        next condense overwrites it.  LinAlgError if a red pivot is not
-        finite and positive.
+    def _black(self, grid):
+        """The black entries of an (m, m, N) interior grid, (black nodes, N)."""
+        out = np.empty((self.band.shape[0], grid.shape[2]))
+        pairs = out.reshape(-1, self.m, grid.shape[2])
+        self._put_black(pairs, pairs, grid)
+        return out[:self.num_black]
+
+    def condense(self, kappa):
+        """(S, D, couplings, multipliers): S in lower band storage,
+        ab[i - j, j] = S[i, j].
+
+        D is K's diagonal on the interior grid; couplings lists the
+        (direction, conductance grid) of every node's W, E, S and N interior
+        neighbour, and multipliers the (direction, conductance over the
+        neighbour's pivot) of its S, W, E and N neighbour.  ab is in Fortran
+        order, so that LAPACK factors it in place without a copy (from
+        M = 4); it is this system's one band buffer, so the next condense
+        overwrites it.  LinAlgError if a red pivot is not finite and
+        positive.
         """
-        nr = len(self.red)
-        M = self.prob.mesh.cells_per_side
-        lower, upper = kappa.reshape(2, M, M)           # [iy, ix]: cell (ix, iy)
+        m = self.m
+        lower, upper = kappa.reshape(2, m + 1, m + 1)   # [iy, ix]: cell (ix, iy)
         # a horizontal edge is a leg of the lower triangle above it and of the
-        # upper one below it; a vertical edge of the lower triangle to its
-        # left and of the upper one to its right
-        cond = np.concatenate([(lower[1:] + upper[:-1]).ravel(),
-                               (lower[:, :-1] + upper[:, 1:]).ravel()])
-        cond *= 0.5
-        diag = cond[self.edges].sum(axis=1)
-        d_r, d_b, B = diag[:nr], diag[nr:], -cond[self.coupling_edge]
-        if not np.all((d_r > 0.0) & (d_r < np.inf)):
+        # upper one below it, a vertical edge of the lower triangle to its
+        # left and of the upper one to its right: ch[j, i] joins interior
+        # nodes (i - 1, j) and (i, j), cv[j, i] nodes (i, j - 1) and (i, j)
+        ch = lower[1:] + upper[:-1]
+        ch *= 0.5
+        cv = lower[:, :-1] + upper[:, 1:]
+        cv *= 0.5
+        D = ((ch[:, :-1] + ch[:, 1:]) + cv[:-1]) + cv[1:]
+        red_pivots = np.concatenate([D[0::2, 1::2].ravel(), D[1::2, 0::2].ravel()])
+        if not np.all((red_pivots > 0.0) & (red_pivots < np.inf)):
             raise LinAlgError("red pivot not finite and positive")
-        mult = B / d_r[self.red_of]
-        fill = B[self.pair_i] * mult[self.pair_j]
-        # bincount adds the entries of one slot in their order
+        # H[j, i] couples (i, j) and (i + 1, j), V[j, i] couples (i, j) and (i, j + 1)
+        H, V = ch[:, 1:-1], cv[1:-1]
+        Wh, Eh = H / D[:, :-1], H / D[:, 1:]     # over the pivot of the left, right node
+        Sv, Nv = V / D[:-1], V / D[1:]           # of the lower, upper node
+
+        # S at every black node (i, j): its pivot less the elimination of its
+        # E, W, N and S neighbours, then its lower-band entries; every one
+        # is one product c_a * (c_b / d) per red node it passes through
+        diag = D.copy()
+        diag[:, :-1] -= H * Eh
+        diag[:, 1:] -= H * Wh
+        diag[:-1] -= V * Nv
+        diag[1:] -= V * Sv
+        east2 = -(H[:, 1:] * Eh[:, :-1])                        # to (i + 2, j)
+        north2 = -(V[1:] * Nv[:-1])                             # to (i, j + 2)
+        north_east = -(V[:, :-1] * Wh[1:]) - V[:, 1:] * Eh[:-1]  # to (i + 1, j + 1)
+        north_west = -(V[:, 1:] * Eh[1:]) - V[:, :-1] * Wh[:-1]  # to (i - 1, j + 1), i >= 1
+
+        c, f = (m + 1) // 2, m // 2
         self.band.fill(0.0)
-        self.band.reshape(-1)[self.band_slot] = np.bincount(
-            self.slot_bin, weights=np.concatenate([d_b, -fill]), minlength=len(self.band_slot))
-        return self.band.T, d_r, B, mult
+        band = self.band.reshape(-1, m, m + 1)
+        for grid, i0, even, odd in ((diag, 0, 0, 0), (east2, 0, 1, 1),
+                                    (north_west, 1, c - 1, f), (north_east, 0, c, f + 1),
+                                    (north2, 0, m, m)):
+            self._put_black(band[..., even], band[..., odd], grid, i0)
+        ab = self.band[:self.num_black, :self.width].T
+        couplings = [("W", H), ("E", H), ("S", V), ("N", V)]
+        multipliers = [("S", Sv), ("W", Wh), ("E", Eh), ("N", Nv)]
+        return ab, D, couplings, multipliers
 
     def solve(self, kappa):
         """Nodal values of the solution; LinAlgError if the solve fails."""
         mesh = self.prob.mesh
-        ab, d_r, B, mult = self.condense(kappa)
+        m, N = self.m, self.prob.components
+        ab, D, couplings, multipliers = self.condense(kappa)
         flux = self.prob.F.tensors - kappa[:, None, None] * self.grad_g
-        rhs = _flux_load(mesh, flux)
-        b_r, b_b = rhs[self.red], rhs[self.black]
-        b_b -= _scatter(self.black_of, mult[:, None] * b_r[self.red_of], len(self.black))
-        x_b = solveh_banded(ab, b_b, lower=True, overwrite_ab=True,
-                            overwrite_b=True, check_finite=False)
-        x_r = b_r - _scatter(self.red_of, B[:, None] * x_b[self.black_of], len(self.red))
-        x_r /= d_r[:, None]
+        rhs = _flux_load(mesh, flux).reshape(m + 2, m + 2, N)[1:-1, 1:-1]
+        # eliminate the red nodes: b_b - B^T D_r^-1 b_r adds c b_r / d_r over
+        # a black node's red neighbours (the sum at a red node is not used)
+        b_black = self._black(rhs + _neighbour_sum(rhs, multipliers))
+        x_black = solveh_banded(ab, b_black, lower=True, overwrite_ab=True,
+                                overwrite_b=True, check_finite=False)
         values = self.g_full.copy()
-        values[self.red] = x_r
-        values[self.black] = x_b
+        x = values.reshape(m + 2, m + 2, N)[1:-1, 1:-1]          # zero on entry
+        pairs = np.empty((self.band.shape[0], N))
+        pairs[:self.num_black] = x_black
+        pairs = pairs.reshape(-1, m, N)
+        c = (m + 1) // 2
+        x[0::2, 0::2] = pairs[:, :c]
+        x[1::2, 1::2] = pairs[:m // 2, c:]
+        # back-substitute the red nodes from their black neighbours
+        x_red = (rhs + _neighbour_sum(x, couplings)) / D[..., None]
+        x[0::2, 1::2] = x_red[0::2, 1::2]
+        x[1::2, 0::2] = x_red[1::2, 0::2]
         if not np.all(np.isfinite(values)):
             raise LinAlgError("non-finite solution")
         return values

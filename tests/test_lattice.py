@@ -1,0 +1,136 @@
+"""The lattice maps against the connectivity code they replaced.
+
+Every mesh is a uniform M x M lattice, so its geometry, the element
+gradient of a nodal field and the nodal load of an element flux are slices
+of the (M + 1) x (M + 1) node grid.  The references below are the earlier
+implementations, which go through the element connectivity: vertex
+gathers, per-element basis gradients, einsum and bincount.  The mesh must
+reproduce them bitwise; the gradient stencil, which divides by the same
+differences of node coordinates, agrees with the sum of u_i grad(phi_i) to
+rounding, and bitwise on the unit square at dyadic M; the load stencil is
+the gradient's transpose.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plaplab.grid import Mesh, NodalField, gradient
+from plaplab.solver import _flux_load
+
+SETTINGS = settings(max_examples=60, deadline=None)
+EPS = np.finfo(float).eps
+
+squares = st.tuples(st.integers(2, 12), st.floats(-10, 10), st.floats(-10, 10),
+                    st.floats(0.1, 10))
+
+
+def _square(M, x0, y0, side):
+    return Mesh((x0, x0 + side, y0, y0 + side), M)
+
+
+def reference_mesh(bounds, M):
+    """Every attribute of a mesh, built from element connectivity."""
+    x0, x1, y0, y1 = (float(b) for b in bounds)
+    h = (x1 - x0) / M
+    xs = np.linspace(x0, x1, M + 1)
+    ys = np.linspace(y0, y1, M + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="xy")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    iy, ix = np.divmod(np.arange(len(nodes)), M + 1)
+    on_edge = np.isin(ix, (0, M)) | np.isin(iy, (0, M))
+    ix, iy = np.meshgrid(np.arange(M), np.arange(M), indexing="xy")
+    n00 = iy.ravel() * (M + 1) + ix.ravel()
+    n10, n01 = n00 + 1, n00 + (M + 1)
+    n11 = n01 + 1
+    elements = np.vstack([np.column_stack([n00, n10, n11]),
+                          np.column_stack([n00, n11, n01])]).astype(np.int64)
+    verts = nodes[elements]
+    d1 = verts[:, 1] - verts[:, 0]
+    d2 = verts[:, 2] - verts[:, 0]
+    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    inv_t = np.empty((len(det), 2, 2))
+    inv_t[:, 0, 0] = d2[:, 1]
+    inv_t[:, 0, 1] = -d2[:, 0]
+    inv_t[:, 1, 0] = -d1[:, 1]
+    inv_t[:, 1, 1] = d1[:, 0]
+    inv_t /= det[:, None, None]
+    grad = np.empty((len(det), 3, 2))
+    grad[:, 1] = inv_t[:, 0]
+    grad[:, 2] = inv_t[:, 1]
+    grad[:, 0] = -grad[:, 1] - grad[:, 2]
+    barycenters = verts.mean(axis=1)
+    b = barycenters.reshape(2, M, M, 2)
+    element_area = 0.5 * h * h
+    return {
+        "bounds": (x0, x1, y0, y1), "cells_per_side": M, "h": h, "nodes": nodes,
+        "boundary_nodes": np.flatnonzero(on_edge),
+        "interior_nodes": np.flatnonzero(~on_edge),
+        "elements": elements, "element_area": element_area,
+        "areas": np.full(len(elements), element_area), "barycenters": barycenters,
+        "basis_gradients": grad, "num_nodes": len(nodes), "num_elements": len(elements),
+        "_element_grid": np.arange(2 * M * M).reshape(2, M, M),
+        "_barycenter_axes": np.stack([b[:, 0, :, 0], b[:, :, 0, 1]]),
+    }
+
+
+def reference_gradient(mesh, u):
+    """The sum of u_i grad(phi_i) over each element's vertices, by a gather."""
+    return np.einsum("ein,eik->enk", u.values[mesh.elements], mesh.basis_gradients)
+
+
+def assert_mesh_is_reference(mesh):
+    expected = reference_mesh(mesh.bounds, mesh.cells_per_side)
+    for name, value in expected.items():
+        got = getattr(mesh, name)
+        if isinstance(value, np.ndarray):
+            assert got.dtype == value.dtype and got.shape == value.shape, name
+            assert np.array_equal(got, value), name
+        else:
+            assert type(got) is type(value) and got == value, name
+
+
+@SETTINGS
+@given(squares)
+def test_mesh_attributes_are_the_connectivity_reference(square):
+    assert_mesh_is_reference(_square(*square))
+
+
+@pytest.mark.parametrize("M", [24, 48, 256])
+@pytest.mark.parametrize("bounds", [(0, 1, 0, 1), (-0.004, 0.004, -0.004, 0.004)])
+def test_mesh_attributes_are_the_reference_at_bench_sizes(bounds, M):
+    assert_mesh_is_reference(Mesh(bounds, M))
+
+
+@SETTINGS
+@given(squares, st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_gradient_stencil_matches_the_basis_gradients(square, comps, seed):
+    mesh = _square(*square)
+    u = NodalField(np.random.default_rng(seed).normal(size=(mesh.num_nodes, comps)))
+    x0, x1, y0, y1 = mesh.bounds
+    h = min(x1 - x0, y1 - y0) / mesh.cells_per_side
+    err = np.abs(gradient(mesh, u).tensors - reference_gradient(mesh, u)).max()
+    assert err <= 16 * EPS * np.abs(u.values).max() / h
+
+
+@pytest.mark.parametrize("M", [2, 4, 8, 16])
+def test_gradient_stencil_is_bitwise_on_the_dyadic_unit_square(M):
+    mesh = Mesh((0, 1, 0, 1), M)
+    u = NodalField(np.random.default_rng(M).normal(size=(mesh.num_nodes, 2)))
+    assert np.array_equal(gradient(mesh, u).tensors, reference_gradient(mesh, u))
+
+
+@SETTINGS
+@given(squares, st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_flux_load_is_the_adjoint_of_the_gradient(square, comps, seed):
+    # sum over nodes of L(T) . v = sum over elements of |e| T_e : grad v_e,
+    # to the rounding of L's terms |e| |T| |v| / h before they cancel
+    mesh = _square(*square)
+    rng = np.random.default_rng(seed)
+    T = rng.normal(size=(mesh.num_elements, comps, 2))
+    v = NodalField(rng.normal(size=(mesh.num_nodes, comps)))
+    lhs = float(np.sum(_flux_load(mesh, T) * v.values))
+    rhs = float(np.sum(mesh.element_area * T * gradient(mesh, v).tensors))
+    scale = mesh.element_area * np.abs(T).sum() * np.abs(v.values).max() / mesh.h
+    assert abs(lhs - rhs) <= 64 * EPS * scale

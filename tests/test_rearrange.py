@@ -164,6 +164,17 @@ def test_luxemburg_power_is_lq():
                           PowerYoung(2.0)) == 0.0
 
 
+def test_reparameterized_capped_young_stays_infinite_past_its_knee():
+    # t -> Phi(t^lam) turns +inf past 1^(1/lam); the samples stop there and
+    # the sampled function must not extrapolate beyond them
+    for lam in (0.5, 2.0):
+        theta = CapYoung(2.0).reparam_power(lam)
+        assert theta.infinite_beyond == 1.0
+        assert theta(2.0) == math.inf and theta(1.0 + 1e-9) == math.inf
+        assert theta(0.5) == pytest.approx(0.5 ** (2.0 * lam), rel=1e-12)
+        assert np.array_equal(theta(np.array([0.5, 3.0])) == math.inf, [False, True])
+
+
 def test_luxemburg_with_capped_young():
     sf = StepFunction(np.array([4.0, 1.0]), np.array([0.5, 0.5]))
     phi = CapYoung(2.0)

@@ -471,10 +471,11 @@ def band_to_dense(ab):
     return K + np.tril(K, -1).T
 
 
-def dense_schur_complement(mesh, system, K_ii):
-    """K_bb - K_br K_rr^-1 K_rb of the interior matrix, over the system's colours."""
-    red, black = (np.searchsorted(mesh.interior_nodes, nodes)
-                  for nodes in (system.red, system.black))
+def dense_schur_complement(mesh, K_ii):
+    """K_bb - K_br K_rr^-1 K_rb of the interior matrix: the black nodes have
+    even ix + iy and are numbered row-major, the red ones odd."""
+    parity = np.sum(np.divmod(mesh.interior_nodes, mesh.cells_per_side + 1), axis=0) % 2
+    red, black = np.flatnonzero(parity == 1), np.flatnonzero(parity == 0)
     K_rb = K_ii[np.ix_(red, black)]
     return K_ii[np.ix_(black, black)] - K_rb.T @ (K_rb / np.diag(K_ii)[red, None])
 
@@ -495,8 +496,8 @@ def test_frozen_coefficient_system_is_spd():
     assert np.all(K_ii[same] == 0.0)
     system = _BandSystem(DirichletProblem(Exponent(2.0), mesh, ElemField(F), g))
     ab = system.condense(kappa)[0]
-    assert ab.shape == (6, len(system.black))            # half-bandwidth M - 1
-    assert np.allclose(band_to_dense(ab), dense_schur_complement(mesh, system, K_ii),
+    assert ab.shape == (6, 13)             # half-bandwidth M - 1, 13 black nodes
+    assert np.allclose(band_to_dense(ab), dense_schur_complement(mesh, K_ii),
                        rtol=1e-14, atol=1e-14)
 
 
@@ -511,9 +512,29 @@ def test_condensed_band_matches_dense_schur_complement(M, x0, y0, side, seed):
     g = np.zeros((len(mesh.boundary_nodes), 1))
     K_ii, _ = dense_frozen_system(mesh, kappa, F, g)
     system = _BandSystem(DirichletProblem(Exponent(2.0), mesh, ElemField(F), g))
-    expected = dense_schur_complement(mesh, system, K_ii)
+    expected = dense_schur_complement(mesh, K_ii)
     err = np.abs(band_to_dense(system.condense(kappa)[0]) - expected).max()
     assert err <= 1e-12 * np.abs(expected).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(2, 12), side=st.floats(0.1, 10), seed=st.integers(0, 2 ** 32 - 1))
+def test_condensed_band_matches_dense_schur_complement_across_the_clamp(M, side, seed):
+    # frozen coefficients anywhere in the clamp range [1e-10, 1e10].  Where
+    # a red pivot is nearly one conductance, its elimination cancels terms
+    # of the size of K's entries, so S is compared at the scale of K.  The
+    # square has a corner at the origin: the dense reference's basis
+    # gradients are rounded relative to the coordinates (eps X / h), which
+    # on far translated squares exceeds the bound by itself.
+    mesh = Mesh((0.0, side, 0.0, side), M)
+    kappa = 10.0 ** np.random.default_rng(seed).uniform(-10.0, 10.0, mesh.num_elements)
+    F = np.zeros((mesh.num_elements, 1, 2))
+    g = np.zeros((len(mesh.boundary_nodes), 1))
+    K_ii, _ = dense_frozen_system(mesh, kappa, F, g)
+    system = _BandSystem(DirichletProblem(Exponent(2.0), mesh, ElemField(F), g))
+    expected = dense_schur_complement(mesh, K_ii)
+    err = np.abs(band_to_dense(system.condense(kappa)[0]) - expected).max()
+    assert err <= 1e-13 * np.abs(K_ii).max()
 
 
 @settings(max_examples=60, deadline=None)
