@@ -8,11 +8,13 @@ sides, flux fields).  Nodes are the (M + 1) x (M + 1) grid, row-major, and
 elements the lower then the upper triangles of the M x M cells, row-major,
 so every map between them is a slice of the node grid: a mesh is built from
 its separable x and y axes, and the element gradient of a nodal field is a
-difference stencil.  The connectivity arrays `elements` and
-`basis_gradients` are built only when asked for.  Ball queries go by
-element barycenter against an open ball, which gives exact per-ball
-measures and deterministic ties.  All
-ball statistics come from one kernel, batched over centers and radii:
+difference stencil.  The stencil writes (N, 2, E) component planes, which
+the solver works on; `gradient` is their (E, N, 2) transpose.  A point is
+located exactly, by a search of the node axes.  The connectivity arrays
+`elements` and `basis_gradients` are built only when asked for.  Ball
+queries go by element barycenter against an open ball, which gives exact
+per-ball measures and deterministic ties.  All ball statistics come from
+one kernel, batched over centers and radii:
 `ball_stats` takes one center or a (P, 2) array of them in one call, and
 ball families are one call.  By bounded chunks of centers, it forms squared
 distances once over each center's cells around the largest ball, from the
@@ -74,6 +76,7 @@ class Mesh:
         ys = np.linspace(y0, y1, M + 1)
         # (dx[ix], dy[iy]): the legs of the triangles of cell (ix, iy), as
         # differences of node coordinates, which round away from h
+        self._node_axes = (xs, ys)
         self._cell_widths = (np.diff(xs), np.diff(ys))
         self.nodes = np.empty(((M + 1) * (M + 1), 2))
         node_grid = self.nodes.reshape(M + 1, M + 1, 2)
@@ -151,20 +154,34 @@ class Mesh:
         d = np.minimum(np.minimum(x - x0, x1 - x), np.minimum(y - y0, y1 - y))
         return float(d) if d.ndim == 0 else d
 
-    def locate_element(self, point):
-        """Index of the triangle containing a point (ties go to the lower one)."""
+    def locate_element(self, points):
+        """Index of the triangle that holds a point, or an int array of them
+        for a (P, 2) array of points.
+
+        The cell is exact: np.searchsorted on the node axes puts a point on
+        an interior grid line into the cell above or right of it, and one on
+        the top or right edge into the last cell.  The triangle is the side
+        of the cell's diagonal, tested against the node differences of the
+        cell, taken relative to h so that the cross products neither
+        underflow nor overflow; a point on the diagonal goes to the lower
+        triangle.  A point outside the closed domain raises ValueError naming
+        the first one.
+        """
+        points = np.asarray(points, dtype=float)
+        xy = points.reshape(-1, 2)
+        x, y = xy[:, 0], xy[:, 1]
         x0, x1, y0, y1 = self.bounds
+        inside = (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
+        if not inside.all():
+            raise ValueError(f"point {_point_str(xy[np.argmin(inside)])} outside the mesh")
         M = self.cells_per_side
-        x, y = float(point[0]), float(point[1])
-        if not (x0 <= x <= x1 and y0 <= y <= y1):
-            raise ValueError("point outside the mesh")
-        ix = min(int((x - x0) / self.h), M - 1)
-        iy = min(int((y - y0) / self.h), M - 1)
-        # local coordinates in the cell decide the diagonal side
-        lx = (x - x0) / self.h - ix
-        ly = (y - y0) / self.h - iy
-        cell = iy * M + ix
-        return cell if ly <= lx else cell + M * M
+        xs, ys = self._node_axes
+        dx, dy = (w / self.h for w in self._cell_widths)
+        ix = np.minimum(np.searchsorted(xs, x, side="right") - 1, M - 1)
+        iy = np.minimum(np.searchsorted(ys, y, side="right") - 1, M - 1)
+        upper = (y - ys[iy]) * dx[ix] > (x - xs[ix]) * dy[iy]
+        elems = upper * (M * M) + iy * M + ix
+        return int(elems[0]) if points.ndim == 1 else elems
 
     @functools.cached_property
     def _element_grid(self):
@@ -239,29 +256,41 @@ class ElemField:
         return cls(np.zeros((mesh.num_elements, rows, 2)))
 
 
-def gradient(mesh, u: NodalField):
-    """Per-triangle constant gradient of the P1 interpolant of u.
+def _gradient_planes(mesh, values):
+    """Per-triangle constant gradients of the P1 interpolant of (num nodes,
+    N) nodal values, as (N, 2, E) component planes: planes[n, k] holds
+    d u_n / d x_k of every element, in element order (t, iy, ix).
 
     A difference stencil on the node grid: with u00, u10, u01, u11 the values
     at the corners of cell (ix, iy) and dx, dy its side lengths, the lower
     triangle's gradient is ((u10 - u00) / dx, (u11 - u10) / dy) and the
-    upper one's ((u11 - u01) / dx, (u01 - u00) / dy).
+    upper one's ((u11 - u01) / dx, (u01 - u00) / dy).  Each plane is one
+    contiguous run of E doubles, so element products of planes are plain
+    vector products.
     """
-    if u.values.shape[0] != mesh.num_nodes:
+    if values.ndim != 2 or values.shape[0] != mesh.num_nodes:
         raise ValueError("nodal field does not match the mesh")
     M = mesh.cells_per_side
     dx, dy = mesh._cell_widths
-    U = u.values.reshape(M + 1, M + 1, -1)           # [iy, ix, n]
-    u00, u10, u01, u11 = U[:-1, :-1], U[:-1, 1:], U[1:, :-1], U[1:, 1:]
-    grads = np.empty((2, M, M, U.shape[2], 2))
-    lower, upper = grads
-    np.subtract(u10, u00, out=lower[..., 0])
-    np.subtract(u11, u10, out=lower[..., 1])
-    np.subtract(u11, u01, out=upper[..., 0])
-    np.subtract(u01, u00, out=upper[..., 1])
-    grads[..., 0] /= dx[:, None]                     # [t, iy, ix, n]
-    grads[..., 1] /= dy[:, None, None]
-    return ElemField(grads.reshape(2 * M * M, -1, 2))
+    U = values.reshape(M + 1, M + 1, -1).transpose(2, 0, 1)     # [n, iy, ix]
+    u00, u10, u01, u11 = U[:, :-1, :-1], U[:, :-1, 1:], U[:, 1:, :-1], U[:, 1:, 1:]
+    planes = np.empty((U.shape[0], 2, 2, M, M))                 # [n, k, t, iy, ix]
+    (lower_x, upper_x), (lower_y, upper_y) = planes.transpose(1, 2, 0, 3, 4)
+    np.subtract(u10, u00, out=lower_x)
+    np.subtract(u11, u10, out=lower_y)
+    np.subtract(u11, u01, out=upper_x)
+    np.subtract(u01, u00, out=upper_y)
+    planes[:, 0] /= dx
+    planes[:, 1] /= dy[:, None]
+    return planes.reshape(U.shape[0], 2, 2 * M * M)
+
+
+def gradient(mesh, u: NodalField):
+    """Per-triangle constant gradient of the P1 interpolant of u: the planes
+    of `_gradient_planes` transposed to (E, N, 2), in C order, so that
+    gathers of whole element tensors (the ball kernel's) stay contiguous."""
+    planes = _gradient_planes(mesh, u.values)
+    return ElemField(np.ascontiguousarray(planes.transpose(2, 0, 1)))
 
 
 def integrate(mesh, f):

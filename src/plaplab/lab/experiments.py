@@ -492,7 +492,7 @@ def exp_potential(cfg: ExperimentConfig):
         mesh = rec["mesh"]
         params = PotentialParams(R=R, theta=cfg.radii_ratio, p=case.p)
         pts = _probe_points(cfg, R, per_side=8)
-        lhs = rec["A"].norms()[[mesh.locate_element(x) for x in pts]]
+        lhs = rec["A"].norms()[mesh.locate_element(pts)]
         # the ball mean of |A| on B_R: the plain maximal over the one radius R
         rhs = (oscillation_potential(mesh, rec["prob"].F, pts, params)
                + plain_maximal(mesh, rec["A"], 1.0, RadiiSet(R, R), pts))
@@ -525,7 +525,7 @@ def exp_potential(cfg: ExperimentConfig):
         prob = DirichletProblem(Exponent(cfg.ps[0]), mesh, F,
                                 np.zeros((len(mesh.boundary_nodes), cfg.comps)))
         gn = _solved(prob)["grad"].tensors
-        idx = [mesh.locate_element(x) for x in interior]
+        idx = mesh.locate_element(interior)
         maxes[M] = float(np.sqrt(np.sum(gn[idx] ** 2, axis=(1, 2))).max())
     if len(maxes) == 2:
         ms = sorted(maxes)

@@ -19,19 +19,25 @@ direction and the previous step, a two-dimensional subspace step as in
 nonlinear conjugate gradients; Newton runs on the energy's slopes, so it
 keeps its precision once energy differences drown in roundoff.  The plane
 search and the residual run on carried element gradients, so a step takes
-only two: one of the new iterate and one of the step direction.  The
-iteration starts from the p = 2 solution and stops on the weak-form
-residual, not on energy stagnation.
+only two: one of the new iterate and one of the step direction.  Every
+element quantity on this path (F, the gradients, the fluxes) is held as
+(N, 2, E) component planes, one contiguous run of E doubles per component
+and direction, so an element product X : Y is 2N vector products summed in
+order, and each integral of the plane search is one dot product of element
+vectors.  The iteration starts from the p = 2 solution and stops on the
+weak-form residual, not on energy stagnation.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
 
-from .fluxmaps import Exponent, a_map
-from .grid import ElemField, Mesh, NodalField, gradient, integrate
+from .fluxmaps import Exponent, _norm_power, a_map
+from .grid import ElemField, Mesh, NodalField, _gradient_planes, gradient, integrate
 
 __all__ = [
     "DirichletProblem",
@@ -67,8 +73,13 @@ class SolverConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.tol_residual <= 0.0:
-            raise ValueError("tol_residual must be positive")
+        # inf would accept the p = 2 start as converged, nan could never
+        # converge, and a negative max_iter would run no step
+        if not 0.0 < self.tol_residual < math.inf:
+            raise ValueError(f"tol_residual must be finite and positive, got {self.tol_residual!r}")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 0):
+            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
 
 @dataclass
@@ -110,11 +121,27 @@ class Solution:
     residual: float
 
 
-def _energy_of(prob, grad, eps):
-    """Integral of q^(p/2)/p - F:G from the element gradients G, q = eps^2 + |G|^2."""
-    q = eps * eps + np.einsum("enk,enk->e", grad, grad)
-    fg = np.einsum("enk,enk->e", prob.F.tensors, grad)
-    return integrate(prob.mesh, q ** (prob.p.p / 2.0) / prob.p.p - fg)
+def _planes(tensors):
+    """(E, N, 2) element tensors as contiguous (N, 2, E) component planes."""
+    return np.ascontiguousarray(tensors.transpose(1, 2, 0))
+
+
+def _dot(X, Y):
+    """Per element X : Y of (N, 2, E) planes, summed left to right over
+    (n, k): at N = 1 bitwise np.einsum("enk,enk->e") of the tensors."""
+    out = X[0, 0] * Y[0, 0]
+    out += X[0, 1] * Y[0, 1]
+    for n in range(1, len(X)):
+        out += X[n, 0] * Y[n, 0]
+        out += X[n, 1] * Y[n, 1]
+    return out
+
+
+def _energy_of(prob, F, grad, eps):
+    """Integral of q^(p/2)/p - F:G from the planes of F and of the element
+    gradients G, q = eps^2 + |G|^2."""
+    q = eps * eps + _dot(grad, grad)
+    return integrate(prob.mesh, q ** (prob.p.p / 2.0) / prob.p.p - _dot(F, grad))
 
 
 def energy(prob: DirichletProblem, u: NodalField):
@@ -123,80 +150,91 @@ def energy(prob: DirichletProblem, u: NodalField):
 
 
 def regularized_energy(prob: DirichletProblem, u: NodalField, eps):
-    return _energy_of(prob, gradient(prob.mesh, u).tensors, eps)
+    grad = _gradient_planes(prob.mesh, u.values)
+    return _energy_of(prob, _planes(prob.F.tensors), grad, eps)
 
 
-def _flux_load(mesh, tensors):
-    """Nodal integrals of tensors . grad(hat), (num nodes, N).
+def _flux_load(mesh, planes):
+    """Nodal integrals of T . grad(hat), (num nodes, N), from the (N, 2, E)
+    planes of an element flux T.
 
-    The transpose of `gradient`'s stencil: with X = |e| T_x / dx and
+    The transpose of the gradient's stencil: with X = |e| T_x / dx and
     Y = |e| T_y / dy per triangle, a lower triangle adds -X to its corner
     n00, X - Y to n10 and Y to n11, an upper one -Y to n00, X to n11 and
     Y - X to n01.
     """
     M = mesh.cells_per_side
     dx, dy = mesh._cell_widths
-    T = tensors.reshape(2, M, M, -1, 2)              # [t, iy, ix, n, k]
-    X = T[..., 0] * (mesh.element_area / dx)[:, None]
-    Y = T[..., 1] * (mesh.element_area / dy)[:, None, None]
-    load = np.zeros((M + 1, M + 1, T.shape[3]))      # [iy, ix, n]
-    load[:-1, :-1] -= X[0] + Y[1]                    # n00
-    load[:-1, 1:] += X[0] - Y[0]                     # n10
-    load[1:, 1:] += Y[0] + X[1]                      # n11
-    load[1:, :-1] += Y[1] - X[1]                     # n01
-    return load.reshape(-1, T.shape[3])
+    N = planes.shape[0]
+    T = planes.reshape(N, 2, 2, M, M)                # [n, k, t, iy, ix]
+    X = T[:, 0] * (mesh.element_area / dx)
+    Y = T[:, 1] * (mesh.element_area / dy)[:, None]
+    load = np.zeros((N, M + 1, M + 1))               # [n, iy, ix]
+    load[:, :-1, :-1] -= X[:, 0] + Y[:, 1]           # n00
+    load[:, :-1, 1:] += X[:, 0] - Y[:, 0]            # n10
+    load[:, 1:, 1:] += Y[:, 0] + X[:, 1]             # n11
+    load[:, 1:, :-1] += Y[:, 1] - X[:, 1]            # n01
+    return load.reshape(N, -1).T
 
 
-def _defect_of(prob, grad):
-    return _flux_load(prob.mesh, a_map(prob.p, grad) - prob.F.tensors)
+def _defect_of(prob, F, grad):
+    """Loads of A(G) - F, with A(G) = |G|^(p-2) G from the planes of G."""
+    scale = _norm_power(np.sqrt(_dot(grad, grad)), prob.p.p - 2.0)
+    return _flux_load(prob.mesh, scale * grad - F)
 
 
 def defect_vector(prob: DirichletProblem, u: NodalField):
     """Weak-form defect of A(grad u) - F against every nodal hat direction."""
-    return _defect_of(prob, gradient(prob.mesh, u).tensors)
+    grad = _gradient_planes(prob.mesh, u.values)
+    return _defect_of(prob, _planes(prob.F.tensors), grad)
 
 
-def _residual_of(prob, grad, norm):
-    """residual() from the element gradients of u, with norm = 1 + int |F|."""
-    defect = np.abs(_defect_of(prob, grad)[prob.mesh.interior_nodes])
+def _residual_of(prob, F, grad, norm):
+    """residual() from the planes of F and of the element gradients of u,
+    with norm = 1 + int |F|."""
+    defect = np.abs(_defect_of(prob, F, grad)[prob.mesh.interior_nodes])
     return float(defect.max(initial=0.0) / norm)
 
 
 def residual(prob: DirichletProblem, u: NodalField):
     """Normalized sup of the weak-form defect over interior hat directions."""
     norm = 1.0 + integrate(prob.mesh, prob.F.norms())
-    return _residual_of(prob, gradient(prob.mesh, u).tensors, norm)
+    grad = _gradient_planes(prob.mesh, u.values)
+    return _residual_of(prob, _planes(prob.F.tensors), grad, norm)
 
 
-def _plane(prob, a, grad, D, S, eps, k0=None):
+def _plane(prob, F, a, grad, D, S, eps, k0=None):
     """Regularized energy of u + x d + y s with its gradient and Hessian in (x, y).
 
-    From G = grad u, a = eps^2 + |G|^2 and the element gradients D of d and S
-    of s, q = eps^2 + |W|^2 with W = G + x D + y S is a quadratic in (x, y)
-    over element products taken once, floored at eps^2 where it rounds below.
-    With k = q^((p-2)/2), one power of an element vector gives the energy
-    int k q / p - F:W, the slopes int k W:D - F:D and int k W:S - F:S, and the
-    Hessian, which adds (p-2) (k/q) (W:D)(W:S) terms to int k D:D, k D:S, k S:S.
-    At the origin q = a exactly, so k is k0 = a^((p-2)/2) when the caller has
-    it already.
+    Everything is (N, 2, E) planes: F, G = grad u, and the element gradients
+    D of d and S of s.  With a = eps^2 + |G|^2, q = eps^2 + |W|^2 for
+    W = G + x D + y S is a quadratic in (x, y) over element products taken
+    once, floored at eps^2 where it rounds below.  With k = q^((p-2)/2), one
+    power of an element vector gives the energy int k q / p - F:W, the slopes
+    int k W:D - F:D and int k W:S - F:S, and the Hessian, which adds
+    (p-2) (k/q) (W:D)(W:S) terms to int k D:D, k D:S, k S:S.  The F terms
+    are three integrals taken once; every other integral is one dot product
+    of element vectors times the element area.  At the origin q = a exactly,
+    so k is k0 = a^((p-2)/2) when the caller has it already.
     """
-    p, F = prob.p.p, prob.F.tensors
+    p, area = prob.p.p, prob.mesh.element_area
     power = (p - 2.0) / 2.0
     k0 = a ** power if k0 is None else k0
-    gd, gs, dd, ds, ss, fg, fd, fs = (
-        np.einsum("enk,enk->e", X, Y) for X, Y in
-        ((grad, D), (grad, S), (D, D), (D, S), (S, S), (F, grad), (F, D), (F, S)))
+    gd, gs, dd, ds, ss = (_dot(X, Y) for X, Y in
+                          ((grad, D), (grad, S), (D, D), (D, S), (S, S)))
+    fg, fd, fs = (area * _dot(F, X).sum() for X in (grad, D, S))
 
     def at(x, y):
         wd, ws = gd + x * dd + y * ds, gs + x * ds + y * ss
         q = np.maximum(a + x * (gd + wd) + y * (gs + ws), eps * eps)
         k = k0 if x == 0.0 and y == 0.0 else q ** power
         c = (p - 2.0) * k / q
-        e, sx, sy, hxx, hxy, hyy = np.stack([
-            k * q / p - (fg + x * fd + y * fs),
-            k * wd - fd, k * ws - fs,
-            k * dd + c * wd * wd, k * ds + c * wd * ws, k * ss + c * ws * ws,
-        ]) @ prob.mesh.areas
+        cwd, cws = c * wd, c * ws
+        e = area * (np.dot(k, q) / p) - (fg + x * fd + y * fs)
+        sx, sy = area * np.dot(k, wd) - fd, area * np.dot(k, ws) - fs
+        hxx = area * (np.dot(k, dd) + np.dot(cwd, wd))
+        hxy = area * (np.dot(k, ds) + np.dot(cwd, ws))
+        hyy = area * (np.dot(k, ss) + np.dot(cws, ws))
         return e, np.array([sx, sy]), np.array([[hxx, hxy], [hxy, hyy]])
 
     return at
@@ -207,10 +245,11 @@ def _plane_step(at, e0):
 
     Damped Newton from the origin, where the energy is e0: a step is halved
     until its energy is at most the current one plus a roundoff slack, so the
-    slopes lead once energy differences drown in roundoff.  Where the 2 x 2
-    Hessian is not positive definite (s = 0, or s parallel to d) the step runs
-    along d alone.  None if d is no descent direction and its full step raises
-    the energy beyond the slack; a zero step if it does not.
+    slopes lead once energy differences drown in roundoff.  The 2 x 2 Newton
+    system is solved by Cramer's rule; where the Hessian is not safely
+    positive definite (s = 0, or s parallel to d) the step runs along d
+    alone.  None if d is no descent direction and its full step raises the
+    energy beyond the slack; a zero step if it does not.
     """
     slack = 1e-12 * (1.0 + abs(e0))
     z = np.zeros(2)
@@ -218,10 +257,13 @@ def _plane_step(at, e0):
     if slope[0] >= 0.0:
         return None if at(1.0, 0.0)[0] > e0 + slack else (z, e0)
     for _ in range(_NEWTON_ITERS):
-        if np.linalg.det(hess) > 1e-10 * hess[0, 0] * hess[1, 1]:
-            step = -np.linalg.solve(hess, slope)
+        (hxx, hxy), (_, hyy) = hess
+        sx, sy = slope
+        det = hxx * hyy - hxy * hxy
+        if det > 1e-10 * hxx * hyy:
+            step = np.array([hxy * sy - hyy * sx, hxy * sx - hxx * sy]) / det
         else:
-            step = np.array([-slope[0] / hess[0, 0], 0.0])
+            step = np.array([-sx / hxx, 0.0])
         for _ in range(31):
             trial = at(*(z + step))
             if trial[0] <= e + slack:
@@ -283,8 +325,8 @@ class _BandSystem:
     diagonals for even M, six for odd M.
 
     Built once: the band buffer that each step zeroes and refills in place,
-    and the gradient of g extended by zero, whose flux lifts g into the
-    right-hand side.
+    the planes of F, and the gradient planes of g extended by zero, whose
+    flux lifts g into the right-hand side.
     """
 
     def __init__(self, prob):
@@ -302,7 +344,8 @@ class _BandSystem:
         self.band = np.zeros(((m + 1) // 2 * m, m + 1))
         self.g_full = np.zeros((mesh.num_nodes, prob.components))
         self.g_full[mesh.boundary_nodes] = prob.g
-        self.grad_g = gradient(mesh, NodalField(self.g_full)).tensors
+        self.F = _planes(prob.F.tensors)
+        self.grad_g = _gradient_planes(mesh, self.g_full)
 
     def _put_black(self, even_out, odd_out, grid, i0=0):
         """Write the black entries of `grid`, a block of the interior grid
@@ -383,7 +426,7 @@ class _BandSystem:
         mesh = self.prob.mesh
         m, N = self.m, self.prob.components
         ab, D, couplings, multipliers = self.condense(kappa)
-        flux = self.prob.F.tensors - kappa[:, None, None] * self.grad_g
+        flux = self.F - kappa * self.grad_g
         rhs = _flux_load(mesh, flux).reshape(m + 2, m + 2, N)[1:-1, 1:-1]
         # eliminate the red nodes: b_b - B^T D_r^-1 b_r adds c b_r / d_r over
         # a black node's red neighbours (the sum at a red node is not used)
@@ -431,6 +474,7 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
     norm = 1.0 + integrate(mesh, prob.F.norms())
 
     system = _BandSystem(prob)
+    F = system.F
     trace, res = [], np.nan
 
     def linear_step(kappa, it):
@@ -449,20 +493,20 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
         u = NodalField(values)
 
     # the one gradient of each accepted iterate feeds everything below
-    grad = gradient(mesh, u).tensors
-    trace.append(_energy_of(prob, grad, eps))
-    res = _residual_of(prob, grad, norm)
+    grad = _gradient_planes(mesh, u.values)
+    trace.append(_energy_of(prob, F, grad, eps))
+    res = _residual_of(prob, F, grad, norm)
     if res <= cfg.tol_residual:
         return Solution(u, 0, trace, res)
 
     step, step_grad = 0.0, np.zeros_like(grad)      # the last accepted step s
     for it in range(1, cfg.max_iter + 1):
-        a = eps * eps + np.einsum("enk,enk->e", grad, grad)
+        a = eps * eps + _dot(grad, grad)
         k = a ** ((p - 2.0) / 2.0)
         candidate = linear_step(np.clip(k, kmin, kmax), it)
         direction = candidate.values - u.values     # zero on boundary rows
-        dir_grad = gradient(mesh, NodalField(direction)).tensors
-        found = _plane_step(_plane(prob, a, grad, dir_grad, step_grad, eps, k), trace[-1])
+        dir_grad = _gradient_planes(mesh, direction)
+        found = _plane_step(_plane(prob, F, a, grad, dir_grad, step_grad, eps, k), trace[-1])
         if found is None:
             raise NonConvergenceError(
                 f"Kacanov step kept increasing the regularized energy at outer "
@@ -471,8 +515,8 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
         step, step_grad = x * direction + y * step, x * dir_grad + y * step_grad
         u = NodalField(u.values + step)
         trace.append(min(e, trace[-1]))              # e may exceed it by the slack
-        grad = gradient(mesh, u).tensors
-        res = _residual_of(prob, grad, norm)
+        grad = _gradient_planes(mesh, u.values)
+        res = _residual_of(prob, F, grad, norm)
         if res <= cfg.tol_residual:
             return Solution(u, it, trace, res)
 

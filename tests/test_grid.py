@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plaplab.grid import (ElemField, EmptyBallError, Mesh, NodalField,
                           ball_elements, ball_oscillation, boundary_values,
@@ -42,6 +46,62 @@ def test_locate_element(unit_mesh):
     for e in range(0, unit_mesh.num_elements, 7):
         b = unit_mesh.barycenters[e]
         assert unit_mesh.locate_element(b) == e
+
+
+def test_locate_element_takes_an_array_of_points(unit_mesh):
+    got = unit_mesh.locate_element(unit_mesh.barycenters)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.arange(unit_mesh.num_elements))
+    assert unit_mesh.locate_element(np.empty((0, 2))).shape == (0,)
+
+
+def test_locate_element_finds_the_cell_one_ulp_past_a_grid_line():
+    # dividing by h put such points into the cell before
+    mesh = Mesh((-1, 1, -1, 1), 96)
+    xs = mesh.nodes[:97, 0]
+    inside = np.nextafter(xs[1:-1], np.inf)
+    pts = np.column_stack([inside, np.full(95, -1.0)])
+    assert np.array_equal(mesh.locate_element(pts), np.arange(1, 96))
+    pts = np.column_stack([np.full(95, -1.0), inside])
+    assert np.array_equal(mesh.locate_element(pts), 96 * 96 + 96 * np.arange(1, 96))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.floats(-10, 10), st.floats(-10, 10), st.floats(0.01, 10),
+       st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.integers(-2, 2),
+                          st.integers(-2, 2)), min_size=1, max_size=20))
+def test_locate_element_is_exact(M, x0, y0, side, fractions):
+    # the cell holds the point in exact arithmetic; the triangle is the side
+    # of the exact diagonal, up to the rounding of the cross product
+    mesh = Mesh((x0, x0 + side, y0, y0 + side), M)
+    xs, ys = mesh.nodes[:M + 1, 0], mesh.nodes[::M + 1, 1]
+    pts = []
+    for fx, fy, sx, sy in fractions:
+        # near a grid line, a few ulps either side of it
+        x = np.clip(xs[int(fx * M)] + sx * np.spacing(xs[int(fx * M)]), xs[0], xs[-1])
+        y = np.clip(y0 + fy * side, ys[0], ys[-1]) if sy == 0 else \
+            np.clip(ys[int(fy * M)] + sy * np.spacing(ys[int(fy * M)]), ys[0], ys[-1])
+        pts.append((x, y))
+    pts = np.array(pts)
+    for (x, y), e in zip(pts, mesh.locate_element(pts)):
+        t, cell = divmod(int(e), M * M)
+        iy, ix = divmod(cell, M)
+        X, Y = Fraction(x), Fraction(y)
+        assert Fraction(xs[ix]) <= X <= Fraction(xs[ix + 1])
+        assert Fraction(ys[iy]) <= Y <= Fraction(ys[iy + 1])
+        rx, ry = X - Fraction(xs[ix]), Y - Fraction(ys[iy])
+        dx, dy = Fraction(xs[ix + 1]) - Fraction(xs[ix]), Fraction(ys[iy + 1]) - Fraction(ys[iy])
+        cross = ry * dx - rx * dy
+        if abs(cross) > 8 * Fraction(np.finfo(float).eps) * (abs(ry) * dx + abs(rx) * dy):
+            assert t == (cross > 0)
+        assert int(e) == mesh.locate_element((x, y))
+
+
+@pytest.mark.parametrize("point", [(1.5, 0.5), (0.5, -1e-300), (np.nan, 0.5)])
+def test_locate_element_names_the_first_point_outside(unit_mesh, point):
+    pts = np.array([(0.5, 0.5), point, (2.0, 2.0)])
+    with pytest.raises(ValueError, match=rf"point \({point[0]}, {point[1]}\) outside the mesh"):
+        unit_mesh.locate_element(pts)
 
 
 # --- gradient -------------------------------------------------------------------

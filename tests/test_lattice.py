@@ -8,7 +8,9 @@ gathers, per-element basis gradients, einsum and bincount.  The mesh must
 reproduce them bitwise; the gradient stencil, which divides by the same
 differences of node coordinates, agrees with the sum of u_i grad(phi_i) to
 rounding, and bitwise on the unit square at dyadic M; the load stencil is
-the gradient's transpose.
+the gradient's transpose.  The solver works on (N, 2, E) component planes:
+the planes stencil is bitwise the (E, N, 2) stencil it replaced, and the
+plane contraction is bitwise np.einsum at N = 1.
 """
 
 import numpy as np
@@ -16,8 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plaplab.grid import Mesh, NodalField, gradient
-from plaplab.solver import _flux_load
+from plaplab.grid import Mesh, NodalField, _gradient_planes, gradient
+from plaplab.solver import _dot, _flux_load
 
 SETTINGS = settings(max_examples=60, deadline=None)
 EPS = np.finfo(float).eps
@@ -80,6 +82,23 @@ def reference_gradient(mesh, u):
     return np.einsum("ein,eik->enk", u.values[mesh.elements], mesh.basis_gradients)
 
 
+def reference_stencil(mesh, u):
+    """The (E, N, 2) difference stencil that preceded the planes."""
+    M = mesh.cells_per_side
+    dx, dy = np.diff(mesh.nodes[:M + 1, 0]), np.diff(mesh.nodes[::M + 1, 1])
+    U = u.values.reshape(M + 1, M + 1, -1)
+    u00, u10, u01, u11 = U[:-1, :-1], U[:-1, 1:], U[1:, :-1], U[1:, 1:]
+    grads = np.empty((2, M, M, U.shape[2], 2))
+    lower, upper = grads
+    np.subtract(u10, u00, out=lower[..., 0])
+    np.subtract(u11, u10, out=lower[..., 1])
+    np.subtract(u11, u01, out=upper[..., 0])
+    np.subtract(u01, u00, out=upper[..., 1])
+    grads[..., 0] /= dx[:, None]
+    grads[..., 1] /= dy[:, None, None]
+    return grads.reshape(2 * M * M, -1, 2)
+
+
 def assert_mesh_is_reference(mesh):
     expected = reference_mesh(mesh.bounds, mesh.cells_per_side)
     for name, value in expected.items():
@@ -123,14 +142,44 @@ def test_gradient_stencil_is_bitwise_on_the_dyadic_unit_square(M):
 
 @SETTINGS
 @given(squares, st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_planes_stencil_is_bitwise_the_gradient(square, comps, seed):
+    mesh = _square(*square)
+    u = NodalField(np.random.default_rng(seed).normal(size=(mesh.num_nodes, comps)))
+    planes = _gradient_planes(mesh, u.values)
+    assert planes.shape == (comps, 2, mesh.num_elements) and planes.flags.c_contiguous
+    expected = reference_stencil(mesh, u)
+    assert np.array_equal(planes.transpose(2, 0, 1), expected)
+    assert np.array_equal(gradient(mesh, u).tensors, expected)
+
+
+@SETTINGS
+@given(st.integers(1, 3), st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
+def test_plane_dot_is_the_einsum(comps, E, seed):
+    # left to right over (n, k): bitwise einsum at N = 1, and within the
+    # rounding of a 2N-term sum, 4 N eps sum |x| |y|, above it
+    rng = np.random.default_rng(seed)
+    X, Y = (rng.normal(size=(E, comps, 2)) * 10.0 ** rng.uniform(-8, 8, size=(E, 1, 1))
+            for _ in range(2))
+    got = _dot(np.ascontiguousarray(X.transpose(1, 2, 0)),
+               np.ascontiguousarray(Y.transpose(1, 2, 0)))
+    expected = np.einsum("enk,enk->e", X, Y)
+    if comps == 1:
+        assert np.array_equal(got, expected)
+    bound = 4 * comps * EPS * np.einsum("enk,enk->e", np.abs(X), np.abs(Y))
+    assert np.all(np.abs(got - expected) <= bound)
+
+
+@SETTINGS
+@given(squares, st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 def test_flux_load_is_the_adjoint_of_the_gradient(square, comps, seed):
     # sum over nodes of L(T) . v = sum over elements of |e| T_e : grad v_e,
-    # to the rounding of L's terms |e| |T| |v| / h before they cancel
+    # to the rounding of L's terms |e| |T| |v| / h before they cancel; T and
+    # grad v are (N, 2, E) planes
     mesh = _square(*square)
     rng = np.random.default_rng(seed)
-    T = rng.normal(size=(mesh.num_elements, comps, 2))
+    T = rng.normal(size=(comps, 2, mesh.num_elements))
     v = NodalField(rng.normal(size=(mesh.num_nodes, comps)))
     lhs = float(np.sum(_flux_load(mesh, T) * v.values))
-    rhs = float(np.sum(mesh.element_area * T * gradient(mesh, v).tensors))
+    rhs = float(np.sum(mesh.element_area * T * _gradient_planes(mesh, v.values)))
     scale = mesh.element_area * np.abs(T).sum() * np.abs(v.values).max() / mesh.h
     assert abs(lhs - rhs) <= 64 * EPS * scale

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plaplab.fluxmaps import Exponent
-from plaplab.grid import (ElemField, Mesh, NodalField, boundary_values,
-                          gradient, integrate)
+from plaplab.grid import (ElemField, Mesh, NodalField, _gradient_planes,
+                          boundary_values, gradient, integrate)
 from plaplab.lab.cases import (manufactured_problem_data, random_smooth_potential,
                                rough_boundary_trace)
 from plaplab import solver as solver_module
 from plaplab.fluxmaps import a_map
 from plaplab.solver import (DirichletProblem, NonConvergenceError,
-                            SolverConfig, _BandSystem, _plane, defect_vector,
+                            SolverConfig, _BandSystem, _plane, _planes, defect_vector,
                             energy, load_problem, regularized_energy, residual,
                             solve, solve_pharmonic)
 
@@ -189,6 +189,30 @@ def test_nonconvergence_carries_trace():
     assert err.value.last_residual > 0
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"tol_residual": np.inf}, "tol_residual must be finite and positive, got inf"),
+    ({"tol_residual": np.nan}, "tol_residual must be finite and positive, got nan"),
+    ({"tol_residual": 0.0}, "tol_residual must be finite and positive, got 0.0"),
+    ({"tol_residual": -1e-9}, "tol_residual"),
+    ({"max_iter": -5}, r"max_iter must be an integer >= 0, got -5"),
+    ({"max_iter": 2.5}, r"max_iter must be an integer >= 0, got 2.5"),
+    ({"max_iter": True}, r"max_iter must be an integer >= 0, got True"),
+])
+def test_solver_config_rejects_silent_settings(kwargs, match):
+    # inf would return the p = 2 start as converged, nan never converges
+    with pytest.raises(ValueError, match=match):
+        SolverConfig(**kwargs)
+
+
+def test_solver_config_accepts_zero_iterations():
+    # max_iter = 0 checks the start and runs no Kacanov step
+    mesh = Mesh((0, 1, 0, 1), 8)
+    g = rough_boundary_trace(mesh, 1, np.random.default_rng(4))
+    cfg = SolverConfig(tol_residual=1e-9, max_iter=np.int64(0))
+    with pytest.raises(NonConvergenceError, match="within 0 iterations"):
+        solve_pharmonic(mesh, Exponent(3.0), g, cfg)
+
+
 def test_energy_increase_is_a_nonconvergence_error(monkeypatch):
     # halfway from the p-harmonic solution w towards the harmonic extension h,
     # a constant frozen coefficient steps to h: uphill for every step length
@@ -210,11 +234,11 @@ def test_energy_increase_is_a_nonconvergence_error(monkeypatch):
 def test_solve_takes_two_gradients_per_step(monkeypatch):
     calls = []
 
-    def counted(mesh, u):
+    def counted(mesh, values):
         calls.append(1)
-        return gradient(mesh, u)
+        return _gradient_planes(mesh, values)
 
-    monkeypatch.setattr(solver_module, "gradient", counted)
+    monkeypatch.setattr(solver_module, "_gradient_planes", counted)
     mesh = Mesh((0, 1, 0, 1), 16)
     g = rough_boundary_trace(mesh, 2, np.random.default_rng(5))
     sol = solve_pharmonic(mesh, Exponent(3.0), g, TIGHT)
@@ -261,9 +285,9 @@ def test_plane_energy_and_slopes_match_the_iterate(M, pv, comps, eps, x, y, on_r
     d = rng.normal(size=(mesh.num_nodes, comps))
     # s = 0 is the ray along d that the first Kacanov step searches
     s = np.zeros_like(d) if on_ray else rng.normal(size=(mesh.num_nodes, comps))
-    grad, D, S = (gradient(mesh, NodalField(v)).tensors for v in (u, d, s))
-    a = eps * eps + np.sum(grad ** 2, axis=(1, 2))
-    at = _plane(prob, a, grad, D, S, eps)
+    grad, D, S = (_gradient_planes(mesh, v) for v in (u, d, s))
+    a = eps * eps + np.sum(grad ** 2, axis=(0, 1))
+    at = _plane(prob, _planes(F.tensors), a, grad, D, S, eps)
 
     def exact(x, y):
         return regularized_energy(prob, NodalField(u + x * d + y * s), eps)
@@ -289,10 +313,11 @@ def test_plane_hessian_matches_its_slopes():
         prob = DirichletProblem(Exponent(pv), mesh,
                                 ElemField(rng.normal(size=(mesh.num_elements, 2, 2))),
                                 rng.normal(size=(len(mesh.boundary_nodes), 2)))
-        grad, D, S = (gradient(mesh, NodalField(rng.normal(size=(mesh.num_nodes, 2)))).tensors
+        grad, D, S = (_gradient_planes(mesh, rng.normal(size=(mesh.num_nodes, 2)))
                       for _ in range(3))
         eps = 1e-3
-        at = _plane(prob, eps * eps + np.sum(grad ** 2, axis=(1, 2)), grad, D, S, eps)
+        at = _plane(prob, _planes(prob.F.tensors), eps * eps + np.sum(grad ** 2, axis=(0, 1)),
+                    grad, D, S, eps)
         x, y, h = 0.3, -0.2, 1e-6
         hess = at(x, y)[2]
         central = np.column_stack([(at(x + h, y)[1] - at(x - h, y)[1]) / (2.0 * h),
