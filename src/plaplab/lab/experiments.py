@@ -28,6 +28,7 @@ from ..rearrange import (LorentzSpec, StepFunction, hardy_check_avg,
                          hardy_check_tail, lorentz_norm, lq_norm, luxemburg_norm,
                          marcinkiewicz_norm, orlicz_target, rearrange,
                          young_from_spec, HypothesisViolation, ExpYoung, CapYoung)
+from ..rearrange.hardy import _luxemburg_search
 from ..solver import DirichletProblem, SolverConfig, defect_vector, solve
 from . import cases
 from .config import ExperimentConfig
@@ -713,7 +714,7 @@ def exp_reduction(cfg: ExperimentConfig):
         if theta is not None:
             rFo = luxemburg_norm(sfF, phi)
             pairs["orlicz"] = luxemburg_norm(sfA, theta) / max(rFo, 1e-300)
-            pairs["modular_C"] = _modular_constant(mesh, theta, phi, sfA, sfF)
+            pairs["modular_C"] = _modular_constant(theta, phi, sfA, sfF)
         records.append(_add_row(report, case, M, fitted_constant=pairs["lebesgue"],
                                 **pairs))
     _fit_checks(report, cfg, records, "norm-pair constants finite")
@@ -766,31 +767,19 @@ def _centered_norms(field: ElemField):
     return np.sqrt(np.sum((field.tensors - mean) ** 2, axis=(1, 2)))
 
 
-def _modular_constant(mesh, theta, phi, sfA, sfF, rel_tol=1e-6):
-    """Smallest C with sum area * theta(A~) <= sum area * phi(C * F~)."""
+def _modular_constant(theta, phi, sfA, sfF):
+    """Smallest C with sum area * theta(A~) <= sum area * phi(C * F~), by
+    the Luxemburg search on lhs / rhs(C), which falls as C grows."""
     lhs = float(np.sum(sfA.measures * theta(sfA.values)))
     if lhs == 0.0:
         return 0.0
 
-    def rhs(c):
-        vals = np.minimum(phi(c * sfF.values), 1e300)
-        return float(np.sum(sfF.measures * vals))
+    def ratio(c):
+        rhs = np.sum(sfF.measures * np.minimum(phi(c[0] * sfF.values), 1e300))
+        return np.array([lhs / rhs])
 
-    hi = 1.0
-    grow = 0
-    while rhs(hi) < lhs:
-        hi *= 2.0
-        grow += 1
-        if grow > 2000:
-            return math.inf
-    lo = 0.0
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (hi + lo)
-        if rhs(mid) >= lhs:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    with np.errstate(divide="ignore"):
+        return float(_luxemburg_search(ratio, [1.0])[0])
 
 
 # --- norm tables -------------------------------------------------------------------

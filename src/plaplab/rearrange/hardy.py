@@ -1,8 +1,10 @@
 """The norm engine for decreasing profiles, and the one-dimensional
 Hardy-type ratio checks behind the norm reduction principle.
 
-A DecreasingPieces stores a nonincreasing profile as coefficient arrays,
-raised to one common power.  Three kinds of profile enter it exactly:
+A DecreasingPieces stores a family of nonincreasing profiles as stacked
+coefficient arrays with a member index, all raised to one common power; a
+single profile is the family of one.  Three kinds of profile enter it
+exactly:
 
 * a step profile phi (`DecreasingPieces.from_step`): constant pieces v,
 * its running average  s -> (1/s) * integral_0^s phi(r) dr, whose pieces are
@@ -10,8 +12,10 @@ raised to one common power.  Three kinds of profile enter it exactly:
 * its logarithmic tail  s -> integral_s^infty phi(r) dr / r, piecewise
   v log(S / s) + t with S the right end of the piece.
 
-Every Lebesgue, Lorentz and Luxemburg norm in plaplab is evaluated here, on
-all pieces at once:
+Each transform takes one step profile or a sequence of them and builds the
+stacked family directly.  Every Lebesgue, Lorentz and Luxemburg norm in
+plaplab is evaluated here, on all pieces of all members at once (`norms`;
+`norm` is the family of one):
 
 * Lebesgue and Lorentz (finite r) norms are integrals of s^alpha f(s)^r.  A
   constant piece is integrated in closed form, a tail piece at 0 by an upper
@@ -24,19 +28,26 @@ all pieces at once:
   the one interior stationary point of a tail piece.
 * Orlicz (Luxemburg) norms take each constant piece as an exact one-node
   rule and every other piece by the same rule, a tail piece at 0 down to
-  s = 1e-300.  The profile is evaluated at the nodes once, so each step of
-  the Luxemburg search is one dot product.  A profile unbounded at 0 has an
-  infinite norm under a Young function that is +inf past a finite point.
+  s = 1e-300.  The family is evaluated at the nodes once, so each step of
+  the Luxemburg search, which bisects every member's bracket at once, is one
+  array pass.  A profile unbounded at 0 has an infinite norm under a Young
+  function that is +inf past a finite point.
+
+A member's norm does not depend on the rest of the family: its sums are
+taken in numpy's pairwise order over its own pieces, and its roots by
+np.float_power, which rounds like the scalar power (numpy's vectorized
+power can differ from it in the last bit).  So it is bitwise the norm of
+that member alone.
 
 Averages extend past the support of phi with their exact C/s tail up to a
 finite horizon, so borderline exponents come out large and growing instead
 of flatly infinite.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma, gammaincc
 
 __all__ = [
     "LebesgueSpec",
@@ -64,38 +75,50 @@ _NODES, _WEIGHTS = (np.concatenate(pair) for pair in zip(
 class QuadratureError(ArithmeticError):
     """The fixed rule and the rule of twice its order disagree on a piece.
 
-    Carries the piece (index, lo, hi, tail, v, coefficient, power) and the
-    integrals of both rules over it.
+    Carries the family member, the piece (index within the member, lo, hi,
+    tail, v, coefficient, power) and the integrals of both rules over it.
     """
 
-    def __init__(self, piece, coarse, fine):
+    def __init__(self, member, piece, coarse, fine):
         super().__init__(
             f"Gauss-Legendre rules of order {_ORDER} and {2 * _ORDER} disagree on "
-            f"piece {piece}: {coarse!r} vs {fine!r}")
+            f"member {member}, piece {piece}: {coarse!r} vs {fine!r}")
+        self.member = member
         self.piece = piece
         self.coarse = coarse
         self.fine = fine
 
 
 class DecreasingPieces:
-    """A nonincreasing, nonnegative function given piecewise in closed form.
+    """A family of nonincreasing, nonnegative functions given piecewise in
+    closed form.
 
-    Piece i lives on (lo[i], hi[i]] (on [0, hi[i]] when lo[i] = 0) and equals
-    g_i(s) ** power, with g_i(s) = v[i] * log(hi[i] / s) + c[i] on a tail
-    piece and v[i] + c[i] / s on an average piece; 0 off every piece.  An
-    average piece that touches 0 must be constant (c = 0).
+    Piece i belongs to member member[i] and lives on (lo[i], hi[i]] (on
+    [0, hi[i]] when lo[i] = 0), where that member equals g_i(s) ** power,
+    with g_i(s) = v[i] * log(hi[i] / s) + c[i] on a tail piece and
+    v[i] + c[i] / s on an average piece; a member is 0 off its pieces.  The
+    member index is sorted, each member's pieces are sorted and disjoint, and
+    an average piece that touches 0 must be constant (c = 0).  The default
+    is a single profile: every piece in member 0 of 1.
     """
 
-    def __init__(self, lo, hi, tail, v, c, power=1.0):
+    def __init__(self, lo, hi, tail, v, c, power=1.0, member=None, members=1):
         self.lo, self.hi, self.v, self.c = (np.asarray(x, dtype=float) for x in (lo, hi, v, c))
         self.tail = np.asarray(tail, dtype=bool)
+        self.member = np.asarray(np.zeros(len(self.lo)) if member is None else member,
+                                 dtype=np.intp)
+        self.members = int(members)
         self.power = float(power)
         if not (self.lo.ndim == 1 and all(x.shape == self.lo.shape for x in
-                                          (self.hi, self.tail, self.v, self.c))):
+                                          (self.hi, self.tail, self.v, self.c, self.member))):
             raise ValueError("piece arrays must be matching 1-d arrays")
+        if np.any(np.diff(self.member) < 0) or not np.all(
+                (0 <= self.member) & (self.member < self.members)):
+            raise ValueError("the member index must be sorted and below the member count")
         if not np.all((0.0 <= self.lo) & (self.lo < self.hi)):
             raise ValueError("piece endpoints must satisfy 0 <= lo < hi")
-        if np.any(self.hi[:-1] > self.lo[1:]):
+        same = self.member[1:] == self.member[:-1]
+        if np.any(same & (self.hi[:-1] > self.lo[1:])):
             raise ValueError("pieces must be sorted and must not overlap")
         if np.any((self.lo == 0.0) & ~self.tail & (self.c != 0.0)):
             raise ValueError("an average piece that touches 0 must be constant")
@@ -103,11 +126,13 @@ class DecreasingPieces:
             raise ValueError("exponent must be positive")
 
     @classmethod
-    def from_step(cls, sf):
-        """A step profile as constant average pieces: values v, c = 0."""
-        n = len(sf.values)
-        return cls(_left_ends(sf), sf.boundaries, np.zeros(n, dtype=bool), sf.values,
-                   np.zeros(n))
+    def from_step(cls, profiles):
+        """Step profiles as constant average pieces: values v, c = 0.  Takes
+        one profile or a sequence of them, one member each."""
+        st = _Stack(profiles)
+        n = len(st.values)
+        return cls(st.left, st.right, np.zeros(n, dtype=bool), st.values, np.zeros(n),
+                   member=st.member, members=st.members)
 
     def _base(self, k, logs):
         """The unpowered pieces k at s = exp(logs) > 0."""
@@ -126,7 +151,10 @@ class DecreasingPieces:
         return np.where(self.tail, self.v == 0.0, self.c == 0.0)
 
     def __call__(self, s):
-        """Evaluation on the pieces' half-open intervals; 0 off every piece."""
+        """Evaluation of a single profile on the pieces' half-open
+        intervals; 0 off every piece."""
+        if self.members != 1:
+            raise ValueError(f"evaluation needs a single profile, not {self.members}")
         s = np.asarray(s, dtype=float)
         idx = np.searchsorted(self.hi, s, side="left")
         k = np.minimum(idx, len(self.hi) - 1)
@@ -140,7 +168,29 @@ class DecreasingPieces:
         if expo <= 0.0:
             raise ValueError("exponent must be positive")
         return DecreasingPieces(self.lo, self.hi, self.tail, self.v, self.c,
-                                self.power * expo)
+                                self.power * expo, self.member, self.members)
+
+
+def _member_sums(member, members):
+    """The function that sums an array laid out by the sorted member index,
+    member by member.
+
+    Each total is the pairwise sum np.sum takes of the member's own slice,
+    so it does not depend on the rest of the family: the members with equal
+    counts are gathered as the rows of one array and summed along the rows.
+    """
+    counts = np.bincount(member, minlength=members)
+    starts = np.cumsum(counts) - counts
+    groups = [(rows, starts[rows][:, None] + np.arange(n))
+              for n in np.unique(counts[counts > 0])
+              for rows in [np.flatnonzero(counts == n)]]
+
+    def sums(values):
+        out = np.zeros(members)
+        for rows, idx in groups:
+            out[rows] = values[idx].sum(axis=1)
+        return out
+    return sums
 
 
 def _rule(pw, pieces):
@@ -192,61 +242,90 @@ def _rule_sums(pw, piece, values):
     bad = np.flatnonzero(~(np.abs(coarse - fine) <= _RTOL * np.abs(fine)))
     if len(bad):
         i = int(bad[0])
-        raise QuadratureError((i, float(pw.lo[i]), float(pw.hi[i]), bool(pw.tail[i]),
-                               float(pw.v[i]), float(pw.c[i]), pw.power),
+        m = int(pw.member[i])
+        raise QuadratureError(m, (i - int(np.searchsorted(pw.member, m)),
+                                  float(pw.lo[i]), float(pw.hi[i]), bool(pw.tail[i]),
+                                  float(pw.v[i]), float(pw.c[i]), pw.power),
                               float(coarse[i]), float(fine[i]))
     return fine
 
 
-def _tail_at_zero(pw, i, kappa, beta):
-    """Closed-form integral of s^(kappa - 1) g(s)^beta over the tail piece i
-    at 0, v > 0."""
-    hi, v, c = pw.hi[i], pw.v[i], pw.c[i]
+def _tail_at_zero(pw, k, kappa, beta):
+    """Closed-form integrals of s^(kappa - 1) g(s)^beta over the tail pieces
+    k at 0, v > 0."""
+    hi, v, c = pw.hi[k], pw.v[k], pw.c[k]
     # with s = hi exp(c/v - w): hi^kappa v^beta e^z int_{c/v}^inf w^beta
     # e^(-kappa w) dw, z = kappa c / v
     z, a = kappa * c / v, beta + 1.0
-    if z < a + 1.0:
-        return (hi ** kappa * v ** beta * kappa ** -a * np.exp(z)
-                * gamma(a) * gammaincc(a, z))
-    # the same without overflow for large z (scipy's Tricomi U(1, a + 1, z)
-    # is this too, but 28 % off at a = 3 - 9e-16, just below an integer)
-    return hi ** kappa * c ** beta * z * _scaled_upper_gamma(a, z) / kappa
+    small = z < a + 1.0
+    out = np.empty(len(k))
+    out[small] = (hi[small] ** kappa * v[small] ** beta * kappa ** -a
+                  * _exp_upper_gamma(a, z[small]))
+    # the same without overflow for large z
+    big = ~small
+    out[big] = hi[big] ** kappa * c[big] ** beta * z[big] * _scaled_upper_gamma(a, z[big]) / kappa
+    return out
+
+
+def _exp_upper_gamma(a, z):
+    """e^z Gamma(a, z) for 0 <= z < a + 1: e^z Gamma(a) less e^z gamma(a, z),
+    the lower incomplete gamma by its power series z^a sum_k z^k / (a (a + 1)
+    ... (a + k)).  Its terms fall by z / (a + k) < 1 each; a term below 1e-17
+    of its sum no longer changes it."""
+    term = np.full(z.shape, 1.0 / a)
+    total = term.copy()
+    for k in range(1, 10000):
+        if np.all(term < 1e-17 * total):
+            return math.gamma(a) * np.exp(z) - z ** a * total
+        term = term * z / (a + k)
+        total += term
+    raise ArithmeticError(f"series for gamma({a}, z) did not converge")
 
 
 def _scaled_upper_gamma(a, z):
     """e^z z^-a Gamma(a, z) for z >= a + 1, by Legendre's continued fraction
     (modified Lentz), whose denominators stay positive there: at most 64
-    terms and 3e-15 from mpmath for a <= 400."""
+    terms and 3e-15 from mpmath for a <= 400.  Each entry of z stops at its
+    own convergence."""
+    out = np.empty(z.shape)
+    at = np.arange(len(z))
     b = z + 1.0 - a
-    c, d = np.inf, 1.0 / b
+    c, d = np.full(z.shape, np.inf), 1.0 / b
     h = d
     for i in range(1, 1000):
+        if not len(at):
+            return out
         an = -i * (i - a)
-        b += 2.0
+        b = b + 2.0
         d, c = 1.0 / (an * d + b), b + an / c
-        h *= d * c
-        if abs(d * c - 1.0) < 1e-15:
-            return h
-    raise ArithmeticError(f"continued fraction for Gamma({a}, {z}) did not converge")
+        h = h * (d * c)
+        done = np.abs(d * c - 1.0) < 1e-15
+        out[at[done]] = h[done]
+        at, b, c, d, h = (x[~done] for x in (at, b, c, d, h))
+    raise ArithmeticError(f"continued fraction for Gamma({a}, z) did not converge")
 
 
 def _power_moment(pw, alpha, beta):
-    """Integral of s^alpha f(s)^(beta / power) over every piece of pw."""
+    """Integral of s^alpha f(s)^(beta / power) over the pieces of each member."""
     kappa = alpha + 1.0
     const = pw._constant()
-    total = np.sum(pw._at_zero(const) ** beta
-                   * (pw.hi[const] ** kappa - pw.lo[const] ** kappa)) / kappa
-    total += sum(_tail_at_zero(pw, i, kappa, beta)
-                 for i in np.flatnonzero((pw.lo == 0.0) & ~const))
+    total = _member_sums(pw.member[const], pw.members)(
+        pw._at_zero(const) ** beta * (pw.hi[const] ** kappa - pw.lo[const] ** kappa)) / kappa
+    # a member's piece at 0 comes first, so each member has at most one
+    at_zero = np.flatnonzero((pw.lo == 0.0) & ~const)
+    if len(at_zero):
+        total[pw.member[at_zero]] += _tail_at_zero(pw, at_zero, kappa, beta)
     rest = np.flatnonzero((pw.lo > 0.0) & ~const)
     if len(rest):
         piece, logs, g, weights = _rule(pw, rest)
-        total += _rule_sums(pw, piece, weights * np.exp(alpha * logs) * g ** beta).sum()
-    return float(total)
+        total += _member_sums(pw.member, pw.members)(
+            _rule_sums(pw, piece, weights * np.exp(alpha * logs) * g ** beta))
+    return total
 
 
 def _lorentz_sup(pw, q):
-    """sup over s of s^(1/q) f(s), exact: endpoints and stationary points.
+    """sup over s of s^(1/q) f(s) per member, exact: endpoints and
+    stationary points.
 
     With f = g^c this is the c-th power of the sup of s^(1/(q c)) g(s).  An
     average piece is monotone or has its stationary point at a minimum, so
@@ -263,132 +342,213 @@ def _lorentz_sup(pw, q):
     h = np.maximum(pw._base(k, logs), 0.0) * np.exp(logs / qc)
     # at s = 0 the weight s^(1/(q c)) wins over the logarithm of a tail piece
     h = np.where(pos, h, 0.0 if qc < np.inf else pw._at_zero(k))
-    return float(h.max(initial=0.0)) ** pw.power
+    best = np.zeros(pw.members)
+    np.maximum.at(best, pw.member[k], h)
+    return np.float_power(best, pw.power)
 
 
 def _luxemburg_search(modular, start):
-    """Smallest lambda with modular(lambda) <= 1 for a nonincreasing modular.
+    """Smallest lambda with modular(lambda) <= 1, for each entry of start.
 
-    Doubles from start until the modular is at most 1 (ValueError after
-    _MAX_DOUBLINGS), halves until it exceeds 1 to bracket the crossing, then
-    bisects to _SEARCH_RTOL; 0 when the modular stays at most 1 down to
-    lambda = 1e-300.
+    modular maps an array of lambdas to the array of their modulars, each
+    nonincreasing in its own lambda; a nan modular counts as above 1.  Each
+    entry doubles from its start until its modular is at most 1 (ValueError
+    after _MAX_DOUBLINGS, or where lambda overflows), halves until it
+    exceeds 1 to bracket the crossing, then bisects to _SEARCH_RTOL; 0 where
+    the modular stays at most 1 down to lambda = 1e-300.  The entries move
+    together, one modular call a step, and each takes the steps it would
+    take alone.
     """
-    hi = start
-    grow = 0
-    while modular(hi) > 1.0:
-        hi *= 2.0
-        grow += 1
-        if grow > _MAX_DOUBLINGS:
-            raise ValueError("no finite Luxemburg norm for this profile")
+    hi = np.array(start, dtype=float)
+    grow = np.zeros(hi.shape, dtype=int)
+    m = modular(hi)
+    up = ~(m <= 1.0)
+    while up.any():
+        with np.errstate(over="ignore"):
+            hi = np.where(up, 2.0 * hi, hi)
+        grow += up
+        stuck = np.flatnonzero(up & ((grow > _MAX_DOUBLINGS) | (hi == np.inf)))
+        if len(stuck):
+            raise ValueError(f"no finite Luxemburg norm for member {stuck[0]}: its "
+                             f"modular stays above 1 through {grow[stuck[0]]} doublings")
+        m = modular(hi)
+        up = ~(m <= 1.0)
     lo = hi
-    while modular(lo) <= 1.0 and lo > 1e-300:
-        lo *= 0.5
-    if lo <= 1e-300:
-        return 0.0
-    while (hi - lo) > _SEARCH_RTOL * hi:
+    down = (m <= 1.0) & (lo > 1e-300)
+    while down.any():
+        lo = np.where(down, 0.5 * lo, lo)
+        down &= (modular(lo) <= 1.0) & (lo > 1e-300)
+    zero = lo <= 1e-300
+    wide = ~zero
+    while True:
+        wide &= (hi - lo) > _SEARCH_RTOL * hi
+        if not wide.any():
+            return np.where(zero, 0.0, hi)
+        # the modular at the midpoints of settled entries goes unused
         mid = 0.5 * (hi + lo)
-        if modular(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+        below = modular(mid) <= 1.0
+        hi = np.where(wide & below, mid, hi)
+        lo = np.where(wide & ~below, mid, lo)
 
 
-@dataclass(frozen=True)
-class LebesgueSpec:
-    q: float
+class _Spec:
+    """A norm: `norms` of a family, `norm` of a single profile."""
 
     def norm(self, pw):
-        return _power_moment(pw, 0.0, self.q * pw.power) ** (1.0 / self.q)
+        if pw.members != 1:
+            raise ValueError(f"norm takes a single profile, not a family of {pw.members}")
+        return float(self.norms(pw)[0])
 
 
 @dataclass(frozen=True)
-class LorentzSpec:
+class LebesgueSpec(_Spec):
+    q: float
+
+    def norms(self, pw):
+        return np.float_power(_power_moment(pw, 0.0, self.q * pw.power), 1.0 / self.q)
+
+
+@dataclass(frozen=True)
+class LorentzSpec(_Spec):
     q: float
     r: float
 
-    def norm(self, pw):
+    def norms(self, pw):
         if self.r == np.inf:
             return _lorentz_sup(pw, self.q)
-        return _power_moment(pw, self.r / self.q - 1.0, self.r * pw.power) ** (1.0 / self.r)
+        return np.float_power(_power_moment(pw, self.r / self.q - 1.0, self.r * pw.power),
+                              1.0 / self.r)
 
 
 @dataclass(frozen=True)
-class OrliczSpec:
+class OrliczSpec(_Spec):
     phi: object
 
-    def norm(self, pw):
+    def norms(self, pw):
+        out = np.zeros(pw.members)
         # past a finite point phi is +inf, and a profile unbounded at 0
         # exceeds every multiple of that point on a set of positive measure
-        unbounded = np.any((pw.lo == 0.0) & pw.tail & (pw.v > 0.0))
-        if unbounded and self.phi.infinite_beyond < np.inf:
-            return np.inf
+        if self.phi.infinite_beyond < np.inf:
+            out[pw.member[(pw.lo == 0.0) & pw.tail & (pw.v > 0.0)]] = np.inf
         const = pw._constant()
         piece, _, g, weights = _rule(pw, np.flatnonzero(~const))
         f = g ** pw.power
-        # the constant pieces are exact one-node rules
-        f_fine = np.concatenate([f[:, _ORDER:].ravel(), pw._at_zero(const) ** pw.power])
-        w_fine = np.concatenate([weights[:, _ORDER:].ravel(), (pw.hi - pw.lo)[const]])
+        # the fine rule's nodes and the constant pieces, exact one-node
+        # rules, grouped by member
+        node = np.concatenate([np.repeat(pw.member[piece], 2 * _ORDER), pw.member[const]])
+        order = np.argsort(node, kind="stable")
+        node = node[order]
+        f_fine = np.concatenate([f[:, _ORDER:].ravel(), pw._at_zero(const) ** pw.power])[order]
+        w_fine = np.concatenate([weights[:, _ORDER:].ravel(), (pw.hi - pw.lo)[const]])[order]
+        top = np.zeros(pw.members)
+        np.maximum.at(top, node, f_fine)
+
+        # the members left to search, renumbered 0, 1, ...
+        live = (top > 0.0) & (out == 0.0)
+        keep = live[node]
+        at = (np.cumsum(live) - 1)[node[keep]]
+        f_live, w_live = f_fine[keep], w_fine[keep]
+        sums = _member_sums(at, int(live.sum()))
 
         def modular(lam):
-            with np.errstate(over="ignore"):
-                total = float(self.phi(f_fine / lam) @ w_fine)
-            return total if np.isfinite(total) else np.inf
+            return sums(self.phi(f_live / lam[at]) * w_live)
 
-        top = float(f_fine.max(initial=0.0))
-        if top == 0.0:
-            return 0.0
-        lam = _luxemburg_search(modular, top)
-        if lam > 0.0:
-            with np.errstate(over="ignore"):
-                _rule_sums(pw, piece, weights * self.phi(f / lam))
-        return lam
-
-
-def _left_ends(sf):
-    """Left ends of a step profile's pieces."""
-    return np.concatenate([[0.0], sf.boundaries[:-1]])
+        # one errstate for the whole search: entering it costs more than a
+        # modular call on a small family
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[live] = _luxemburg_search(modular, top[live])
+            lam = out[pw.member[piece]]
+            checked = (lam > 0.0) & (lam < np.inf)
+            _rule_sums(pw, piece[checked],
+                       weights[checked] * self.phi(f[checked] / lam[checked][:, None]))
+        return out
 
 
-def average_transform(sf, horizon=None):
-    """Exact running average of a decreasing step profile.
+class _Stack:
+    """One step profile, or a sequence of them, as stacked piece arrays:
+    left and right ends, values and measures, the member index, and each
+    piece's column in the members' (member, column) table."""
+
+    def __init__(self, profiles):
+        if hasattr(profiles, "boundaries"):
+            profiles = [profiles]
+        counts = np.array([len(sf.values) for sf in profiles], dtype=np.intp)
+        self.members = len(counts)
+        self.width = int(counts.max(initial=0))
+        self.member = np.repeat(np.arange(self.members), counts)
+        starts = np.cumsum(counts) - counts
+        self.column = np.arange(len(self.member)) - starts[self.member]
+        self.values, self.measures, self.right = (
+            np.concatenate([np.zeros(0)] + [getattr(sf, key) for sf in profiles])
+            for key in ("values", "measures", "boundaries"))
+        self.left = np.zeros(len(self.right))
+        self.left[1:] = self.right[:-1]
+        self.left[self.column == 0] = 0.0
+        self.total = np.zeros(self.members)
+        self.total[counts > 0] = self.right[(starts + counts - 1)[counts > 0]]
+
+    def table(self, x, shift=0):
+        """x laid out as (member, column + shift) rows, zero elsewhere, with
+        one spare column after the widest member."""
+        out = np.zeros((self.members, self.width + 1))
+        out[self.member, self.column + shift] = x
+        return out
+
+
+def average_transform(profiles, horizon=None):
+    """Exact running average of a decreasing step profile, or of each of a
+    sequence of them.
 
     On the i-th piece the average equals v_i + (C_{i-1} - v_i S_{i-1}) / s
     with C the cumulative integral; past the support it decays like
-    C_total / s, kept up to the horizon (default: the profile's own total
+    C_total / s, kept up to the horizon (default: each profile's own total
     measure, i.e. no extension).
     """
-    right, left = sf.boundaries, _left_ends(sf)
-    cum = np.concatenate([[0.0], np.cumsum(sf.measures * sf.values)])
-    lo, hi, v, a = left, right, sf.values, cum[:-1] - sf.values * left
-    total = sf.total_measure
-    horizon = total if horizon is None else float(horizon)
-    if horizon > total:
-        lo, hi = np.append(lo, total), np.append(hi, horizon)
-        v, a = np.append(v, 0.0), np.append(a, cum[-1])
-    return DecreasingPieces(lo, hi, np.zeros(len(lo), dtype=bool), v, a)
+    st = _Stack(profiles)
+    # per member running integrals, each the cumsum of the member alone
+    cum = np.cumsum(st.table(st.measures * st.values, shift=1), axis=1)
+    lo, hi, v, member = st.left, st.right, st.values, st.member
+    a = cum[member, st.column] - v * lo
+    if horizon is not None:
+        ext = np.flatnonzero(float(horizon) > st.total)
+        lo, hi = np.append(lo, st.total[ext]), np.append(hi, np.full(len(ext), float(horizon)))
+        v, a = np.append(v, np.zeros(len(ext))), np.append(a, cum[ext, -1])
+        member = np.append(member, ext)
+        order = np.argsort(member, kind="stable")
+        lo, hi, v, a, member = (x[order] for x in (lo, hi, v, a, member))
+    return DecreasingPieces(lo, hi, np.zeros(len(lo), dtype=bool), v, a,
+                            member=member, members=st.members)
 
 
-def tail_log_transform(sf):
-    """Exact logarithmic tail integral of a step profile.
+def tail_log_transform(profiles):
+    """Exact logarithmic tail integral of a step profile, or of each of a
+    sequence of them.
 
     integral_s^infty phi(r) dr/r is v_i log(S_i / s) plus the accumulated
     contributions of the pieces beyond S_i; zero past the support.
     """
-    right, left = sf.boundaries, _left_ends(sf)
+    st = _Stack(profiles)
+    left, right = st.left, st.right
     # the first piece reaches s = 0, where its own log integral diverges; it
     # is a tail piece like the others, so its segment value is never formed
-    seg = sf.values * np.log(np.where(left > 0.0, right / np.maximum(left, 1e-300), 1.0))
-    # tails[i] = contribution of pieces strictly after piece i
-    tails = np.concatenate([np.cumsum(seg[::-1])[::-1][1:], [0.0]])
-    return DecreasingPieces(left, right, np.ones(len(right), dtype=bool), sf.values, tails)
+    seg = st.values * np.log(np.where(left > 0.0, right / np.maximum(left, 1e-300), 1.0))
+    # the contribution of the pieces strictly after each piece of a member,
+    # summed from the member's last piece down
+    after = np.cumsum(st.table(seg)[:, ::-1], axis=1)[:, ::-1]
+    return DecreasingPieces(left, right, np.ones(len(right), dtype=bool), st.values,
+                            after[st.member, st.column + 1], member=st.member,
+                            members=st.members)
 
 
 def xq_norm(spec, q0, pw):
-    """The power-scaled functional f -> (X-norm of f^q0)^(1/q0) of a
-    DecreasingPieces."""
-    return spec.norm(pw.powered(q0)) ** (1.0 / q0)
+    """The power-scaled functional f -> (X-norm of f^q0)^(1/q0), one value
+    per member of a DecreasingPieces."""
+    return np.float_power(spec.norms(pw.powered(q0)), 1.0 / q0)
+
+
+def _ratios(num, denom):
+    """num / denom per member as a list, 0 where denom is 0."""
+    return np.divide(num, denom, out=np.zeros(len(denom)), where=denom != 0.0).tolist()
 
 
 def hardy_check_avg(spec, p, family, horizon=None):
@@ -400,16 +560,9 @@ def hardy_check_avg(spec, p, family, horizon=None):
     """
     q0 = 1.0 / p.pprime
     if horizon is None:
-        horizon = max(sf.total_measure for sf in family)
-    ratios = []
-    for sf in family:
-        denom = xq_norm(spec, q0, DecreasingPieces.from_step(sf))
-        if denom == 0.0:
-            ratios.append(0.0)
-            continue
-        avg = average_transform(sf, horizon=max(horizon, sf.total_measure))
-        ratios.append(xq_norm(spec, q0, avg) / denom)
-    return ratios
+        horizon = max((sf.total_measure for sf in family), default=0.0)
+    return _ratios(xq_norm(spec, q0, average_transform(family, horizon)),
+                   xq_norm(spec, q0, DecreasingPieces.from_step(family)))
 
 
 def hardy_check_tail(spec_x, spec_y, family):
@@ -418,11 +571,5 @@ def hardy_check_tail(spec_x, spec_y, family):
     Step profiles have compact support, so the tail integral is always
     finite; it is computed in exact piecewise-logarithmic form.
     """
-    ratios = []
-    for sf in family:
-        denom = spec_x.norm(DecreasingPieces.from_step(sf))
-        if denom == 0.0:
-            ratios.append(0.0)
-            continue
-        ratios.append(spec_y.norm(tail_log_transform(sf)) / denom)
-    return ratios
+    return _ratios(spec_y.norms(tail_log_transform(family)),
+                   spec_x.norms(DecreasingPieces.from_step(family)))

@@ -254,18 +254,18 @@ def _cumulative_conj_over_rsq(phi_conj_grid, phi_conj_vals):
         raise HypothesisViolation(
             "conjugate grows too slowly near zero; the regularizing integral diverges",
             measured=float(sigma0))
-    cum = np.empty_like(t)
-    cum[0] = v[0] / (t[0] * (sigma0 - 1.0))     # contribution of (0, t_0]
-    for k in range(len(t) - 1):
-        a, b = t[k], t[k + 1]
-        va, vb = v[k], v[k + 1]
-        sigma = np.log(vb / va) / np.log(b / a)
-        if abs(sigma - 1.0) < 1e-9:
-            seg = va / a * np.log(b / a)
-        else:
-            seg = va * a ** (-sigma) * (b ** (sigma - 1.0) - a ** (sigma - 1.0)) / (sigma - 1.0)
-        cum[k + 1] = cum[k] + seg
-    return cum
+    a, b, va, vb = t[:-1], t[1:], v[:-1], v[1:]
+    sigma = np.log(vb / va) / np.log(b / a)
+    near_one = np.abs(sigma - 1.0) < 1e-9
+    # float_power rounds like the scalar power; numpy's vectorized power can
+    # differ from it in the last bit
+    with np.errstate(divide="ignore", invalid="ignore"):
+        power = (va * np.float_power(a, -sigma)
+                 * (np.float_power(b, sigma - 1.0) - np.float_power(a, sigma - 1.0))
+                 / (sigma - 1.0))
+    seg = np.where(near_one, va / a * np.log(b / a), power)
+    # the contribution of (0, t_0], then each segment's, added left to right
+    return np.cumsum(np.concatenate([[v[0] / (t[0] * (sigma0 - 1.0))], seg]))
 
 
 def orlicz_target(phi: YoungFunction, p):

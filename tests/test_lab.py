@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,10 +15,11 @@ from plaplab.lab.cases import (boundary_knots, perimeter_coordinate,
                                smooth_tensor_fn, trace_from_knots)
 from plaplab.lab.cli import main as cli_main
 from plaplab.lab.config import ExperimentConfig, parse_config_file
-from plaplab.lab.experiments import (EXPERIMENTS, exp_basic_estimate,
+from plaplab.lab.experiments import (EXPERIMENTS, _modular_constant, exp_basic_estimate,
                                      exp_decay, norm_table, xi_profile)
 from plaplab.lab.report import Report
 from plaplab.oscillation import dini_log_modulus
+from plaplab.rearrange import PowerYoung, StepFunction
 import math
 
 SMALL = dict(ps=[1.5, 3.0], grids=[16], n_seeds=2, seed=5)
@@ -420,3 +424,31 @@ def test_ball_queries_do_not_grow_with_the_probe_lattice(monkeypatch):
             run(cfg)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_modular_constant_closed_form_and_failure():
+    # theta = phi = t^2: the least C with C^2 sum m F^2 >= sum m A^2
+    rng = np.random.default_rng(3)
+    sfA, sfF = (StepFunction.from_samples(rng.uniform(0.0, 2.0, 20), rng.uniform(0.01, 0.1, 20))
+                for _ in range(2))
+    phi = PowerYoung(2.0)
+    want = math.sqrt(np.sum(sfA.measures * sfA.values ** 2)
+                     / np.sum(sfF.measures * sfF.values ** 2))
+    assert _modular_constant(phi, phi, sfA, sfF) == pytest.approx(want, rel=1e-9)
+    zero = StepFunction(np.zeros(3), np.full(3, 0.1))
+    assert _modular_constant(phi, phi, zero, sfF) == 0.0
+    # no C makes a zero right side reach a positive left side
+    with pytest.raises(ValueError, match="no finite"):
+        _modular_constant(phi, phi, sfA, zero)
+
+
+def test_importing_the_experiments_leaves_scipy_special_out():
+    # scipy.special costs about 50 ms at every start; nothing in plaplab needs it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, plaplab.lab.experiments; "
+                               "print('scipy.special' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

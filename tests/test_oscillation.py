@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import quad
 
-from plaplab.fluxmaps import Exponent
-from plaplab.grid import ElemField, Mesh
+from plaplab.fluxmaps import Exponent, a_map
+from plaplab.grid import ElemField, Mesh, gradient
+from plaplab.lab.cases import random_smooth_potential
+from plaplab.lab.experiments import _counterexample_fields
 from plaplab.oscillation import (DiniDivergence, Modulus, PotentialParams,
                                  campanato_seminorm, constant_modulus,
                                  default_ball_family, dini_log_modulus,
@@ -262,6 +264,69 @@ def test_holder_controls_campanato():
     f = ElemField(t)
     om = power_modulus(0.7)
     assert campanato_seminorm(mesh, f, om) <= 2.0 * holder_seminorm(mesh, f, om)
+
+
+def _holder_by_rows(mesh, f, omega, max_pairs=10 ** 6):
+    """The Hoelder seminorm one row of pairs at a time: the reference for
+    the row blocks."""
+    norms_all = f.tensors.reshape(mesh.num_elements, -1)
+    n = mesh.num_elements
+    stride = 1
+    while (n // stride) * (n // stride - 1) // 2 > max_pairs:
+        stride += 1
+    idx = np.arange(0, n, stride)
+    pts = mesh.barycenters[idx]
+    vals = norms_all[idx]
+    best = 0.0
+    for i in range(1, len(idx)):
+        d = pts[i] - pts[:i]
+        dist = np.hypot(d[:, 0], d[:, 1])
+        dv = vals[i] - vals[:i]
+        sq = dv[:, 0] * dv[:, 0]
+        for j in range(1, dv.shape[1]):
+            sq += dv[:, j] * dv[:, j]
+        best = max(best, float(np.max(np.sqrt(sq) / omega(dist))))
+    return best
+
+
+def _bench_table(seed):
+    """The benchmark's M = 64 norm-table field: a_map at p = 1.5 of the
+    gradient of a random smooth potential."""
+    mesh = Mesh((0.0, 1.0, 0.0, 1.0), 64)
+    w = random_smooth_potential(mesh, 1, np.random.default_rng([seed, 64, 64]))
+    return mesh, a_map(Exponent(1.5), gradient(mesh, w).tensors)
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_holder_row_blocks_are_the_rows_on_the_bench_tables(seed):
+    mesh, base = _bench_table(seed)
+    omega = modulus_from_spec("power", (0.3,))
+    for offset in (0.0, 1e5):
+        f = ElemField(base + offset)
+        assert holder_seminorm(mesh, f, omega) == _holder_by_rows(mesh, f, omega)
+
+
+def test_holder_row_blocks_are_the_rows_on_the_example55_windows():
+    omega = dini_log_modulus(scale=math.e ** 2, cert_r_max=1.0)
+    for M in (48, 96):
+        mesh = Mesh((-1.0, 1.0, -1.0, 1.0), M)
+        _, F = _counterexample_fields(omega, mesh)
+        assert holder_seminorm(mesh, F, omega) == _holder_by_rows(mesh, F, omega)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 14), st.integers(1, 2), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([power_modulus(0.3), power_modulus(1.0),
+                        dini_log_modulus(scale=math.e ** 2, cert_r_max=1.0)]),
+       st.sampled_from([10, 300, 10 ** 6]))
+def test_holder_row_blocks_match_the_rows(M, comps, seed, omega, max_pairs):
+    # the pairs of each block are formed exactly as in their rows; the sup
+    # must agree to 2 ulp
+    mesh = Mesh((0.0, 1.0, 0.0, 1.0), M)
+    rng = np.random.default_rng(seed)
+    f = ElemField(rng.normal(size=(mesh.num_elements, comps, 2)) * rng.uniform(0.1, 10.0))
+    got = holder_seminorm(mesh, f, omega, max_pairs)
+    np.testing.assert_array_max_ulp(got, _holder_by_rows(mesh, f, omega, max_pairs), 2)
 
 
 # --- dini / zeta transforms ---------------------------------------------------------

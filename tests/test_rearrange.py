@@ -19,9 +19,10 @@ from plaplab.rearrange import (CapYoung, DecreasingPieces, ExpYoung,
                                lq_norm, luxemburg_norm, marcinkiewicz_norm,
                                orlicz_target, read_step_function, rearrange,
                                tail_log_transform, write_step_function,
-                               young_conjugate, young_from_spec)
-from plaplab.rearrange.hardy import _luxemburg_search
-from plaplab.rearrange.young import _numeric_conjugate
+                               default_grid, young_conjugate, young_from_spec)
+from plaplab.rearrange.hardy import (_exp_upper_gamma, _luxemburg_search,
+                                     _scaled_upper_gamma)
+from plaplab.rearrange.young import _cumulative_conj_over_rsq, _numeric_conjugate
 
 
 def random_step(rng, n=12, vmax=5.0):
@@ -313,6 +314,35 @@ def test_orlicz_target_scaling_consistency():
     assert 0.1 < n2 / n1 < 10.0
 
 
+def _cumulative_by_segments(t, v):
+    """The segment-by-segment loop of the regularizing integral: the
+    reference for the one-pass cumulative sum."""
+    sigma0 = np.log(v[1] / v[0]) / np.log(t[1] / t[0])
+    cum = np.empty_like(t)
+    cum[0] = v[0] / (t[0] * (sigma0 - 1.0))
+    for k in range(len(t) - 1):
+        a, b = t[k], t[k + 1]
+        va, vb = v[k], v[k + 1]
+        sigma = np.log(vb / va) / np.log(b / a)
+        if abs(sigma - 1.0) < 1e-9:
+            seg = va / a * np.log(b / a)
+        else:
+            seg = va * a ** (-sigma) * (b ** (sigma - 1.0) - a ** (sigma - 1.0)) / (sigma - 1.0)
+        cum[k + 1] = cum[k] + seg
+    return cum
+
+
+@pytest.mark.parametrize("phi", [PowerYoung(4.0), PowerYoung(3.0, 0.5), ExpYoung(1.0, 4.0),
+                                 CapYoung(4.0)])
+def test_regularizing_integral_is_the_segment_loop_bitwise(phi):
+    grid = default_grid()
+    with np.errstate(over="ignore"):
+        cvals = np.asarray(young_conjugate(phi)(grid), dtype=float)
+    keep = np.isfinite(cvals) & (cvals > 0.0)
+    t, v = grid[keep], cvals[keep]
+    assert np.array_equal(_cumulative_conj_over_rsq(t, v), _cumulative_by_segments(t, v))
+
+
 def test_exp_source_target_finite():
     p = Exponent(3.0)
     psi = orlicz_target(ExpYoung(1.0, 4.0), p)
@@ -485,7 +515,8 @@ def _reference_norm(spec, pw):
         return total if np.isfinite(total) else np.inf
 
     top = max(fn(lo if lo > 0 else hi * 1e-9) for lo, hi, fn in pieces)
-    return _luxemburg_search(modular, max(top, 1.0))
+    return float(_luxemburg_search(lambda lam: np.array([modular(float(lam[0]))]),
+                                   [max(top, 1.0)])[0])
 
 
 def _profiles(monotone, max_pieces):
@@ -620,3 +651,110 @@ def test_unresolved_piece_raises_quadrature_error():
     err = info.value
     assert err.piece[:3] == (1, 1.0, 10.0)
     assert err.coarse != err.fine and np.isfinite(err.fine)
+
+
+def test_quadrature_error_names_the_member_and_the_piece():
+    # member 1 holds the unresolved piece of the test above, after a sound
+    # member 0
+    pw = DecreasingPieces([0.0, 0.0, 1.0], [2.0, 1.0, 10.0], [False] * 3, [1.0, 1.0, 0.0],
+                          [0.0, 0.0, 1.0], member=[0, 1, 1], members=2)
+    with pytest.raises(QuadratureError, match="member 1, piece") as info:
+        LebesgueSpec(60.0).norms(pw)
+    assert info.value.member == 1
+    assert info.value.piece[:3] == (1, 1.0, 10.0)
+
+
+# --- families ------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+_EMPTY = StepFunction(np.zeros(0), np.zeros(0))
+_FAMILY_SPECS = [LebesgueSpec(1.5), LebesgueSpec(4.0), LorentzSpec(3.0, 1.0),
+                 LorentzSpec(2.0, 5.0), LorentzSpec(2.5, np.inf),
+                 OrliczSpec(PowerYoung(3.0, 0.5)), OrliczSpec(ExpYoung(1.0, 2.0)),
+                 OrliczSpec(CapYoung(2.0))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.one_of(_profiles(True, 6), st.just(_EMPTY)), max_size=4),
+       st.lists(_profiles(False, 6), max_size=3), st.sampled_from(_FAMILY_SPECS), _EXPONENTS)
+def test_family_norms_are_the_norms_of_the_members(steps, raws, spec, p):
+    # zero members, a family of one, empty members and mixed piece counts
+    # all arise; the tail transform of the raw profiles has flat pieces
+    horizon = 2.0 * max((sf.total_measure for sf in steps), default=0.0)
+    builds = [(lambda fam: DecreasingPieces.from_step(fam).powered(0.7), steps),
+              (lambda fam: average_transform(fam, horizon).powered(1.0 / p.pprime), steps),
+              (tail_log_transform, steps + raws)]
+    for build, fam in builds:
+        got = spec.norms(build(fam))
+        assert got.shape == (len(fam),)
+        np.testing.assert_allclose(got, [spec.norm(build(sf)) for sf in fam],
+                                   rtol=4 * _EPS, atol=0.0)
+
+
+def test_hardy_checks_of_a_family_are_those_of_its_members():
+    rng = np.random.default_rng(13)
+    fam = [random_step(rng, n=int(n)) for n in rng.integers(1, 9, 12)]
+    horizon = max(sf.total_measure for sf in fam)
+    p = Exponent(1.5)
+    spec = LorentzSpec(2.0 * p.pprime, 1.0)
+    avg = hardy_check_avg(spec, p, fam)
+    tail = hardy_check_tail(spec, spec, fam)
+    assert avg == [hardy_check_avg(spec, p, [sf], horizon=horizon)[0] for sf in fam]
+    assert tail == [hardy_check_tail(spec, spec, [sf])[0] for sf in fam]
+    assert hardy_check_avg(spec, p, []) == [] and hardy_check_tail(spec, spec, []) == []
+
+
+def test_single_profile_norm_needs_a_family_of_one():
+    pair = DecreasingPieces.from_step([random_step(np.random.default_rng(14))] * 2)
+    with pytest.raises(ValueError):
+        LebesgueSpec(2.0).norm(pair)
+    with pytest.raises(ValueError):
+        pair(0.5)
+    with pytest.raises(ValueError):
+        DecreasingPieces([0.0, 0.0], [1.0, 1.0], [False] * 2, [1.0, 1.0], [0.0, 0.0],
+                         member=[1, 0], members=2)
+
+
+def test_luxemburg_search_moves_each_member_as_alone_and_names_a_failure():
+    c = np.array([0.3, 4.0, 1e-12, 7e5])
+
+    def modular(lam):
+        return c / lam ** 2
+
+    got = _luxemburg_search(modular, np.ones(4))
+    alone = [_luxemburg_search(lambda lam, ci=ci: ci / lam ** 2, [1.0])[0] for ci in c]
+    assert got.tolist() == alone
+    assert got == pytest.approx(np.sqrt(c), rel=1e-9)
+    with pytest.raises(ValueError, match="member 1"):
+        _luxemburg_search(lambda lam: np.array([1.0 / lam[0], np.inf]), [1.0, 1.0])
+
+
+# --- the incomplete gamma closed forms of a tail piece at 0 ----------------------------
+
+_SWITCH = np.array([0.0, 0.01, 0.3, 0.7, 0.9, 0.99, 0.999, 0.9999, 1.0, 1.0001, 1.001,
+                    1.01, 1.1, 1.5, 2.0, 3.0])
+
+
+def _exp_upper(a, z):
+    """e^z Gamma(a, z) from the engine's two branches, switching at a + 1."""
+    small = z < a + 1.0
+    out = np.empty(len(z))
+    out[small] = _exp_upper_gamma(a, z[small])
+    out[~small] = z[~small] ** a * _scaled_upper_gamma(a, z[~small])
+    return out
+
+
+@pytest.mark.parametrize("a", [1.0, 1.3, 1.7, 2.0, 2.5, 3.0 - 4e-16, 4.5, 5.0, 7.7, 13.0])
+def test_upper_gamma_matches_scipy_special_across_the_switch(a):
+    from scipy.special import gamma, gammaincc
+    z = (a + 1.0) * _SWITCH
+    want = gamma(a) * gammaincc(a, z) * np.exp(z)
+    np.testing.assert_allclose(_exp_upper(a, z), want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("a", [30.0, 61.0])
+def test_upper_gamma_matches_mpmath_for_large_a(a):
+    # scipy.special's own error reaches 3e-14 here, so mpmath is the reference
+    z = (a + 1.0) * _SWITCH
+    want = [float(mpmath.exp(x) * mpmath.gammainc(a, x)) for x in map(mpmath.mpf, z)]
+    np.testing.assert_allclose(_exp_upper(a, z), want, rtol=1e-14, atol=0.0)
