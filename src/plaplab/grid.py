@@ -10,11 +10,10 @@ so every map between them is a slice of the node grid: a mesh is built from
 its separable x and y axes, and the element gradient of a nodal field is a
 difference stencil.  The stencil writes (N, 2, E) component planes, which
 the solver works on; `gradient` is their (E, N, 2) transpose.  A point is
-located exactly, by a search of the node axes.  The connectivity arrays
-`elements` and `basis_gradients` are built only when asked for.  Ball
-queries go by element barycenter against an open ball, which gives exact
-per-ball measures and deterministic ties.  All ball statistics come from
-one kernel, batched over centers and radii:
+located exactly, by a search of the node axes.  No vertex connectivity
+is stored.  Ball queries go by element barycenter against an open ball,
+which gives exact per-ball measures and deterministic ties.  All ball
+statistics come from one kernel, batched over centers and radii:
 `ball_stats` takes one center or a (P, 2) array of them in one call, and
 ball families are one call.  By bounded chunks of centers, it forms squared
 distances once over each center's cells around the largest ball, from the
@@ -55,14 +54,19 @@ class Mesh:
     """Uniform triangulation of [x0, x1] x [y0, y1] with square cells.
 
     The two side lengths must agree (the cell width h is then unambiguous
-    and every triangle has area h^2 / 2).
+    and every triangle has area h^2 / 2).  The bounds and the side lengths
+    must be finite, and the number of cells per side a whole number.
     """
 
     def __init__(self, bounds, cells_per_side):
         x0, x1, y0, y1 = (float(b) for b in bounds)
+        if not float(cells_per_side).is_integer():
+            raise ValueError(f"cells per side must be a whole number, not {cells_per_side!r}")
         M = int(cells_per_side)
         if M < 2:
             raise ValueError("need at least 2 cells per side")
+        if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+            raise ValueError(f"mesh bounds {(x0, x1, y0, y1)} and side lengths must be finite")
         if x1 <= x0 or y1 <= y0:
             raise ValueError("degenerate bounds")
         if abs((x1 - x0) - (y1 - y0)) > 1e-12 * max(x1 - x0, y1 - y0):
@@ -89,10 +93,12 @@ class Mesh:
 
         self.element_area = 0.5 * self.h * self.h
         self.areas = np.full(self.num_elements, self.element_area)
-        # A barycenter is the mean ((a + b) + c) / 3 of its vertices in the
-        # order of `elements`.  A vertex x depends on ix alone and a vertex y
-        # on iy alone, so per triangle kind t (0 lower, 1 upper) the
-        # barycenter x is bx[t, ix] and the barycenter y is by[t, iy].
+        # A barycenter is the mean ((a + b) + c) / 3 of its vertices, the
+        # corners (00, 10, 11) of a lower triangle and (00, 11, 01) of an
+        # upper one, corner ij at (xs[ix + i], ys[iy + j]).  A vertex x
+        # depends on ix alone and a vertex y on iy alone, so per triangle
+        # kind t (0 lower, 1 upper) the barycenter x is bx[t, ix] and the
+        # barycenter y is by[t, iy].
         x_lo, x_hi, y_lo, y_hi = xs[:-1], xs[1:], ys[:-1], ys[1:]
         bx = np.stack([(x_lo + x_hi) + x_hi, (x_lo + x_hi) + x_lo]) / 3.0
         by = np.stack([(y_lo + y_lo) + y_hi, (y_lo + y_hi) + y_hi]) / 3.0
@@ -102,40 +108,6 @@ class Mesh:
         bary_grid = self.barycenters.reshape(2, M, M, 2)
         bary_grid[..., 0] = bx[:, None, :]
         bary_grid[..., 1] = by[:, :, None]
-
-    @functools.cached_property
-    def elements(self):
-        """(2 M^2, 3) vertex indices: the lower triangle (n00, n10, n11) of
-        every cell, row-major, then the upper one (n00, n11, n01).  No
-        solve or ball query reads it; they work on the node grid."""
-        M = self.cells_per_side
-        n00 = (np.arange(M)[:, None] * (M + 1) + np.arange(M)).ravel()
-        n10 = n00 + 1
-        n01 = n00 + (M + 1)
-        n11 = n01 + 1
-        lower = np.column_stack([n00, n10, n11])   # below the diagonal
-        upper = np.column_stack([n00, n11, n01])   # above the diagonal
-        return np.vstack([lower, upper]).astype(np.int64)
-
-    @functools.cached_property
-    def basis_gradients(self):
-        """(2 M^2, 3, 2) gradients of the three barycentric basis functions
-        of every element, in the vertex order of `elements`."""
-        verts = self.nodes[self.elements]            # (E, 3, 2)
-        d1 = verts[:, 1] - verts[:, 0]
-        d2 = verts[:, 2] - verts[:, 0]
-        det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        inv_t = np.empty((len(det), 2, 2))
-        inv_t[:, 0, 0] = d2[:, 1]
-        inv_t[:, 0, 1] = -d2[:, 0]
-        inv_t[:, 1, 0] = -d1[:, 1]
-        inv_t[:, 1, 1] = d1[:, 0]
-        inv_t /= det[:, None, None]
-        grad = np.empty((len(det), 3, 2))
-        grad[:, 1] = inv_t[:, 0]
-        grad[:, 2] = inv_t[:, 1]
-        grad[:, 0] = -grad[:, 1] - grad[:, 2]
-        return grad
 
     @property
     def num_nodes(self):

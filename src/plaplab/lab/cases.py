@@ -7,7 +7,8 @@ comparisons of fitted constants only make sense against fixed data.
 Smooth fields are truncated trigonometric series with 8 modes; manufactured
 cases interpolate a smooth potential w nodally and set F to the flux of its
 discrete gradient, making that interpolant the exact discrete solution.
-Rough boundary data are random piecewise-linear traces along the perimeter.
+Rough boundary data are random piecewise-linear traces along the perimeter,
+through 12 periodic knots.
 """
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "random_smooth_field",
     "random_smooth_potential",
     "rough_boundary_trace",
+    "manufactured_data",
     "manufactured_problem_data",
     "perimeter_coordinate",
 ]
@@ -30,11 +32,11 @@ __all__ = [
 N_MODES = 8
 
 
-def trig_series(rng, n_components, n_modes=N_MODES):
+def trig_series(rng, n_components):
     """Seeded truncated trig series; returns evaluate(x, y) -> (len(x), N)."""
-    freq = rng.integers(1, 4, size=(n_components, n_modes, 2))
-    phase = rng.uniform(0.0, 2.0 * np.pi, size=(n_components, n_modes))
-    coef = rng.normal(size=(n_components, n_modes)) / (1.0 + np.sum(freq ** 2, axis=2))
+    freq = rng.integers(1, 4, size=(n_components, N_MODES, 2))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(n_components, N_MODES))
+    coef = rng.normal(size=(n_components, N_MODES)) / (1.0 + np.sum(freq ** 2, axis=2))
 
     def evaluate(x, y):
         x = np.asarray(x, dtype=float)
@@ -107,17 +109,16 @@ def perimeter_coordinate(mesh, points):
     return t
 
 
-def boundary_knots(rng, n_components, knots=12):
+def boundary_knots(rng, n_components):
     """Seeded periodic knot values for a rough piecewise-linear trace."""
-    kv = rng.uniform(-1.0, 1.0, size=(n_components, knots + 1))
+    kv = rng.uniform(-1.0, 1.0, size=(n_components, 13))
     kv[:, -1] = kv[:, 0]
     return kv
 
 
-def rough_boundary_trace(mesh, n_components, rng, knots=12):
+def rough_boundary_trace(mesh, n_components, rng):
     """Random piecewise-linear periodic boundary values, one trace per component."""
-    kv = boundary_knots(rng, n_components, knots)
-    return trace_from_knots(mesh, kv)
+    return trace_from_knots(mesh, boundary_knots(rng, n_components))
 
 
 def trace_from_knots(mesh, knot_values):
@@ -134,13 +135,15 @@ def trace_from_knots(mesh, knot_values):
     return out
 
 
-def manufactured_problem_data(p, mesh, n_components, rng):
-    """(F, g, w) with F the flux of the interpolated potential's gradient.
-
-    The nodal interpolant of w is then the exact discrete solution: the
-    weak-form defect vanishes identically.
-    """
-    w = random_smooth_potential(mesh, n_components, rng)
+def manufactured_data(p, mesh, potential_fn):
+    """(F, g, w) for a potential evaluate(x, y) -> (len(x), N): w its nodal
+    interpolant, F = A(grad w) and g its trace.  w is then the exact
+    discrete solution: the weak-form defect vanishes identically."""
+    w = NodalField(potential_fn(mesh.nodes[:, 0], mesh.nodes[:, 1]))
     F = ElemField(a_map(p, gradient(mesh, w).tensors))
-    g = w.values[mesh.boundary_nodes]
-    return F, g, w
+    return F, w.values[mesh.boundary_nodes], w
+
+
+def manufactured_problem_data(p, mesh, n_components, rng):
+    """manufactured_data of a seeded smooth potential."""
+    return manufactured_data(p, mesh, smooth_potential_fn(rng, n_components))

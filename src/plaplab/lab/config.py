@@ -18,8 +18,12 @@ Documented keys (all optional, with desk-scale defaults):
     lorentz_r         second Lorentz index               1.0
     stability_factor  allowed fitted-constant growth     2.0
     assert_mode       fail the process on violations     false
+
+Modulus families: power, constant, log_inverse (sigma, then optional scale,
+beta_cert, c_omega, cert_r_max) and dini_log, log_inverse at sigma = 1.
 """
 
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["ExperimentConfig", "parse_config_file"]
@@ -100,6 +104,14 @@ class ExperimentConfig:
             raise ValueError("need at least one exponent and one grid size")
         if not (0.0 < self.radii_ratio < 1.0):
             raise ValueError("radii_ratio must lie in (0, 1)")
+        if self.n_seeds < 0:
+            raise ValueError(f"config key 'n_seeds' must be at least 0, not {self.n_seeds}")
+        if self.comps < 1:
+            raise ValueError(f"config key 'comps' must be at least 1, not {self.comps}")
+        for key in ("r_min_cells", "r_max_frac", "stability_factor"):
+            value = getattr(self, key)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"config key {key!r} must be positive and finite, not {value}")
 
     @classmethod
     def from_mapping(cls, kv):

@@ -91,9 +91,7 @@ class _Case:
     def problem(self, M):
         mesh = Mesh(self.bounds, M)
         if self.manufactured:
-            w = NodalField(self.potential_fn(mesh.nodes[:, 0], mesh.nodes[:, 1]))
-            F = ElemField(a_map(self.p, gradient(mesh, w).tensors))
-            g = w.values[mesh.boundary_nodes]
+            F, g, _ = cases.manufactured_data(self.p, mesh, self.potential_fn)
         else:
             b = mesh.barycenters
             F = ElemField(self.tensor_fn(b[:, 0], b[:, 1]))
@@ -250,14 +248,15 @@ def exp_basic_estimate(cfg: ExperimentConfig):
 # --- decay of p-harmonic fields -------------------------------------------------
 
 
-def _pair_sup(values, cap=400):
-    """Largest pairwise distance among row vectors, deterministically subsampled.
+def _pair_sup(values):
+    """Largest pairwise distance among row vectors, deterministically
+    subsampled to at most about 400 rows.
 
     Squared distances add the components left to right, and the one square
     root is taken of their max: sqrt is monotone and correctly rounded.
     """
-    if len(values) > cap:
-        values = values[:: max(1, len(values) // cap)]
+    if len(values) > 400:
+        values = values[::len(values) // 400]
     first, *rest = values.T
     sq = np.subtract.outer(first, first) ** 2
     for column in rest:
@@ -266,10 +265,11 @@ def _pair_sup(values, cap=400):
     return float(np.sqrt(sq.max()))
 
 
-def _decay_slopes(mesh, fields, center, R, thetas, floor_cells=3.0):
+def _decay_slopes(mesh, fields, center, R, thetas):
     """Per field, the log-log slope of the pairwise sup oscillation over
-    shrinking balls (None below two positive sups); one gather per center."""
-    kept = [th for th in thetas if th * R >= floor_cells * mesh.h]
+    the shrinking balls of radius at least 3 cell widths (None below two
+    positive sups); one gather per center."""
+    kept = [th for th in thetas if th * R >= 3.0 * mesh.h]
     rs = [th * R for th in kept]
     members = _ball_members(mesh, center, rs)
     _require_nonempty([idx.size for idx in members], center, rs)
@@ -286,7 +286,7 @@ def _decay_slopes(mesh, fields, center, R, thetas, floor_cells=3.0):
     return slopes
 
 
-def measure_alpha(cfg, p_value, M, seed_idx=0, n_centers=5):
+def measure_alpha(cfg, p_value, M, seed_idx=0):
     """Median decay exponents (alpha, kappa) of a p-harmonic solve."""
     p = Exponent(p_value)
     mesh = Mesh(cfg.bounds, M)
@@ -301,7 +301,7 @@ def measure_alpha(cfg, p_value, M, seed_idx=0, n_centers=5):
     side = x1 - x0
     R = 0.42 * side
     offs = np.array([[0.0, 0.0], [0.05, 0.03], [-0.04, 0.05],
-                     [0.03, -0.05], [-0.05, -0.03]])[:n_centers] * side
+                     [0.03, -0.05], [-0.05, -0.03]]) * side
     thetas = [0.5 * 0.72 ** j for j in range(6)]
     alphas, kappas = [], []
     for off in offs:
@@ -525,9 +525,8 @@ def exp_potential(cfg: ExperimentConfig):
         F = ElemField(tensors)
         prob = DirichletProblem(Exponent(cfg.ps[0]), mesh, F,
                                 np.zeros((len(mesh.boundary_nodes), cfg.comps)))
-        gn = _solved(prob)["grad"].tensors
-        idx = mesh.locate_element(interior)
-        maxes[M] = float(np.sqrt(np.sum(gn[idx] ** 2, axis=(1, 2))).max())
+        gn = _solved(prob)["grad"].norms()
+        maxes[M] = float(gn[mesh.locate_element(interior)].max())
     if len(maxes) == 2:
         ms = sorted(maxes)
         ratio = maxes[ms[1]] / max(maxes[ms[0]], 1e-300)
@@ -538,9 +537,10 @@ def exp_potential(cfg: ExperimentConfig):
     return report
 
 
-def _dyadic_mean_defects(mesh, A, pts, params, slack=1e-12):
+def _dyadic_mean_defects(mesh, A, pts, params):
     """Violations of |mean_small - mean_big| <= (measure ratio) * osc_1(big)
-    over the successive dyadic balls at the points of a (P, 2) array.
+    over the successive dyadic balls at the points of a (P, 2) array, with
+    a relative and absolute slack of 1e-12.
 
     The bound is exact for nested discrete balls, so the dyadic means are
     Cauchy whenever the tail oscillations are summable.
@@ -552,7 +552,7 @@ def _dyadic_mean_defects(mesh, A, pts, params, slack=1e-12):
     bound = (counts[:-1][pair] / counts[1:][pair]) * osc_big
     diff = np.sqrt(np.sum((means[1:][pair] - means[:-1][pair]) ** 2, axis=(1, 2)))
     return int(np.count_nonzero(
-        diff > bound * (1.0 + slack) + slack * np.maximum(osc_big, 1.0)))
+        diff > bound * (1.0 + 1e-12) + 1e-12 * np.maximum(osc_big, 1.0)))
 
 
 # --- the sharp Dini counterexample ------------------------------------------------
@@ -638,7 +638,7 @@ def exp_example_5_5(cfg: ExperimentConfig):
         half = 4.0 * r
         mesh = Mesh((-half, half, -half, half), 256)
         u, _ = _counterexample_fields(omega, mesh)
-        gn = np.sqrt(np.sum(gradient(mesh, u).tensors ** 2, axis=(1, 2)))
+        gn = gradient(mesh, u).norms()
         rb = np.hypot(mesh.barycenters[:, 0], mesh.barycenters[:, 1])
         ring = (rb >= r) & (rb < r + 3.0 * mesh.h)
         measured = float(gn[ring].max())
@@ -763,8 +763,8 @@ def exp_reduction(cfg: ExperimentConfig):
 
 
 def _centered_norms(field: ElemField):
-    mean = field.tensors.mean(axis=0)
-    return np.sqrt(np.sum((field.tensors - mean) ** 2, axis=(1, 2)))
+    """Per-element norms |f - mean f|."""
+    return ElemField(field.tensors - field.tensors.mean(axis=0)).norms()
 
 
 def _modular_constant(theta, phi, sfA, sfF):

@@ -39,8 +39,8 @@ class RadiiSet:
     ratio: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.r_min <= self.r_max):
-            raise ValueError("need 0 < r_min <= r_max")
+        if not (0.0 < self.r_min <= self.r_max < np.inf):
+            raise ValueError(f"need 0 < r_min <= r_max < inf, not {self.r_min}, {self.r_max}")
         if not (0.0 < self.ratio < 1.0):
             raise ValueError("ratio must lie in (0, 1)")
 
@@ -137,15 +137,6 @@ def riesz_ratio(mesh, f, q, radii: RadiiSet, stride=1):
         raise MarginError("no interior points clear the largest radius")
     vals = plain_maximal(mesh, f, q, radii, pts)
     lhs = StepFunction.from_samples(vals, np.full(len(vals), mesh.element_area))
-    rhs = rearrange(mesh, f.norms() ** q)
-    ratios = []
-    s_prev = 0.0
-    for m, v in zip(lhs.measures, lhs.values):
-        s = s_prev + m
-        rhs_val = double_star(rhs, s) ** (1.0 / q)
-        if rhs_val > 0.0:
-            ratios.append(v / rhs_val)
-        s_prev = s
-    if not ratios:
-        return 0.0
-    return float(max(ratios))
+    rhs = double_star(rearrange(mesh, f.norms() ** q), lhs.boundaries) ** (1.0 / q)
+    pos = rhs > 0.0
+    return float(np.max(lhs.values[pos] / rhs[pos], initial=0.0))

@@ -59,8 +59,8 @@ class DiniDivergence(ArithmeticError):
 class Modulus:
     """Modulus of continuity with an almost-decreasing certificate.
 
-    family: 'power' (r^beta), 'log_inverse' (log^(-sigma)(scale/r)),
-    'constant', or 'dini_log' (1/log(scale/r), the sigma = 1 borderline).
+    family: 'power' (r^beta), 'log_inverse' (log^(-sigma)(scale/r); sigma
+    = 1 is the Dini borderline 1/log(scale/r)), or 'constant'.
     The certificate (beta_cert, c_omega) is validated on a 100 x 100
     sample grid of (r, rho) at construction.
     """
@@ -74,7 +74,7 @@ class Modulus:
     def __post_init__(self):
         if self.beta_cert <= 0.0 or self.c_omega < 1.0:
             raise ValueError("need beta_cert > 0 and c_omega >= 1")
-        if self.family not in ("power", "log_inverse", "constant", "dini_log"):
+        if self.family not in ("power", "log_inverse", "constant"):
             raise ValueError(f"unknown modulus family {self.family!r}")
         self._validate_certificate()
 
@@ -90,18 +90,11 @@ class Modulus:
         elif self.family == "constant":
             out = np.ones_like(r)
         else:
-            sigma, scale = self._sigma_scale()
+            sigma, scale = self.params
             if np.any(r >= scale):
                 raise ValueError("argument beyond the modulus scale")
             out = _log_ratio(scale, r) ** (-sigma)
         return float(out) if out.ndim == 0 else out
-
-    def _sigma_scale(self):
-        if self.family == "log_inverse":
-            return self.params
-        if self.family == "dini_log":
-            return 1.0, self.params[0]
-        raise ValueError("no log parameters for this family")
 
     def _validate_certificate(self):
         rs = np.geomspace(1e-6 * self.cert_r_max, self.cert_r_max, 100)
@@ -119,12 +112,8 @@ class Modulus:
 
     @property
     def dini_finite(self):
-        if self.family == "power":
-            return True
-        if self.family == "constant" or self.family == "dini_log":
-            return False
-        sigma, _ = self._sigma_scale()
-        return sigma > 1.0
+        return self.family == "power" or (self.family == "log_inverse"
+                                          and self.params[0] > 1.0)
 
     def integral_dr_over_r(self, a, b):
         """Closed form of integral_a^b omega(rho)/rho d rho, for any 0 <= a <= b
@@ -142,7 +131,7 @@ class Modulus:
         elif self.family == "constant":
             out = _log_ratio(b, a)
         else:
-            sigma, scale = self._sigma_scale()
+            sigma, scale = self.params
             if np.any(b >= scale):
                 raise ValueError("integration range beyond the modulus scale")
             ta, tb = _log_ratio(scale, a), _log_ratio(scale, b)
@@ -184,12 +173,8 @@ def constant_modulus():
 
 def dini_log_modulus(scale=math.e ** 2, beta_cert=0.5, c_omega=None,
                      cert_r_max=None):
-    cert_r_max = cert_r_max if cert_r_max is not None else scale / math.e
-    if c_omega is None:
-        c_omega = max(4.0, math.log(scale / (1e-9 * cert_r_max))
-                      / math.log(scale / cert_r_max))
-    return Modulus("dini_log", (float(scale),), beta_cert=beta_cert,
-                   c_omega=float(c_omega), cert_r_max=cert_r_max)
+    """1/log(scale/r): the log-inverse modulus at the Dini borderline sigma = 1."""
+    return log_inverse_modulus(1.0, scale, beta_cert, c_omega, cert_r_max)
 
 
 def modulus_from_spec(name, params=()):
@@ -214,8 +199,8 @@ class PotentialParams:
     p: object     # Exponent
 
     def __post_init__(self):
-        if self.R <= 0.0:
-            raise ValueError("R must be positive")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"R must be positive and finite, not {self.R}")
         if not (0.0 < self.theta < 1.0):
             raise ValueError("theta must lie in (0, 1)")
 
@@ -244,18 +229,18 @@ def ball_family_oscillations(mesh, f, centers, radii, q):
     return oscs, counts
 
 
-def default_ball_family(mesh, stride=2, r_min_cells=2.0):
+def default_ball_family(mesh):
     """Centers on a coarsened barycenter lattice with dyadic inscribed radii.
 
-    Returns (centers, radii_list): shared dyadic radii from r_min up to the
-    largest radius inscribed anywhere, with per-center admissibility decided
-    by the boundary distance at query time.  The stride defines the family:
-    it holds every stride-th barycenter as a center, and its sups are sups
+    Returns (centers, radii_list): shared dyadic radii from two cell widths
+    up to the largest radius inscribed anywhere, with per-center
+    admissibility decided by the boundary distance at query time.  The
+    family holds every 2nd barycenter as a center, and its sups are sups
     over exactly these balls, not an approximation of a sup over all
     centers.
     """
-    centers = mesh.barycenters[::stride]
-    r_min = r_min_cells * mesh.h
+    centers = mesh.barycenters[::2]
+    r_min = 2.0 * mesh.h
     x0, x1, y0, y1 = mesh.bounds
     r_cap = 0.5 * min(x1 - x0, y1 - y0)
     radii = []

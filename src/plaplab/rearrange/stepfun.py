@@ -4,12 +4,13 @@ A StepFunction is the nonincreasing, right-continuous profile of a
 nonnegative field, stored piece by piece as (measure, value); rearrangements
 are never resampled.  Its Lebesgue, Lorentz and Luxemburg norms are those of
 the norm engine in `hardy`, which takes the profile as constant pieces; the
-Marcinkiewicz functional is an exact sup over the piece boundaries.
+Marcinkiewicz functional is an exact sup over the piece boundaries, and the
+running average f** is the engine's exact `average_transform`.
 """
 
 import numpy as np
 
-from .hardy import DecreasingPieces, LebesgueSpec, LorentzSpec, OrliczSpec
+from .hardy import DecreasingPieces, LebesgueSpec, LorentzSpec, OrliczSpec, average_transform
 
 __all__ = [
     "StepFunction",
@@ -37,8 +38,8 @@ class PiecewiseConstant:
         measures = np.asarray(measures, dtype=float)
         if values.shape != measures.shape or values.ndim != 1:
             raise ValueError("values and measures must be matching 1-d arrays")
-        if np.any(measures <= 0.0):
-            raise ValueError("piece measures must be positive")
+        if not np.all((0.0 < measures) & (measures < np.inf)):
+            raise ValueError("piece measures must be finite and positive")
         if np.any(values < 0.0) or not np.all(np.isfinite(values)):
             raise ValueError("values must be finite and nonnegative")
         self.values = values
@@ -79,17 +80,6 @@ class StepFunction(PiecewiseConstant):
         """Measure of the superlevel set {f* > t}, exact."""
         return float(np.sum(self.measures[self.values > t]))
 
-    def integral_up_to(self, s):
-        """Exact integral of f* over (0, s)."""
-        if s <= 0.0:
-            return 0.0
-        partial = np.concatenate([[0.0], np.cumsum(self.measures * self.values)])
-        idx = int(np.searchsorted(self.boundaries, s, side="left"))
-        if idx >= len(self.values):
-            return float(partial[-1])
-        left = self.boundaries[idx - 1] if idx > 0 else 0.0
-        return float(partial[idx] + self.values[idx] * (s - left))
-
     def scaled(self, factor):
         if factor < 0.0:
             raise ValueError("scaling factor must be nonnegative")
@@ -111,10 +101,12 @@ def rearrange(mesh, f):
 
 
 def double_star(sf: StepFunction, s):
-    """Running average (1/s) * integral of f* over (0, s); >= f*(s)."""
-    if s <= 0.0:
+    """Running average (1/s) * integral of f* over (0, s), >= f*(s), at one
+    s > 0 (a float) or at each of an array of them."""
+    s = np.asarray(s, dtype=float)
+    if not np.all(s > 0.0):
         raise ValueError("s must be positive")
-    return sf.integral_up_to(s) / s
+    return average_transform(sf, horizon=s.max())(s)
 
 
 def lq_norm(sf: StepFunction, q):

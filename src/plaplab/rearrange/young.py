@@ -202,18 +202,19 @@ class SampledYoung(YoungFunction):
         return float(out[0]) if scalar else out
 
 
-def _numeric_conjugate(phi, candidates=None, dual_grid=None):
+def _numeric_conjugate(phi):
     """Legendre transform sup_t (s t - phi(t)) by a monotone argmax scan.
 
-    The candidate set is much wider than the dual grid so the maximizer
-    stays interior over the whole reported range.
+    The candidates t span 1e-28 to 1e28, much wider than the dual grid
+    `default_grid()` of s, so the maximizer stays interior over the whole
+    reported range.
     """
-    grid = default_grid(1e-28, 1e28, 32) if candidates is None else candidates
+    grid = default_grid(1e-28, 1e28, 32)
     vals = np.asarray(phi(grid), dtype=float)
     finite = np.isfinite(vals)
     ts = grid[finite]
     vs = vals[finite]
-    ss = default_grid() if dual_grid is None else dual_grid
+    ss = default_grid()
     out = np.empty_like(ss)
     valid = len(ss)
     j = 0

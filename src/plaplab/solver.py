@@ -36,8 +36,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import LinAlgError, solveh_banded
 
-from .fluxmaps import Exponent, _norm_power, a_map
-from .grid import ElemField, Mesh, NodalField, _gradient_planes, gradient, integrate
+from .fluxmaps import Exponent, _norm_power
+from .grid import ElemField, Mesh, NodalField, _gradient_planes, integrate
 
 __all__ = [
     "DirichletProblem",
@@ -578,9 +578,7 @@ def load_problem(path):
         F = cases.random_smooth_field(mesh, comps, rng)
     elif fspec[0] == "amap":
         rng = np.random.default_rng(int(fspec[1]))
-        w = cases.random_smooth_potential(mesh, comps, rng)
-        F = ElemField(a_map(p, gradient(mesh, w).tensors))
-        g = w.values[mesh.boundary_nodes]
+        F, g, _ = cases.manufactured_problem_data(p, mesh, comps, rng)
     else:
         raise ValueError(f"unknown F source {fspec[0]!r}")
 

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from connectivity import elements
 from plaplab.fluxmaps import Exponent, equivalence_table, random_tensor_pairs, ratio_band
 from plaplab.grid import ElemField, Mesh, boundary_values
 from plaplab.lab.config import ExperimentConfig
@@ -75,7 +76,7 @@ def test_criterion_02_solver_convergence():
             prob = DirichletProblem(Exponent(2.0), mesh, F,
                                     w_exact[mesh.boundary_nodes][:, None])
             sol = solve(prob, SolverConfig(tol_residual=1e-9))
-            diff = (sol.u.values[:, 0] - w_exact)[mesh.elements]
+            diff = (sol.u.values[:, 0] - w_exact)[elements(M)]
             quadv = (diff.sum(axis=1) ** 2 + np.sum(diff ** 2, axis=1)) / 12.0
             errs.append(float(np.sqrt(np.sum(mesh.areas * quadv))))
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))

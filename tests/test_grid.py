@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from connectivity import elements
 from plaplab.grid import (ElemField, EmptyBallError, Mesh, NodalField,
                           ball_elements, ball_oscillation, boundary_values,
                           gradient, integrate, read_elem_field,
@@ -22,7 +24,7 @@ def test_mesh_counts_and_area(unit_mesh):
     assert unit_mesh.num_nodes == (M + 1) ** 2
     assert unit_mesh.num_elements == 2 * M * M
     assert np.sum(unit_mesh.areas) == pytest.approx(1.0, rel=1e-12)
-    assert all(len(set(e)) == 3 for e in unit_mesh.elements)
+    assert all(len(set(e)) == 3 for e in elements(M))
 
 
 def test_boundary_nodes_exact(unit_mesh):
@@ -40,6 +42,20 @@ def test_mesh_rejects_bad_input():
         Mesh((0, 1, 0, 2), 8)        # not square
     with pytest.raises(ValueError):
         Mesh((0, 1, 0, 1), 1)
+
+
+@pytest.mark.parametrize("bounds", [(0, math.nan, 0, 1), (0, 1, math.inf, 2),
+                                    (-math.inf, 0, 0, 1), (-1e308, 1e308, -1e308, 1e308)])
+def test_mesh_rejects_bounds_or_sides_that_are_not_finite(bounds):
+    with pytest.raises(ValueError, match="must be finite"):
+        Mesh(bounds, 4)
+
+
+def test_mesh_rejects_a_cell_count_that_is_not_whole():
+    for cells in (4.7, 2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="whole number"):
+            Mesh((0, 1, 0, 1), cells)
+    assert Mesh((0, 1, 0, 1), np.int64(4)).cells_per_side == 4
 
 
 def test_locate_element(unit_mesh):

@@ -87,6 +87,17 @@ def test_config_validation():
         ExperimentConfig(ps=[])
     with pytest.raises(ValueError):
         ExperimentConfig(radii_ratio=1.2)
+    assert ExperimentConfig.from_mapping({"n_seeds": "0"}).n_seeds == 0
+
+
+@pytest.mark.parametrize("key, text", [
+    ("n_seeds", "-1"), ("comps", "0"), ("comps", "-2"),
+    ("r_max_frac", "inf"), ("r_max_frac", "nan"), ("r_max_frac", "0"),
+    ("r_min_cells", "-2"), ("r_min_cells", "inf"),
+    ("stability_factor", "nan"), ("stability_factor", "0")])
+def test_config_rejects_out_of_range_values_naming_the_key(key, text):
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        ExperimentConfig.from_mapping({key: text})
 
 
 def test_report_roundtrip_and_determinism(tmp_path):

@@ -3,8 +3,9 @@
 Every mesh is a uniform M x M lattice, so its geometry, the element
 gradient of a nodal field and the nodal load of an element flux are slices
 of the (M + 1) x (M + 1) node grid.  The references below are the earlier
-implementations, which go through the element connectivity: vertex
-gathers, per-element basis gradients, einsum and bincount.  The mesh must
+implementations, which go through the element connectivity of
+`connectivity.py`: vertex gathers, per-element basis gradients, einsum and
+bincount.  The mesh must
 reproduce them bitwise; the gradient stencil, which divides by the same
 differences of node coordinates, agrees with the sum of u_i grad(phi_i) to
 rounding, and bitwise on the unit square at dyadic M; the load stencil is
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from connectivity import connectivity, elements
 from plaplab.grid import Mesh, NodalField, _gradient_planes, gradient
 from plaplab.solver import _dot, _flux_load
 
@@ -42,26 +44,8 @@ def reference_mesh(bounds, M):
     nodes = np.column_stack([X.ravel(), Y.ravel()])
     iy, ix = np.divmod(np.arange(len(nodes)), M + 1)
     on_edge = np.isin(ix, (0, M)) | np.isin(iy, (0, M))
-    ix, iy = np.meshgrid(np.arange(M), np.arange(M), indexing="xy")
-    n00 = iy.ravel() * (M + 1) + ix.ravel()
-    n10, n01 = n00 + 1, n00 + (M + 1)
-    n11 = n01 + 1
-    elements = np.vstack([np.column_stack([n00, n10, n11]),
-                          np.column_stack([n00, n11, n01])]).astype(np.int64)
-    verts = nodes[elements]
-    d1 = verts[:, 1] - verts[:, 0]
-    d2 = verts[:, 2] - verts[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    inv_t = np.empty((len(det), 2, 2))
-    inv_t[:, 0, 0] = d2[:, 1]
-    inv_t[:, 0, 1] = -d2[:, 0]
-    inv_t[:, 1, 0] = -d1[:, 1]
-    inv_t[:, 1, 1] = d1[:, 0]
-    inv_t /= det[:, None, None]
-    grad = np.empty((len(det), 3, 2))
-    grad[:, 1] = inv_t[:, 0]
-    grad[:, 2] = inv_t[:, 1]
-    grad[:, 0] = -grad[:, 1] - grad[:, 2]
+    elems = elements(M)
+    verts = nodes[elems]
     barycenters = verts.mean(axis=1)
     b = barycenters.reshape(2, M, M, 2)
     element_area = 0.5 * h * h
@@ -69,9 +53,9 @@ def reference_mesh(bounds, M):
         "bounds": (x0, x1, y0, y1), "cells_per_side": M, "h": h, "nodes": nodes,
         "boundary_nodes": np.flatnonzero(on_edge),
         "interior_nodes": np.flatnonzero(~on_edge),
-        "elements": elements, "element_area": element_area,
-        "areas": np.full(len(elements), element_area), "barycenters": barycenters,
-        "basis_gradients": grad, "num_nodes": len(nodes), "num_elements": len(elements),
+        "element_area": element_area,
+        "areas": np.full(len(elems), element_area), "barycenters": barycenters,
+        "num_nodes": len(nodes), "num_elements": len(elems),
         "_element_grid": np.arange(2 * M * M).reshape(2, M, M),
         "_barycenter_axes": np.stack([b[:, 0, :, 0], b[:, :, 0, 1]]),
     }
@@ -79,7 +63,8 @@ def reference_mesh(bounds, M):
 
 def reference_gradient(mesh, u):
     """The sum of u_i grad(phi_i) over each element's vertices, by a gather."""
-    return np.einsum("ein,eik->enk", u.values[mesh.elements], mesh.basis_gradients)
+    elems, grads = connectivity(mesh)
+    return np.einsum("ein,eik->enk", u.values[elems], grads)
 
 
 def reference_stencil(mesh, u):

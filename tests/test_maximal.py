@@ -3,11 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plaplab.grid import ElemField, EmptyBallError, Mesh
 from plaplab.maximal import (MarginError, RadiiSet, plain_maximal, riesz_ratio,
                              sharp_maximal, weighted_local_sharp)
 from plaplab.oscillation import constant_modulus, power_modulus
+from plaplab.rearrange import StepFunction, rearrange
 
 
 def brute_force_sharp(mesh, f, q, radii, x):
@@ -44,6 +47,13 @@ def test_radii_set_values():
         RadiiSet(0.4, 0.05)
     with pytest.raises(ValueError):
         RadiiSet(0.1, 0.2, 1.5)
+
+
+@pytest.mark.parametrize("r_max", [math.inf, math.nan])
+def test_radii_set_needs_a_finite_largest_radius(r_max):
+    # values() halves r_max until it falls below r_min, which inf never does
+    with pytest.raises(ValueError, match="r_max"):
+        RadiiSet(1e-3, r_max)
 
 
 def test_margin_errors():
@@ -221,6 +231,46 @@ def test_riesz_rearranged_bound_stable():
         fits.append(max(cs))
     assert all(np.isfinite(c) for c in fits)
     assert max(fits) / min(fits) < 2.0
+
+
+def per_piece_riesz_ratio(mesh, f, q, radii, stride):
+    """riesz_ratio with f** at each breakpoint s of the maximal values'
+    rearrangement from its own cumulative sum: (1/s) (C + v (s - S)) with C
+    the integral up to the piece's left end S, or C_total / s past the
+    support."""
+    pts = mesh.interior_points(radii.r_max * (1.0 + 1e-9), stride)
+    vals = plain_maximal(mesh, f, q, radii, pts)
+    lhs = StepFunction.from_samples(vals, np.full(len(vals), mesh.element_area))
+    rhs = rearrange(mesh, f.norms() ** q)
+    ratios = []
+    s = 0.0
+    for m, v in zip(lhs.measures, lhs.values):
+        s += m
+        partial = np.concatenate([[0.0], np.cumsum(rhs.measures * rhs.values)])
+        idx = int(np.searchsorted(rhs.boundaries, s, side="left"))
+        if idx >= len(rhs.values):
+            integral = partial[-1]
+        else:
+            left = rhs.boundaries[idx - 1] if idx > 0 else 0.0
+            integral = partial[idx] + rhs.values[idx] * (s - left)
+        rhs_val = (integral / s) ** (1.0 / q)
+        if rhs_val > 0.0:
+            ratios.append(v / rhs_val)
+    return float(max(ratios, default=0.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(6, 32), st.integers(1, 2), st.floats(1.0, 4.0), st.floats(0.15, 0.3),
+       st.integers(1, 4), st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_riesz_ratio_is_the_per_piece_average(M, comps, q, r_max, stride, density, seed):
+    mesh = Mesh((0, 1, 0, 1), M)
+    rng = np.random.default_rng(seed)
+    keep = rng.uniform(size=(mesh.num_elements, 1, 1)) < density
+    f = ElemField(rng.normal(size=(mesh.num_elements, comps, 2)) * keep)
+    radii = RadiiSet(min(2 * mesh.h, r_max), r_max, 0.5)
+    expected = per_piece_riesz_ratio(mesh, f, q, radii, stride)
+    got = riesz_ratio(mesh, f, q, radii, stride)
+    assert got == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_plain_maximal_is_one_kernel_call(monkeypatch):

@@ -62,9 +62,26 @@ def test_modulus_certificate_validation():
 def test_modulus_from_spec():
     assert modulus_from_spec("power", (0.4,)).family == "power"
     assert modulus_from_spec("constant").family == "constant"
-    assert modulus_from_spec("dini_log", (math.e,)).family == "dini_log"
+    assert modulus_from_spec("dini_log", (math.e,)) == log_inverse_modulus(1.0, math.e)
     with pytest.raises(ValueError):
         modulus_from_spec("what")
+
+
+@pytest.mark.parametrize("scale, cert_r_max", [(math.e ** 2, None), (math.e, None),
+                                               (math.e ** 2, 1.0), (7.3, 0.3)])
+def test_dini_log_is_log_inverse_at_sigma_one_bitwise(scale, cert_r_max):
+    dini = dini_log_modulus(scale, cert_r_max=cert_r_max)
+    ref = log_inverse_modulus(1.0, scale, cert_r_max=cert_r_max)
+    r = np.geomspace(1e-300, 0.99 * scale, 97)
+    assert np.array_equal(dini(r), ref(r))
+    a, b = r[:-1:2], r[1::2]
+    assert np.array_equal(dini.integral_dr_over_r(a, b), ref.integral_dr_over_r(a, b))
+    # the certificate in closed form: how much log(scale / r) grows from
+    # the top of the certified range down to 1e-9 of it, and at least 4
+    top = scale / math.e if cert_r_max is None else cert_r_max
+    assert dini.c_omega == ref.c_omega == max(
+        4.0, math.log(scale / (1e-9 * top)) / math.log(scale / top))
+    assert dini.dini_finite is ref.dini_finite is False
 
 
 def test_log_integral_closed_forms():
@@ -94,7 +111,7 @@ def log_ranges(draw):
     a is 0 somewhere only for a Dini-finite modulus, and may be subnormal;
     scalars and arrays of up to two axes are mixed."""
     om = draw(st.sampled_from(MODULI))
-    top = om.params[-1] / math.e if om.family in ("log_inverse", "dini_log") else 4.0
+    top = om.params[-1] / math.e if om.family == "log_inverse" else 4.0
     shapes = draw(hnp.mutually_broadcastable_shapes(num_shapes=2, max_dims=2,
                                                     max_side=3))
     b = top * draw(hnp.arrays(float, shapes.input_shapes[1],
@@ -115,8 +132,8 @@ def _quad_dr_over_r(om, a, b):
     kw = dict(epsabs=1e-14, epsrel=1e-12, limit=200)
     if a == b:
         return 0.0
-    if om.family in ("log_inverse", "dini_log"):
-        sigma, scale = om._sigma_scale()
+    if om.family == "log_inverse":
+        sigma, scale = om.params
         ta = math.log(scale) - math.log(a) if a > 0.0 else math.inf
         return quad(lambda t: t ** -sigma, math.log(scale / b), ta, **kw)[0]
     if a > 0.0:
@@ -159,7 +176,7 @@ def test_log_integral_range_errors(case, data):
     else:
         with pytest.raises(DiniDivergence):
             om.integral_dr_over_r(bad, b)
-    if om.family in ("log_inverse", "dini_log"):
+    if om.family == "log_inverse":
         far = b.copy()
         far.flat[k] = om.params[-1]
         with pytest.raises(ValueError):
@@ -396,6 +413,14 @@ def test_campanato_controls_weak_profile():
 
 
 # --- oscillation potential ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("R", [math.inf, math.nan, 0.0, -1.0])
+def test_potential_params_need_a_positive_finite_radius(R):
+    # radii() multiplies R by theta until it falls below 2h, which inf never
+    # does; a nan R has no radii and would give a potential of 0
+    with pytest.raises(ValueError, match="R must be positive and finite"):
+        PotentialParams(R=R, theta=0.5, p=Exponent(2.0))
 
 
 def test_potential_constant_field_zero():

@@ -76,6 +76,10 @@ def test_double_star_closed_form_and_domination():
         sf = random_step(rng)
         ss = np.linspace(1e-3, sf.total_measure * 1.3, 100)
         assert all(double_star(sf, s) >= sf(s) - 1e-14 for s in ss)
+        # an array of points is each point alone, the tail past the support included
+        assert np.array_equal(double_star(sf, ss), [double_star(sf, s) for s in ss])
+    with pytest.raises(ValueError):
+        double_star(const, np.array([1.0, 0.0]))
 
 
 def test_hardy_littlewood_pairing():
@@ -435,11 +439,20 @@ def test_tail_transform_offset_indicator_closed_form():
     assert tail(2.5) == 0.0
 
 
-def test_step_function_invariants_enforced():
+def test_step_function_invariants_enforced(tmp_path):
     with pytest.raises(ValueError):
         StepFunction(np.array([1.0, 2.0]), np.array([1.0, 1.0]))   # increasing
     with pytest.raises(ValueError):
         StepFunction(np.array([2.0, 1.0]), np.array([1.0, 0.0]))   # zero measure
+    for bad in (np.nan, np.inf):                                  # non-finite measure
+        with pytest.raises(ValueError, match="measures must be finite and positive"):
+            StepFunction(np.array([2.0, 1.0]), np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="measures must be finite and positive"):
+            PiecewiseConstant(np.array([0.0, 1.0]), np.array([1.0, bad]))
+    path = tmp_path / "nan.csv"
+    path.write_text("measure,value\nnan,1.0\n")
+    with pytest.raises(ValueError, match="measures must be finite and positive"):
+        read_step_function(path)
     with pytest.raises(ValueError):
         StepFunction(np.array([-1.0]), np.array([1.0]))            # negative value
     sf = StepFunction(np.array([2.0, 1.0]), np.array([0.5, 0.5]))

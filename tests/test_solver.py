@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from connectivity import connectivity, elements
 from plaplab.fluxmaps import Exponent
 from plaplab.grid import (ElemField, Mesh, NodalField, _gradient_planes,
                           boundary_values, gradient, integrate)
@@ -33,7 +34,7 @@ def sine_problem(M):
 def p1_l2_error(mesh, u_values, w_values):
     """L2 norm of the P1 error function via exact per-element quadrature."""
     diff = u_values - w_values
-    verts = diff[mesh.elements]        # (E, 3, N)
+    verts = diff[elements(mesh.cells_per_side)]   # (E, 3, N)
     # exact mass integration on a triangle: area/12 * ((sum)^2 + sum of squares)
     s = verts.sum(axis=1)
     quad = (s ** 2 + np.sum(verts ** 2, axis=1)) / 12.0
@@ -334,8 +335,8 @@ def test_defect_vector_matches_element_loop():
     g = rng.normal(size=(len(mesh.boundary_nodes), 2))
     u = rng.normal(size=(mesh.num_nodes, 2))
     expected = np.zeros_like(u)
-    for e, nodes in enumerate(mesh.elements):
-        gl = mesh.basis_gradients[e]
+    elems, grads = connectivity(mesh)
+    for e, (nodes, gl) in enumerate(zip(elems, grads)):
         flux = a_map(p, u[nodes].T @ gl) - F[e]          # (N, 2)
         expected[nodes] += mesh.areas[e] * gl @ flux.T
     got = defect_vector(DirichletProblem(p, mesh, ElemField(F), g), NodalField(u))
@@ -480,8 +481,8 @@ def dense_frozen_system(mesh, kappa, F, g):
     """Interior matrix and right-hand side, assembled one element at a time."""
     K = np.zeros((mesh.num_nodes, mesh.num_nodes))
     b = np.zeros((mesh.num_nodes, F.shape[1]))
-    for e, nodes in enumerate(mesh.elements):
-        gl = mesh.basis_gradients[e]
+    elems, grads = connectivity(mesh)
+    for e, (nodes, gl) in enumerate(zip(elems, grads)):
         K[np.ix_(nodes, nodes)] += mesh.areas[e] * kappa[e] * gl @ gl.T
         b[nodes] += mesh.areas[e] * gl @ F[e].T
     ii, bb = mesh.interior_nodes, mesh.boundary_nodes
