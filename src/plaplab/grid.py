@@ -24,6 +24,7 @@ ball's result does not depend on the other balls of a call.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -50,6 +51,28 @@ class EmptyBallError(ValueError):
     """A ball query hit no element barycenter (radius below resolution)."""
 
 
+def _square_bounds(bounds):
+    """Four bounds (x0, x1, y0, y1) as floats; ValueError unless they are
+    finite, with finite sides, and bound a square."""
+    x0, x1, y0, y1 = (float(b) for b in bounds)
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise ValueError(f"mesh bounds {(x0, x1, y0, y1)} and side lengths must be finite")
+    if x1 <= x0 or y1 <= y0:
+        raise ValueError("degenerate bounds")
+    if abs((x1 - x0) - (y1 - y0)) > 1e-12 * max(x1 - x0, y1 - y0):
+        raise ValueError("only square domains are supported")
+    return x0, x1, y0, y1
+
+
+def _cells_per_side(cells):
+    """A cell count as an int; ValueError unless it is a whole number >= 2."""
+    if not float(cells).is_integer():
+        raise ValueError(f"cells per side must be a whole number, not {cells!r}")
+    if cells < 2:
+        raise ValueError("need at least 2 cells per side")
+    return int(cells)
+
+
 class Mesh:
     """Uniform triangulation of [x0, x1] x [y0, y1] with square cells.
 
@@ -59,18 +82,8 @@ class Mesh:
     """
 
     def __init__(self, bounds, cells_per_side):
-        x0, x1, y0, y1 = (float(b) for b in bounds)
-        if not float(cells_per_side).is_integer():
-            raise ValueError(f"cells per side must be a whole number, not {cells_per_side!r}")
-        M = int(cells_per_side)
-        if M < 2:
-            raise ValueError("need at least 2 cells per side")
-        if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
-            raise ValueError(f"mesh bounds {(x0, x1, y0, y1)} and side lengths must be finite")
-        if x1 <= x0 or y1 <= y0:
-            raise ValueError("degenerate bounds")
-        if abs((x1 - x0) - (y1 - y0)) > 1e-12 * max(x1 - x0, y1 - y0):
-            raise ValueError("only square domains are supported")
+        x0, x1, y0, y1 = _square_bounds(bounds)
+        M = _cells_per_side(cells_per_side)
         self.bounds = (x0, x1, y0, y1)
         self.cells_per_side = M
         self.h = (x1 - x0) / M
@@ -495,12 +508,21 @@ def boundary_values(mesh, fn, components=1):
 # Meshes are rebuilt from (bounds, M) and never serialized geometrically.
 
 
-def write_nodal_field(path, u: NodalField):
+def _write_table(path, header, values):
+    """An array as rows 'i_1,...,i_k,value' in C order under a header, in
+    one join and one write; a value is written as its repr, which reads
+    back to the same float."""
+    # the trailing indices repeat for every leading one: format them once
+    tails = ["".join(f"{j}," for j in i)
+             for i in itertools.product(*map(range, values.shape[1:]))]
+    keys = itertools.product(range(len(values)), tails)
+    rows = [f"{i},{tail}{v!r}\n" for (i, tail), v in zip(keys, values.ravel().tolist())]
     with open(path, "w") as fh:
-        fh.write("node,comp,value\n")
-        for node in range(u.values.shape[0]):
-            for comp in range(u.values.shape[1]):
-                fh.write(f"{node},{comp},{float(u.values[node, comp])!r}\n")
+        fh.write("".join([header + "\n"] + rows))
+
+
+def write_nodal_field(path, u: NodalField):
+    _write_table(path, "node,comp,value", u.values)
 
 
 def _read_table(path, header, sizes):
@@ -570,13 +592,7 @@ def read_nodal_field(path):
 
 
 def write_elem_field(path, f: ElemField):
-    with open(path, "w") as fh:
-        fh.write("elem,row,col,value\n")
-        E, N, _ = f.tensors.shape
-        for e in range(E):
-            for r in range(N):
-                for c in range(2):
-                    fh.write(f"{e},{r},{c},{float(f.tensors[e, r, c])!r}\n")
+    _write_table(path, "elem,row,col,value", f.tensors)
 
 
 def read_elem_field(path):

@@ -33,20 +33,25 @@ N_MODES = 8
 
 
 def trig_series(rng, n_components):
-    """Seeded truncated trig series; returns evaluate(x, y) -> (len(x), N)."""
+    """Seeded truncated trig series; returns evaluate(x, y) -> (len(x), N).
+
+    Component c is the sum over the modes k of
+    coef[c, k] * sin((pi f0) x + (pi f1) y + phase[c, k]), one mode at a time
+    on contiguous vectors, summed in np.sum's pairwise order over 8 entries.
+    """
     freq = rng.integers(1, 4, size=(n_components, N_MODES, 2))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(n_components, N_MODES))
     coef = rng.normal(size=(n_components, N_MODES)) / (1.0 + np.sum(freq ** 2, axis=2))
+    wx, wy = np.pi * freq[..., 0], np.pi * freq[..., 1]
 
     def evaluate(x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        out = np.zeros((len(x), n_components))
+        out = np.empty((len(x), n_components))
         for c in range(n_components):
-            arg = (np.pi * freq[c, :, 0][None, :] * x[:, None]
-                   + np.pi * freq[c, :, 1][None, :] * y[:, None]
-                   + phase[c][None, :])
-            out[:, c] = np.sum(coef[c][None, :] * np.sin(arg), axis=1)
+            t = [coef[c, k] * np.sin(wx[c, k] * x + wy[c, k] * y + phase[c, k])
+                 for k in range(N_MODES)]
+            out[:, c] = ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7]))
         return out
 
     return evaluate

@@ -11,6 +11,7 @@ when any recorded assertion fails.
 
 import argparse
 import csv
+import dataclasses
 import os
 import sys
 import time
@@ -50,7 +51,7 @@ def _load_config(args):
     cfg = ExperimentConfig.from_file(args.config) if args.config \
         else ExperimentConfig()
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg = dataclasses.replace(cfg, seed=args.seed)   # checks it like a config value
     if args.assert_mode:
         cfg.assert_mode = True
     return cfg

@@ -19,12 +19,18 @@ Documented keys (all optional, with desk-scale defaults):
     stability_factor  allowed fitted-constant growth     2.0
     assert_mode       fail the process on violations     false
 
+Values are checked when the config is built, and an error names its key;
+p, grids and bounds by the rules of the exponent and the mesh they make.
+
 Modulus families: power, constant, log_inverse (sigma, then optional scale,
 beta_cert, c_omega, cert_r_max) and dini_log, log_inverse at sigma = 1.
 """
 
 import math
 from dataclasses import dataclass, field
+
+from ..fluxmaps import Exponent
+from ..grid import _cells_per_side, _square_bounds
 
 __all__ = ["ExperimentConfig", "parse_config_file"]
 
@@ -112,6 +118,18 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"config key {key!r} must be positive and finite, not {value}")
+        if not self.seed >= 0:
+            raise ValueError(f"config key 'seed' must be at least 0, not {self.seed}")
+        if not 1.0 <= self.lorentz_r <= math.inf:
+            raise ValueError(f"config key 'lorentz_r' must lie in [1, inf], not {self.lorentz_r}")
+        # the rules of the objects a run builds from these keys
+        for key, rule, values in (("p", Exponent, self.ps), ("grids", _cells_per_side, self.grids),
+                                  ("bounds", _square_bounds, [self.bounds])):
+            for value in values:
+                try:
+                    rule(value)
+                except ValueError as err:
+                    raise ValueError(f"config key {key!r}: {err}") from err
 
     @classmethod
     def from_mapping(cls, kv):

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, solveh_banded
+from numpy.linalg import LinAlgError
 
 from .fluxmaps import Exponent, _norm_power
 from .grid import ElemField, Mesh, NodalField, _gradient_planes, integrate
@@ -431,6 +431,7 @@ class _BandSystem:
         # eliminate the red nodes: b_b - B^T D_r^-1 b_r adds c b_r / d_r over
         # a black node's red neighbours (the sum at a red node is not used)
         b_black = self._black(rhs + _neighbour_sum(rhs, multipliers))
+        from scipy.linalg import solveh_banded  # LAPACK loads at the first solve
         x_black = solveh_banded(ab, b_black, lower=True, overwrite_ab=True,
                                 overwrite_b=True, check_finite=False)
         values = self.g_full.copy()

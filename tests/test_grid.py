@@ -286,6 +286,45 @@ def test_field_io_round_trip(tmp_path, unit_mesh):
     assert np.array_equal(read_elem_field(fp).tensors, f.tensors)
 
 
+def _write_nodal_field_per_entry(path, u):
+    """Reference: the writer as one write per entry."""
+    with open(path, "w") as fh:
+        fh.write("node,comp,value\n")
+        for node in range(u.values.shape[0]):
+            for comp in range(u.values.shape[1]):
+                fh.write(f"{node},{comp},{float(u.values[node, comp])!r}\n")
+
+
+def _write_elem_field_per_entry(path, f):
+    """Reference: the writer as one write per entry."""
+    with open(path, "w") as fh:
+        fh.write("elem,row,col,value\n")
+        E, N, _ = f.tensors.shape
+        for e in range(E):
+            for r in range(N):
+                for c in range(2):
+                    fh.write(f"{e},{r},{c},{float(f.tensors[e, r, c])!r}\n")
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_field_writers_match_the_per_entry_reference(tmp_path, unit_mesh, N):
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 1e16, 0.1])
+    rng = np.random.default_rng(N)
+    for scale in (1.0, 1e-300, 1e300):
+        nodal = rng.normal(size=(unit_mesh.num_nodes, N)) * scale
+        elem = rng.normal(size=(unit_mesh.num_elements, N, 2)) * scale
+        nodal.flat[:special.size] = special
+        elem.flat[:special.size] = special
+        for write, ref, field in ((write_nodal_field, _write_nodal_field_per_entry,
+                                   NodalField(nodal)),
+                                  (write_elem_field, _write_elem_field_per_entry,
+                                   ElemField(elem))):
+            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+            write(got, field)
+            ref(want, field)
+            assert got.read_bytes() == want.read_bytes()
+
+
 def test_field_io_reports_line_numbers(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("elem,row,col,value\n0,0,0,1.0\n0,0,oops\n")

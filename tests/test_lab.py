@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from plaplab.grid import ElemField, Mesh, write_elem_field
-from plaplab.lab.cases import (boundary_knots, perimeter_coordinate,
+from plaplab.lab.cases import (N_MODES, boundary_knots, perimeter_coordinate,
                                rough_boundary_trace, smooth_potential_fn,
-                               smooth_tensor_fn, trace_from_knots)
+                               smooth_tensor_fn, trace_from_knots, trig_series)
 from plaplab.lab.cli import main as cli_main
 from plaplab.lab.config import ExperimentConfig, parse_config_file
 from plaplab.lab.experiments import (EXPERIMENTS, _modular_constant, exp_basic_estimate,
-                                     exp_decay, norm_table, xi_profile)
+                                     exp_decay, exp_potential, norm_table, xi_profile)
 from plaplab.lab.report import Report
 from plaplab.oscillation import dini_log_modulus
 from plaplab.rearrange import PowerYoung, StepFunction
@@ -100,6 +100,32 @@ def test_config_rejects_out_of_range_values_naming_the_key(key, text):
         ExperimentConfig.from_mapping({key: text})
 
 
+@pytest.mark.parametrize("key, text, reason", [
+    ("grids", "1", "at least 2 cells per side"),
+    ("grids", "16, 1", "at least 2 cells per side"),
+    ("bounds", "0, 1, 0, 2", "only square domains"),
+    ("bounds", "0, 1, 0, inf", "must be finite"),
+    ("bounds", "0, 1, 0", "expected 4"),
+    ("p", "1.0", "p > 1"), ("p", "nan", "p > 1"), ("p", "2, 1", "p > 1"),
+    ("lorentz_r", "0.5", r"\[1, inf\]"), ("lorentz_r", "nan", r"\[1, inf\]"),
+    ("seed", "-1", "at least 0")])
+def test_config_rejects_what_a_run_would_reject_naming_the_key(key, text, reason):
+    # each of these used to fail only inside a run, with a message naming no key
+    with pytest.raises(ValueError, match=f"config key '{key}'.*{reason}"):
+        ExperimentConfig.from_mapping({key: text})
+
+
+def test_config_accepts_the_ends_of_the_ranges():
+    cfg = ExperimentConfig.from_mapping({"grids": "2", "seed": "0", "lorentz_r": "inf",
+                                         "bounds": "-1, 1, 3, 5", "p": "1.01"})
+    assert (cfg.grids, cfg.seed, cfg.lorentz_r) == ([2], 0, math.inf)
+
+
+def test_cli_seed_override_is_checked_like_the_config_key(tmp_path):
+    with pytest.raises(ValueError, match="config key 'seed'"):
+        cli_main(["decay", "--seed", "-1", "--out", str(tmp_path)])
+
+
 def test_report_roundtrip_and_determinism(tmp_path):
     rep = Report("demo", {"seed": 1})
     rep.add_case(case="a", p=2.0, M=16, seed=0, fitted_constant=1.25,
@@ -144,6 +170,40 @@ def test_case_builders_seeded_and_mesh_independent():
     i16 = np.flatnonzero((m16.nodes[m16.boundary_nodes] == [0.0, 0.0]).all(axis=1))[0]
     i32 = np.flatnonzero((m32.nodes[m32.boundary_nodes] == [0.0, 0.0]).all(axis=1))[0]
     assert t16[i16, 0] == pytest.approx(t32[i32, 0], rel=1e-12)
+
+
+def _trig_series_reference(rng, n_components):
+    """Reference: the series as one (points, modes) expression per component."""
+    freq = rng.integers(1, 4, size=(n_components, N_MODES, 2))
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(n_components, N_MODES))
+    coef = rng.normal(size=(n_components, N_MODES)) / (1.0 + np.sum(freq ** 2, axis=2))
+
+    def evaluate(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        out = np.zeros((len(x), n_components))
+        for c in range(n_components):
+            arg = (np.pi * freq[c, :, 0][None, :] * x[:, None]
+                   + np.pi * freq[c, :, 1][None, :] * y[:, None]
+                   + phase[c][None, :])
+            out[:, c] = np.sum(coef[c][None, :] * np.sin(arg), axis=1)
+        return out
+
+    return evaluate
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 3),
+       where=st.sampled_from(["none", "one", "barycenters", "nodes"]),
+       M=st.integers(2, 40), point=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+def test_trig_series_is_bitwise_the_reference(seed, n, where, M, point):
+    mesh = Mesh((0, 1, 0, 1), M)
+    pts = {"none": np.empty((0, 2)), "one": np.array([point]),
+           "barycenters": mesh.barycenters, "nodes": mesh.nodes}[where]
+    got = trig_series(np.random.default_rng(seed), n)(pts[:, 0], pts[:, 1])
+    want = _trig_series_reference(np.random.default_rng(seed), n)(pts[:, 0], pts[:, 1])
+    assert got.shape == want.shape == (len(pts), n)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_perimeter_coordinate_covers_boundary():
@@ -215,6 +275,16 @@ def test_basic_estimate_smoke():
     assert shift.value <= 1e-12
 
 
+def test_two_component_basic_estimate_and_potential_smoke():
+    cfg = ExperimentConfig(grids=[12], n_seeds=2, ps=[1.5, 3.0], comps=2)
+    for run in (exp_basic_estimate, exp_potential):
+        rep = run(cfg)
+        assert rep.all_passed, run.__name__
+        assert rep.cases
+        for rec in rep.cases:
+            assert np.isfinite(rec["fitted_constant"])
+
+
 def test_norm_table_values_and_invariance():
     cfg = ExperimentConfig(**SMALL)
     mesh = Mesh((0, 1, 0, 1), 16)
@@ -284,8 +354,6 @@ def test_oscillation_estimate_on_too_coarse_grid_records_failed_checks():
 def test_potential_on_too_coarse_grid_records_failed_check():
     # at M = 8 no barycenter lies 4h inside the boundary, so the
     # power-modulus datum has no probe points: a failed check naming M
-    from plaplab.lab.experiments import exp_potential
-
     rep = exp_potential(ExperimentConfig(grids=[8], n_seeds=1, ps=[2.0]))
     failed = [a.name for a in rep.assertions if not a.passed]
     assert any("M = 8" in name and "power-modulus" in name for name in failed)
@@ -453,13 +521,39 @@ def test_modular_constant_closed_form_and_failure():
         _modular_constant(phi, phi, sfA, zero)
 
 
-def test_importing_the_experiments_leaves_scipy_special_out():
-    # scipy.special costs about 50 ms at every start; nothing in plaplab needs it
+_SCIPY_PROBE = """
+import sys
+import numpy as np
+import plaplab, plaplab.lab.experiments
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()[:3]
+from plaplab.grid import ElemField, Mesh, write_elem_field
+from plaplab.lab.cli import main
+mesh = Mesh((0, 1, 0, 1), 8)
+write_elem_field(sys.argv[1], ElemField(np.random.default_rng(0).normal(size=(128, 1, 2))))
+assert main(["norm-table", "--field", sys.argv[1], "--grid", "8", "--out", sys.argv[2]]) == 0
+assert not scipy_modules(), scipy_modules()[:3]
+from plaplab import DirichletProblem, Exponent, SolverConfig, solve
+g = mesh.nodes[mesh.boundary_nodes, :1] ** 2
+sol = solve(DirichletProblem(Exponent(3.0), mesh, ElemField.zeros(mesh), g))
+assert "scipy.linalg" in sys.modules
+assert sol.residual <= SolverConfig().tol_residual, sol.residual
+print("ok")
+"""
+
+
+def test_importing_the_experiments_leaves_scipy_special_out(tmp_path):
+    # scipy costs about 0.3 s at every start, scipy.special about 50 ms of it:
+    # the experiments and norm-table load none of it, and LAPACK's banded
+    # solver loads at the first solve
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, plaplab.lab.experiments; "
-                               "print('scipy.special' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+        [sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "field.csv"), str(tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().endswith("ok")
