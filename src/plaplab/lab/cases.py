@@ -86,14 +86,11 @@ def smooth_potential_fn(rng, n_components):
 
 def random_smooth_field(mesh, n_components, rng):
     """Seeded smooth tensor field sampled at element barycenters."""
-    fn = smooth_tensor_fn(rng, n_components)
-    b = mesh.barycenters
-    return ElemField(fn(b[:, 0], b[:, 1]))
+    return ElemField.from_callable(mesh, smooth_tensor_fn(rng, n_components), n_components)
 
 
 def random_smooth_potential(mesh, n_components, rng):
-    fn = smooth_potential_fn(rng, n_components)
-    return NodalField(fn(mesh.nodes[:, 0], mesh.nodes[:, 1]))
+    return NodalField.from_callable(mesh, smooth_potential_fn(rng, n_components), n_components)
 
 
 def perimeter_coordinate(mesh, points):

@@ -1,4 +1,4 @@
-"""Flat key-value experiment configuration.
+"""Flat key-value experiment configuration, and problem files (`load_problem`).
 
 Config files are plain text, one `key = value` per line, `#` comments.
 A key appears at most once, and a key not documented here is an error.
@@ -20,19 +20,30 @@ Documented keys (all optional, with desk-scale defaults):
     assert_mode       fail the process on violations     false
 
 Values are checked when the config is built, and an error names its key;
-p, grids and bounds by the rules of the exponent and the mesh they make.
+p, grids, bounds, modulus and young by the rules of the exponent, the mesh,
+the modulus and the Young function they make.
 
-Modulus families: power, constant, log_inverse (sigma, then optional scale,
-beta_cert, c_omega, cert_r_max) and dini_log, log_inverse at sigma = 1.
+Modulus families: power (beta), constant (none), log_inverse (sigma, then
+optional scale, beta_cert, c_omega, cert_r_max) and dini_log (log_inverse at
+sigma = 1, the same optional four).  Young families: power (q, then optional
+scale), exp or exp_type (gamma, q) and linf_cap (q).
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
-from ..fluxmaps import Exponent
-from ..grid import _cells_per_side, _square_bounds
+import numpy as np
 
-__all__ = ["ExperimentConfig", "parse_config_file"]
+from ..fluxmaps import Exponent
+from ..grid import (ElemField, Mesh, _cells_per_side, _square_bounds, read_elem_field,
+                    read_nodal_field)
+from ..oscillation import modulus_from_spec
+from ..rearrange import LorentzSpec, young_from_spec
+from ..solver import DirichletProblem
+from . import cases
+
+__all__ = ["ExperimentConfig", "parse_config_file", "load_problem"]
 
 
 def parse_config_file(path):
@@ -49,6 +60,89 @@ def parse_config_file(path):
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = val
     return out
+
+
+def load_problem(path):
+    """Build a DirichletProblem from a flat key-value problem file, whose
+    keys are each optional and at most once (any other key is an error):
+
+        p          exponent, > 1                                   2
+        grid       cells per side M                                32
+        bounds     x0, x1, y0, y1                                  0, 1, 0, 1
+        comps      number of solution components N                 1
+        F          zero | file <path> | trig <seed> | amap <seed>  zero
+        g          keep | zero | affine <a> <b> <c> | file <path> | trace <seed>
+
+    'trig' builds a seeded truncated trigonometric series, 'amap' builds
+    F = A(grad w) for a seeded smooth w, 'trace' builds a seeded rough
+    piecewise-linear boundary trace.  'keep' (the default) takes the boundary
+    data that comes with F: the trace of w for 'amap', zero otherwise.  Each
+    value is checked by the rule of the object it builds, and a bad one
+    raises ValueError naming the file and the key.
+    """
+    kv = parse_config_file(path)
+    unknown = sorted(set(kv) - {"p", "grid", "bounds", "comps", "F", "g"})
+    if unknown:
+        raise ValueError(f"{path}: unknown problem key(s): {', '.join(unknown)}")
+
+    def read(key, default, rule):
+        try:
+            return rule(kv.get(key, default))
+        except ValueError as err:
+            raise ValueError(f"{path}: problem key {key!r}: {err}") from err
+
+    p = read("p", "2.0", lambda t: Exponent(float(t)))
+    mesh = Mesh(read("bounds", "0, 1, 0, 1", lambda t: _square_bounds(_floats(t))),
+                read("grid", "32", lambda t: _cells_per_side(float(t))))
+    comps = read("comps", "1", lambda t: _at_least(1)(int(t)))
+    zero = np.zeros((len(mesh.boundary_nodes), comps))
+    pts = mesh.nodes[mesh.boundary_nodes]
+    F, kept = read("F", "zero", lambda t: _source(t, {
+        "zero": lambda: (ElemField.zeros(mesh, rows=comps), zero),
+        "file": lambda file: (ElemField(_sized(read_elem_field(file).tensors,
+                                               (mesh.num_elements, comps, 2))), zero),
+        "trig": lambda seed: (cases.random_smooth_field(mesh, comps, _seeded(seed)), zero),
+        "amap": lambda seed: cases.manufactured_problem_data(p, mesh, comps, _seeded(seed))[:2]}))
+    g = read("g", "keep", lambda t: _source(t, {
+        "keep": lambda: kept, "zero": lambda: zero,
+        "affine": lambda a, b, c: np.repeat(
+            (float(a) * pts[:, 0] + float(b) * pts[:, 1] + float(c))[:, None], comps, axis=1),
+        "file": lambda file: _sized(read_nodal_field(file).values,
+                                    (mesh.num_nodes, comps))[mesh.boundary_nodes],
+        "trace": lambda seed: cases.rough_boundary_trace(mesh, comps, _seeded(seed))}))
+    return DirichletProblem(p, mesh, F, g)
+
+
+def _source(text, builders):
+    """An F or g source built by the builder of its name, once its arguments
+    are checked against the builder's."""
+    name, *args = text.split() or [""]
+    if name not in builders:
+        raise ValueError(f"unknown source {name!r}")
+    try:
+        inspect.signature(builders[name]).bind(*args)
+    except TypeError as err:
+        raise ValueError(f"source {name!r}: {err}") from None
+    return builders[name](*args)
+
+
+def _seeded(seed):
+    return np.random.default_rng(int(seed))
+
+
+def _sized(table, shape):
+    if table.shape != shape:
+        raise ValueError(f"the file holds a table of shape {table.shape}, not {shape}")
+    return table
+
+
+def _at_least(least):
+    """The rule of a count: a value of at least `least`."""
+    def rule(value):
+        if not value >= least:
+            raise ValueError(f"must be at least {least}, not {value}")
+        return value
+    return rule
 
 
 def _floats(text):
@@ -110,21 +204,19 @@ class ExperimentConfig:
             raise ValueError("need at least one exponent and one grid size")
         if not (0.0 < self.radii_ratio < 1.0):
             raise ValueError("radii_ratio must lie in (0, 1)")
-        if self.n_seeds < 0:
-            raise ValueError(f"config key 'n_seeds' must be at least 0, not {self.n_seeds}")
-        if self.comps < 1:
-            raise ValueError(f"config key 'comps' must be at least 1, not {self.comps}")
         for key in ("r_min_cells", "r_max_frac", "stability_factor"):
             value = getattr(self, key)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"config key {key!r} must be positive and finite, not {value}")
-        if not self.seed >= 0:
-            raise ValueError(f"config key 'seed' must be at least 0, not {self.seed}")
-        if not 1.0 <= self.lorentz_r <= math.inf:
-            raise ValueError(f"config key 'lorentz_r' must lie in [1, inf], not {self.lorentz_r}")
-        # the rules of the objects a run builds from these keys
+        # each key by the rule of what a run builds from it
         for key, rule, values in (("p", Exponent, self.ps), ("grids", _cells_per_side, self.grids),
-                                  ("bounds", _square_bounds, [self.bounds])):
+                                  ("bounds", _square_bounds, [self.bounds]),
+                                  ("seed", _at_least(0), [self.seed]),
+                                  ("n_seeds", _at_least(0), [self.n_seeds]),
+                                  ("comps", _at_least(1), [self.comps]),
+                                  ("lorentz_r", lambda r: LorentzSpec(2.0, r), [self.lorentz_r]),
+                                  ("modulus", lambda s: modulus_from_spec(*s), [self.modulus_spec]),
+                                  ("young", lambda s: young_from_spec(*s), [self.young_spec])):
             for value in values:
                 try:
                     rule(value)

@@ -93,8 +93,7 @@ class _Case:
         if self.manufactured:
             F, g, _ = cases.manufactured_data(self.p, mesh, self.potential_fn)
         else:
-            b = mesh.barycenters
-            F = ElemField(self.tensor_fn(b[:, 0], b[:, 1]))
+            F = ElemField.from_callable(mesh, self.tensor_fn, self.comps)
             g = np.zeros((len(mesh.boundary_nodes), self.comps))
         return DirichletProblem(self.p, mesh, F, g)
 
@@ -124,9 +123,11 @@ def _side(cfg):
     return x1 - x0
 
 
-def _field_scale(F: ElemField):
-    """Oscillation scale of a tensor field: sup |F - mean| over elements."""
-    return float(_centered_norms(F).max(initial=0.0))
+def _kept(den, F):
+    """Probe points whose denominator is not below DENOM_FLOOR of the datum
+    F's oscillation scale sup |F - mean|: a locally constant F drives both
+    sides of a ratio to zero."""
+    return ~(den < DENOM_FLOOR * max(float(_centered_norms(F).max(initial=0.0)), 1e-300))
 
 
 def _probe_points(cfg, margin, per_side=10):
@@ -182,9 +183,8 @@ def _sharp_ratio_stats(cfg, rec):
     radii = RadiiSet(cfg.r_min_cells * mesh.h, r_max, cfg.radii_ratio)
     pts = _probe_points(cfg, r_max)
     qmin = min(p.pprime, 2.0)
-    fscale = max(_field_scale(rec["prob"].F), 1e-300)
     den = sharp_maximal(mesh, rec["prob"].F, p.pprime, radii, pts)
-    kept = ~(den < DENOM_FLOOR * fscale)
+    kept = _kept(den, rec["prob"].F)
     ratios = sharp_maximal(mesh, rec["A"], qmin, radii, pts[kept]) / den[kept]
     return {
         "n_points": len(pts),
@@ -374,11 +374,10 @@ def exp_decay(cfg: ExperimentConfig):
         qmin = min(p.pprime, 2.0)
         R_b = 0.2 * _side(cfg)
         pts = _probe_points(cfg, R_b, per_side=6)
-        fscale = max(_field_scale(rec["prob"].F), 1e-300)
         _, lhs = ball_oscillation(mesh, rec["A"], pts, theta * R_b, qmin)
         _, t1 = ball_oscillation(mesh, rec["A"], pts, R_b, qmin)
         _, t2 = ball_oscillation(mesh, rec["prob"].F, pts, R_b, p.pprime)
-        kept = ~(t2 < DENOM_FLOOR * fscale)
+        kept = _kept(t2, rec["prob"].F)
         skipped = int(np.count_nonzero(~kept))
         fits = {}
         for d in (0.1, 0.25, 0.5):
@@ -438,9 +437,8 @@ def exp_oscillation_estimate(cfg: ExperimentConfig):
             radii = _local_radii(report, cfg, rec["mesh"], R)
             if radii is None:
                 continue
-            fscale = max(_field_scale(rec["prob"].F), 1e-300)
             lhs, rhs = _weighted_sides(cfg, rec, omega, R, radii, per_side=8)
-            kept = ~(rhs < DENOM_FLOOR * fscale)
+            kept = _kept(rhs, rec["prob"].F)
             fits = lhs[kept] / rhs[kept]
             c_fit = float(fits.max()) if fits.size else 0.0
             records.append(_add_row(report, case, M, beta=beta, fitted_constant=c_fit,
@@ -453,7 +451,8 @@ def exp_oscillation_estimate(cfg: ExperimentConfig):
     radii = _local_radii(report, cfg, base["mesh"], R)
     if radii is not None:
         lhs, rhs = _weighted_sides(cfg, base, constant_modulus(), R, radii, per_side=5)
-        worst = float((lhs / np.maximum(rhs, 1e-300)).max())
+        kept = _kept(rhs, base["prob"].F)
+        worst = float((lhs[kept] / rhs[kept]).max(initial=0.0))
         report.check("constant-weight comparison finite", "isfinite",
                      np.isfinite(worst), value=round(worst, 3))
     return report
@@ -497,7 +496,8 @@ def exp_potential(cfg: ExperimentConfig):
         # the ball mean of |A| on B_R: the plain maximal over the one radius R
         rhs = (oscillation_potential(mesh, rec["prob"].F, pts, params)
                + plain_maximal(mesh, rec["A"], 1.0, RadiiSet(R, R), pts))
-        fits = lhs[rhs > 0.0] / rhs[rhs > 0.0]
+        kept = _kept(rhs, rec["prob"].F)
+        fits = lhs[kept] / rhs[kept]
         cauchy_violations += _dyadic_mean_defects(mesh, rec["A"], pts, params)
         records.append(_add_row(report, case, M,
                                 fitted_constant=float(fits.max()) if fits.size else 0.0))

@@ -16,6 +16,7 @@ grid's single ball kernel, which is batched over centers: a ball family is
 one kernel call, and so is the potential at a (P, 2) array of points.
 """
 
+import inspect
 import math
 from dataclasses import dataclass
 
@@ -178,16 +179,16 @@ def dini_log_modulus(scale=math.e ** 2, beta_cert=0.5, c_omega=None,
 
 
 def modulus_from_spec(name, params=()):
-    params = [float(x) for x in params]
-    if name == "power":
-        return power_modulus(*params)
-    if name == "log_inverse":
-        return log_inverse_modulus(*params)
-    if name == "constant":
-        return constant_modulus()
-    if name == "dini_log":
-        return dini_log_modulus(*params)
-    raise ValueError(f"unknown modulus family {name!r}")
+    """Build a modulus from a config family name and its parameters."""
+    families = {"power": power_modulus, "log_inverse": log_inverse_modulus,
+                "constant": constant_modulus, "dini_log": dini_log_modulus}
+    if name not in families:
+        raise ValueError(f"unknown modulus family {name!r}")
+    try:
+        inspect.signature(families[name]).bind(*params)
+    except TypeError as err:
+        raise ValueError(f"modulus family {name!r}: {err}") from None
+    return families[name](*(float(x) for x in params))
 
 
 @dataclass(frozen=True)

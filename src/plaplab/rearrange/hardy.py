@@ -17,15 +17,17 @@ stacked family directly.  Every Lebesgue, Lorentz and Luxemburg norm in
 plaplab is evaluated here, on all pieces of all members at once (`norms`;
 `norm` is the family of one):
 
-* Lebesgue and Lorentz (finite r) norms are integrals of s^alpha f(s)^r.  A
-  constant piece is integrated in closed form, a tail piece at 0 by an upper
-  incomplete gamma function.  Every other piece goes to one fixed
-  Gauss-Legendre rule on sub-intervals at most a decade wide, in log s, or
-  in log(g / v) for a tail piece v log(S / s) + t that vanishes within a
-  piece-length and a decade of it.  The rule of twice the order checks each
-  piece: QuadratureError where the two differ by more than 1e-10 relative.
-* The Lorentz r = inf functional is an exact sup: each piece's endpoints and
-  the one interior stationary point of a tail piece.
+* Lebesgue (finite q) and Lorentz (finite r) norms are integrals of
+  s^alpha f(s)^r.  A constant piece is integrated in closed form, a tail
+  piece at 0 by an upper incomplete gamma function.  Every other piece goes
+  to one fixed Gauss-Legendre rule on sub-intervals at most a decade wide,
+  in log s, or in log(g / v) for a tail piece v log(S / s) + t that vanishes
+  within a piece-length and a decade of it.  The rule of twice the order
+  checks each piece: QuadratureError where the two differ by more than
+  1e-10 relative.
+* The Lorentz r = inf functional, and with it the L^inf norm, is an exact
+  sup: each piece's endpoints and the one interior stationary point of a
+  tail piece.
 * Orlicz (Luxemburg) norms take each constant piece as an exact one-node
   rule and every other piece by the same rule, a tail piece at 0 down to
   s = 1e-300.  The family is evaluated at the nodes once, so each step of
@@ -171,26 +173,11 @@ class DecreasingPieces:
                                 self.power * expo, self.member, self.members)
 
 
-def _member_sums(member, members):
-    """The function that sums an array laid out by the sorted member index,
-    member by member.
-
-    Each total is the pairwise sum np.sum takes of the member's own slice,
-    so it does not depend on the rest of the family: the members with equal
-    counts are gathered as the rows of one array and summed along the rows.
-    """
-    counts = np.bincount(member, minlength=members)
-    starts = np.cumsum(counts) - counts
-    groups = [(rows, starts[rows][:, None] + np.arange(n))
-              for n in np.unique(counts[counts > 0])
-              for rows in [np.flatnonzero(counts == n)]]
-
-    def sums(values):
-        out = np.zeros(members)
-        for rows, idx in groups:
-            out[rows] = values[idx].sum(axis=1)
-        return out
-    return sums
+def _member_sums(member, members, values):
+    """Per member, np.sum of its own slice of values laid out by the sorted
+    member index, so that a total does not depend on the rest of the family."""
+    cuts = np.searchsorted(member, np.arange(members + 1)).tolist()
+    return np.array([values[a:b].sum() for a, b in zip(cuts[:-1], cuts[1:])])
 
 
 def _rule(pw, pieces):
@@ -309,8 +296,8 @@ def _power_moment(pw, alpha, beta):
     """Integral of s^alpha f(s)^(beta / power) over the pieces of each member."""
     kappa = alpha + 1.0
     const = pw._constant()
-    total = _member_sums(pw.member[const], pw.members)(
-        pw._at_zero(const) ** beta * (pw.hi[const] ** kappa - pw.lo[const] ** kappa)) / kappa
+    total = _member_sums(pw.member[const], pw.members, pw._at_zero(const) ** beta
+                         * (pw.hi[const] ** kappa - pw.lo[const] ** kappa)) / kappa
     # a member's piece at 0 comes first, so each member has at most one
     at_zero = np.flatnonzero((pw.lo == 0.0) & ~const)
     if len(at_zero):
@@ -318,8 +305,8 @@ def _power_moment(pw, alpha, beta):
     rest = np.flatnonzero((pw.lo > 0.0) & ~const)
     if len(rest):
         piece, logs, g, weights = _rule(pw, rest)
-        total += _member_sums(pw.member, pw.members)(
-            _rule_sums(pw, piece, weights * np.exp(alpha * logs) * g ** beta))
+        total += _member_sums(pw.member, pw.members,
+                              _rule_sums(pw, piece, weights * np.exp(alpha * logs) * g ** beta))
     return total
 
 
@@ -402,16 +389,31 @@ class _Spec:
 
 @dataclass(frozen=True)
 class LebesgueSpec(_Spec):
+    """The L^q norm, 1 <= q <= inf; L^inf is the exact sup of `_lorentz_sup`."""
     q: float
 
+    def __post_init__(self):
+        if not 1.0 <= self.q <= np.inf:
+            raise ValueError(f"Lebesgue exponent must lie in [1, inf], not {self.q}")
+
     def norms(self, pw):
+        if self.q == np.inf:
+            return _lorentz_sup(pw, np.inf)
         return np.float_power(_power_moment(pw, 0.0, self.q * pw.power), 1.0 / self.q)
 
 
 @dataclass(frozen=True)
 class LorentzSpec(_Spec):
+    """The Lorentz functional of an admissible pair: (1, 1), (inf, inf) (the
+    largest value), or 1 < q < inf with 1 <= r <= inf."""
     q: float
     r: float
+
+    def __post_init__(self):
+        q, r = self.q, self.r
+        if not (q == r == 1.0 or q == r == np.inf or (1.0 < q < np.inf and 1.0 <= r <= np.inf)):
+            raise ValueError(f"inadmissible Lorentz pair (q={q}, r={r}): need (1, 1), (inf, inf) "
+                             f"or 1 < q < inf with r in [1, inf]")
 
     def norms(self, pw):
         if self.r == np.inf:
@@ -448,10 +450,10 @@ class OrliczSpec(_Spec):
         keep = live[node]
         at = (np.cumsum(live) - 1)[node[keep]]
         f_live, w_live = f_fine[keep], w_fine[keep]
-        sums = _member_sums(at, int(live.sum()))
+        n_live = int(live.sum())
 
         def modular(lam):
-            return sums(self.phi(f_live / lam[at]) * w_live)
+            return _member_sums(at, n_live, self.phi(f_live / lam[at]) * w_live)
 
         # one errstate for the whole search: entering it costs more than a
         # modular call on a small family

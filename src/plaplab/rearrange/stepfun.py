@@ -45,6 +45,8 @@ class PiecewiseConstant:
         self.values = values
         self.measures = measures
         self.boundaries = np.cumsum(measures)   # right endpoints
+        if not np.all(np.diff(self.boundaries, prepend=0.0) > 0.0):
+            raise ValueError("a measure below an ulp of the running total leaves an empty piece")
 
     @property
     def total_measure(self):
@@ -110,33 +112,12 @@ def double_star(sf: StepFunction, s):
 
 
 def lq_norm(sf: StepFunction, q):
-    """Lebesgue norm; q = inf is the largest value."""
-    if q == np.inf:
-        return float(sf.values[0]) if len(sf.values) else 0.0
-    if q < 1.0:
-        raise ValueError("q must be at least 1")
+    """Lebesgue norm, 1 <= q <= inf; q = inf is the largest value."""
     return LebesgueSpec(q).norm(DecreasingPieces.from_step(sf))
 
 
-def _lorentz_admissible(q, r):
-    if q == np.inf and r == np.inf:
-        return
-    if q == 1.0 and r == 1.0:
-        return
-    if 1.0 < q < np.inf and 1.0 <= r <= np.inf:
-        return
-    raise ValueError(f"inadmissible Lorentz pair (q={q}, r={r})")
-
-
 def lorentz_norm(sf: StepFunction, q, r):
-    """Two-parameter Lorentz functional.
-
-    For finite r this is the r-norm of s^(1/q - 1/r) f*(s); r = inf takes
-    the supremum of s^(1/q) f*(s), and (q, r) = (inf, inf) the largest value.
-    """
-    _lorentz_admissible(q, r)
-    if q == np.inf:
-        return float(sf.values[0]) if len(sf.values) else 0.0
+    """Two-parameter Lorentz functional of an admissible pair (`LorentzSpec`)."""
     return LorentzSpec(q, r).norm(DecreasingPieces.from_step(sf))
 
 

@@ -8,6 +8,8 @@ default) with power-law interpolation between nodes; conjugation of
 sampled functions is a monotone O(grid) scan exploiting slope monotonicity.
 """
 
+import inspect
+
 import numpy as np
 
 __all__ = [
@@ -17,7 +19,6 @@ __all__ = [
     "CapYoung",
     "JumpYoung",
     "SampledYoung",
-    "young_conjugate",
     "orlicz_target",
     "young_from_spec",
     "HypothesisViolation",
@@ -58,9 +59,9 @@ class YoungFunction:
         vals = self(grid ** lam)
         return SampledYoung(grid, vals, self.infinite_beyond ** (1.0 / lam))
 
-    def min_log_slope(self, grid=None):
-        """Infimum over the grid of t Phi'(t) / Phi(t), by log differences."""
-        grid = default_grid() if grid is None else grid
+    def min_log_slope(self):
+        """Infimum of t Phi'(t) / Phi(t) over `default_grid()`, by log differences."""
+        grid = default_grid()
         vals = np.asarray(self(grid), dtype=float)
         ok = np.isfinite(vals) & (vals > 0.0)
         t = np.log(grid[ok])
@@ -92,12 +93,11 @@ class PowerYoung(YoungFunction):
         return PowerYoung(qc, scale)
 
     def reparam_power(self, lam):
-        if lam <= 0.0:
-            raise ValueError("reparameterization power must be positive")
-        return PowerYoung(self.q * lam, self.scale) if self.q * lam >= 1.0 \
-            else super().reparam_power(lam)
+        if lam > 0.0 and self.q * lam >= 1.0:
+            return PowerYoung(self.q * lam, self.scale)
+        return super().reparam_power(lam)
 
-    def min_log_slope(self, grid=None):
+    def min_log_slope(self):
         return self.q
 
 
@@ -116,7 +116,7 @@ class ExpYoung(YoungFunction):
             out = t ** self.q * np.exp(t ** self.gamma)
         return float(out) if out.ndim == 0 else out
 
-    def min_log_slope(self, grid=None):
+    def min_log_slope(self):
         return self.q
 
 
@@ -135,7 +135,7 @@ class CapYoung(YoungFunction):
         out = np.where(t <= 1.0, t ** self.q, np.inf)
         return float(out) if out.ndim == 0 else out
 
-    def min_log_slope(self, grid=None):
+    def min_log_slope(self):
         return self.q
 
 
@@ -237,11 +237,6 @@ def _numeric_conjugate(phi):
     return SampledYoung(ss[:valid], out)
 
 
-def young_conjugate(phi: YoungFunction):
-    """Young conjugate, closed form where available, monotone scan otherwise."""
-    return phi.conjugate()
-
-
 def _cumulative_conj_over_rsq(phi_conj_grid, phi_conj_vals):
     """Exact-in-segments integral of conj(r) / r^2 from 0 with power interpolation.
 
@@ -298,12 +293,13 @@ def orlicz_target(phi: YoungFunction, p):
 
 
 def young_from_spec(name, params=()):
-    """Build a Young function from a config family name and parameters."""
-    params = [float(x) for x in params]
-    if name == "power":
-        return PowerYoung(*params)
-    if name in ("exp", "exp_type"):
-        return ExpYoung(*params)
-    if name == "linf_cap":
-        return CapYoung(*params)
-    raise ValueError(f"unknown Young function family {name!r}")
+    """Build a Young function from a config family name and its parameters."""
+    families = {"power": PowerYoung, "exp": ExpYoung, "exp_type": ExpYoung,
+                "linf_cap": CapYoung}
+    if name not in families:
+        raise ValueError(f"unknown Young function family {name!r}")
+    try:
+        inspect.signature(families[name]).bind(*params)
+    except TypeError as err:
+        raise ValueError(f"Young function family {name!r}: {err}") from None
+    return families[name](*(float(x) for x in params))

@@ -50,7 +50,6 @@ __all__ = [
     "residual",
     "solve",
     "solve_pharmonic",
-    "load_problem",
 ]
 
 
@@ -531,72 +530,3 @@ def solve_pharmonic(mesh: Mesh, p: Exponent, g, cfg: Optional[SolverConfig] = No
     g = np.atleast_2d(np.asarray(g, dtype=float))
     F = ElemField.zeros(mesh, rows=g.shape[1])
     return solve(DirichletProblem(p, mesh, F, g), cfg)
-
-
-# --- problem files ------------------------------------------------------------
-#
-# A problem file is a flat key = value text file with these keys, each
-# optional and at most once (any other key is an error):
-#   p          exponent, > 1
-#   grid       cells per side M
-#   bounds     x0, x1, y0, y1
-#   comps      number of solution components N (default 1)
-#   F          zero | file <path> | trig <seed> | amap <seed>
-#   g          keep | zero | affine <a> <b> <c> | file <path> | trace <seed>
-# 'trig' builds a seeded truncated trigonometric series, 'amap' builds
-# F = A(grad w) for a seeded smooth w, 'trace' builds a seeded rough
-# piecewise-linear boundary trace.  'keep' (the default) takes the boundary
-# data that comes with F: the trace of w for 'amap', zero otherwise.
-
-
-def load_problem(path):
-    """Build a DirichletProblem from a flat key-value problem file."""
-    from .lab import cases  # local imports; lab depends on solver
-    from .lab.config import parse_config_file
-
-    kv = parse_config_file(path)
-    unknown = sorted(set(kv) - {"p", "grid", "bounds", "comps", "F", "g"})
-    if unknown:
-        raise ValueError(f"{path}: unknown problem key(s): {', '.join(unknown)}")
-    p = Exponent(float(kv.get("p", "2.0")))
-    M = int(kv.get("grid", "32"))
-    bounds = tuple(float(t) for t in kv.get("bounds", "0,1,0,1").split(","))
-    comps = int(kv.get("comps", "1"))
-    mesh = Mesh(bounds, M)
-
-    fspec = kv.get("F", "zero").split()
-    gspec = kv.get("g", "keep").split()
-
-    zero = np.zeros((len(mesh.boundary_nodes), comps))
-    g = zero                  # replaced by the trace of w for 'amap'
-    if fspec[0] == "zero":
-        F = ElemField.zeros(mesh, rows=comps)
-    elif fspec[0] == "file":
-        from .grid import read_elem_field
-        F = read_elem_field(fspec[1])
-    elif fspec[0] == "trig":
-        rng = np.random.default_rng(int(fspec[1]))
-        F = cases.random_smooth_field(mesh, comps, rng)
-    elif fspec[0] == "amap":
-        rng = np.random.default_rng(int(fspec[1]))
-        F, g, _ = cases.manufactured_problem_data(p, mesh, comps, rng)
-    else:
-        raise ValueError(f"unknown F source {fspec[0]!r}")
-
-    if gspec[0] == "zero":
-        g = zero
-    elif gspec[0] == "affine":
-        a, b, c = (float(t) for t in gspec[1:4])
-        pts = mesh.nodes[mesh.boundary_nodes]
-        g = np.repeat((a * pts[:, 0] + b * pts[:, 1] + c)[:, None], comps, axis=1)
-    elif gspec[0] == "file":
-        from .grid import read_nodal_field
-        full = read_nodal_field(gspec[1])
-        g = full.values[mesh.boundary_nodes]
-    elif gspec[0] == "trace":
-        rng = np.random.default_rng(int(gspec[1]))
-        g = cases.rough_boundary_trace(mesh, comps, rng)
-    elif gspec[0] != "keep":
-        raise ValueError(f"unknown g source {gspec[0]!r}")
-
-    return DirichletProblem(p, mesh, F, g)

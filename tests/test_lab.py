@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -9,20 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from plaplab.grid import ElemField, Mesh, write_elem_field
+from plaplab.grid import ElemField, Mesh, NodalField, write_elem_field, write_nodal_field
 from plaplab.lab.cases import (N_MODES, boundary_knots, perimeter_coordinate,
-                               rough_boundary_trace, smooth_potential_fn,
+                               random_smooth_potential, rough_boundary_trace, smooth_potential_fn,
                                smooth_tensor_fn, trace_from_knots, trig_series)
 from plaplab.lab.cli import main as cli_main
-from plaplab.lab.config import ExperimentConfig, parse_config_file
+from plaplab.lab.config import ExperimentConfig, load_problem, parse_config_file
 from plaplab.lab.experiments import (EXPERIMENTS, _modular_constant, exp_basic_estimate,
                                      exp_decay, exp_potential, norm_table, xi_profile)
 from plaplab.lab.report import Report
 from plaplab.oscillation import dini_log_modulus
 from plaplab.rearrange import PowerYoung, StepFunction
+from plaplab.solver import SolverConfig, solve
 import math
 
 SMALL = dict(ps=[1.5, 3.0], grids=[16], n_seeds=2, seed=5)
+TIGHT = SolverConfig(tol_residual=1e-9, max_iter=400)
 
 
 def test_config_parsing(tmp_path):
@@ -108,7 +112,11 @@ def test_config_rejects_out_of_range_values_naming_the_key(key, text):
     ("bounds", "0, 1, 0", "expected 4"),
     ("p", "1.0", "p > 1"), ("p", "nan", "p > 1"), ("p", "2, 1", "p > 1"),
     ("lorentz_r", "0.5", r"\[1, inf\]"), ("lorentz_r", "nan", r"\[1, inf\]"),
-    ("seed", "-1", "at least 0")])
+    ("seed", "-1", "at least 0"),
+    ("young", "power 0.5", "q >= 1"), ("young", "foo 2", "unknown Young function family"),
+    ("young", "exp 1", "'exp': missing a required argument: 'q'"),
+    ("modulus", "foo", "unknown modulus family"), ("modulus", "power -1", "beta_cert > 0"),
+    ("modulus", "log_inverse", "'log_inverse': missing a required argument: 'sigma'")])
 def test_config_rejects_what_a_run_would_reject_naming_the_key(key, text, reason):
     # each of these used to fail only inside a run, with a message naming no key
     with pytest.raises(ValueError, match=f"config key '{key}'.*{reason}"):
@@ -124,6 +132,71 @@ def test_config_accepts_the_ends_of_the_ranges():
 def test_cli_seed_override_is_checked_like_the_config_key(tmp_path):
     with pytest.raises(ValueError, match="config key 'seed'"):
         cli_main(["decay", "--seed", "-1", "--out", str(tmp_path)])
+
+
+def test_problem_file_loading(tmp_path):
+    cfgfile = tmp_path / "prob.cfg"
+    cfgfile.write_text(
+        "p = 3.0\ngrid = 8\nbounds = 0, 1, 0, 1\ncomps = 1\n"
+        "F = amap 4\ng = keep\n")
+    prob = load_problem(cfgfile)
+    assert prob.p.p == 3.0
+    assert prob.mesh.cells_per_side == 8
+    sol = solve(prob, TIGHT)
+    assert sol.residual <= 1e-9
+
+    cfgfile.write_text("p = 2.0\ngrid = 6\nF = zero\ng = affine 1 2 0\n")
+    prob = load_problem(cfgfile)
+    sol = solve(prob, TIGHT)
+    exact = prob.mesh.nodes[:, 0] + 2.0 * prob.mesh.nodes[:, 1]
+    assert np.allclose(sol.u.values[:, 0], exact, atol=1e-8)
+
+
+def test_problem_file_rejects_unknown_keys(tmp_path):
+    # 'grids' is a typo for 'grid' and must not fall back to the default M
+    cfgfile = tmp_path / "prob.cfg"
+    cfgfile.write_text("p = 3.0\ngrids = 8\n")
+    with pytest.raises(ValueError, match="unknown problem key.*grids"):
+        load_problem(cfgfile)
+
+
+def test_problem_file_boundary_sources_with_amap(tmp_path):
+    # an absent g keeps the trace of the amap potential; g = zero means zero
+    cfgfile = tmp_path / "prob.cfg"
+    head = "p = 3.0\ngrid = 8\nF = amap 4\n"
+    mesh = Mesh((0, 1, 0, 1), 8)
+    w = random_smooth_potential(mesh, 1, np.random.default_rng(4))
+    trace = w.values[mesh.boundary_nodes]
+    assert np.abs(trace).max() > 0.1
+    for g_line, expected in (("", trace), ("g = keep\n", trace),
+                             ("g = zero\n", np.zeros_like(trace))):
+        cfgfile.write_text(head + g_line)
+        assert np.array_equal(load_problem(cfgfile).g, expected), g_line
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("comps = 0", "'comps': must be at least 1"),
+    ("bounds = 0, 1", "'bounds': .*expected 4"),
+    ("grid = 8.5", "'grid': cells per side must be a whole number"),
+    ("p = 1", "'p': .*p > 1"),
+    ("F = trig", "'F': source 'trig': missing a required argument: 'seed'"),
+    ("F = file", "'F': source 'file': missing a required argument: 'file'"),
+    ("F = file {elems}", r"'F': .* shape \(32, 1, 2\), not \(2048, 1, 2\)"),
+    ("g = affine 1 2", "'g': source 'affine': missing a required argument: 'c'"),
+    ("g = zero 0", "'g': source 'zero': too many positional arguments"),
+    ("g = file {nodes}", r"'g': .* shape \(25, 1\), not \(1089, 1\)"),
+    ("g = sine", "'g': unknown source 'sine'")])
+def test_problem_file_names_the_bad_key(tmp_path, line, reason):
+    # each of these used to load a problem that failed later, or raise an
+    # IndexError or an unpacking error that named no key
+    coarse = Mesh((0, 1, 0, 1), 4)
+    elems, nodes = tmp_path / "elems.csv", tmp_path / "nodes.csv"
+    write_elem_field(elems, ElemField.zeros(coarse))
+    write_nodal_field(nodes, NodalField.zeros(coarse))
+    path = tmp_path / "prob.cfg"
+    path.write_text(line.format(elems=elems, nodes=nodes) + "\n")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: problem key {reason}"):
+        load_problem(path)
 
 
 def test_report_roundtrip_and_determinism(tmp_path):
@@ -260,6 +333,39 @@ def test_report_determinism_across_runs(tmp_path):
     r1.write_json(p1)
     r2.write_json(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# SHA-256 of the six reports at ExperimentConfig(seed=7, grids=[24], n_seeds=2).
+# A change that moves a report bit updates its digest here and names the
+# moved values in CHANGES.md.
+REPORT_DIGESTS = {
+    "basic-estimate.json": "1876bba3c53ef89f1f4c86576116aa3d772baf31138c4ea83197c807e4bc7979",
+    "basic-estimate.csv": "301d256e2c205df950f16dfe87d395348d111c687df7eb900a1ad65eb0f70a80",
+    "decay.json": "d33cfa65f70f38a54cc862846f3e68cf1e83fba4f2e71d04a9659c78dfa27f9e",
+    "decay.csv": "92fab9c645bccdbdba18453e481c76378c5f6907d2c0929f3370ba9d55b20601",
+    "oscillation.json": "20f3ed9bbe083e1f1c196b0af604c266a76df82d4dbaa462aa0e94568e28218a",
+    "oscillation.csv": "3c0cb2b2f1fed1556ea3111386a24d01bc053854892327c0745e7e8eda764dcf",
+    "potential.json": "1df9881c74d097f654eeb78387fecbc1f979778b2a25ed3573fefd018ca516d1",
+    "potential.csv": "7c3df1a37b677d0958f94ca771de65df9ac2b2b78b45c112d17919cecfc9500b",
+    "example55.json": "0e82319ba7e543af9565c78668f71ebfe3c206ecb4a28b31b4fe23a5b15d39c1",
+    "example55.csv": "69d2791fb8c75bd48b0e45d8c452656605cd4519b0f4acb8e8eb81b106414e86",
+    "reduction.json": "513c63e3a25efd70ba13a60e136f8f26a16f09b83642d8960a7fc53dfe6d9261",
+    "reduction.csv": "59267948204946f7d2fb57519a1b5b382eecdd7f430b1937a946d6f48d2db8ea",
+}
+
+
+def test_reports_match_their_recorded_digests(tmp_path):
+    cfg = ExperimentConfig(seed=7, grids=[24], n_seeds=2)
+    digests = {}
+    for name, run in EXPERIMENTS.items():
+        rep = run(cfg)
+        assert rep.all_passed, name
+        rep.write_json(tmp_path / f"{name}.json")
+        rep.write_csv(tmp_path / f"{name}.csv")
+        for ext in ("json", "csv"):
+            data = (tmp_path / f"{name}.{ext}").read_bytes()
+            digests[f"{name}.{ext}"] = hashlib.sha256(data).hexdigest()
+    assert digests == REPORT_DIGESTS
 
 
 def test_basic_estimate_smoke():
@@ -530,7 +636,7 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 assert not scipy_modules(), scipy_modules()[:3]
-from plaplab.grid import ElemField, Mesh, write_elem_field
+from plaplab.grid import ElemField, Mesh, NodalField, write_elem_field, write_nodal_field
 from plaplab.lab.cli import main
 mesh = Mesh((0, 1, 0, 1), 8)
 write_elem_field(sys.argv[1], ElemField(np.random.default_rng(0).normal(size=(128, 1, 2))))

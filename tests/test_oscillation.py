@@ -65,6 +65,10 @@ def test_modulus_from_spec():
     assert modulus_from_spec("dini_log", (math.e,)) == log_inverse_modulus(1.0, math.e)
     with pytest.raises(ValueError):
         modulus_from_spec("what")
+    # a wrong parameter count names the family instead of raising a TypeError
+    for name, params in (("log_inverse", ()), ("power", (0.3, 2.0)), ("constant", (1.0,))):
+        with pytest.raises(ValueError, match=f"modulus family '{name}': (missing|too many)"):
+            modulus_from_spec(name, params)
 
 
 @pytest.mark.parametrize("scale, cert_r_max", [(math.e ** 2, None), (math.e, None),

@@ -19,8 +19,8 @@ from plaplab.rearrange import (CapYoung, DecreasingPieces, ExpYoung,
                                lq_norm, luxemburg_norm, marcinkiewicz_norm,
                                orlicz_target, read_step_function, rearrange,
                                tail_log_transform, write_step_function,
-                               default_grid, young_conjugate, young_from_spec)
-from plaplab.rearrange.hardy import (_exp_upper_gamma, _luxemburg_search,
+                               default_grid, young_from_spec)
+from plaplab.rearrange.hardy import (_exp_upper_gamma, _luxemburg_search, _member_sums,
                                      _scaled_upper_gamma)
 from plaplab.rearrange.young import _cumulative_conj_over_rsq, _numeric_conjugate
 
@@ -248,14 +248,14 @@ def test_step_io_round_trip(tmp_path):
 def test_power_conjugate_closed_form():
     for p in (1.5, 2.0, 3.0):
         phi = PowerYoung(p, 1.0 / p)
-        conj = young_conjugate(phi)
+        conj = phi.conjugate()
         pc = p / (p - 1.0)
         ts = np.geomspace(1e-3, 1e3, 20)
         assert np.allclose(conj(ts), ts ** pc / pc, rtol=1e-12)
 
 
 def test_linear_conjugate_is_jump():
-    conj = young_conjugate(PowerYoung(1.0, 1.0))
+    conj = PowerYoung(1.0, 1.0).conjugate()
     assert isinstance(conj, JumpYoung)
     assert conj(0.5) == 0.0 and conj(1.0) == 0.0
     assert conj(1.5) == np.inf
@@ -281,6 +281,10 @@ def test_young_from_spec():
     assert isinstance(young_from_spec("linf_cap", (2.0,)), CapYoung)
     with pytest.raises(ValueError):
         young_from_spec("nope")
+    # a wrong parameter count names the family instead of raising a TypeError
+    for name, params in (("exp", (1.0,)), ("power", ()), ("linf_cap", (2.0, 3.0))):
+        with pytest.raises(ValueError, match=f"Young function family '{name}': (missing|too)"):
+            young_from_spec(name, params)
 
 
 @pytest.mark.parametrize("pv,q", [(2.0, 4.0), (3.0, 4.0), (1.5, 5.0)])
@@ -341,7 +345,7 @@ def _cumulative_by_segments(t, v):
 def test_regularizing_integral_is_the_segment_loop_bitwise(phi):
     grid = default_grid()
     with np.errstate(over="ignore"):
-        cvals = np.asarray(young_conjugate(phi)(grid), dtype=float)
+        cvals = np.asarray(phi.conjugate()(grid), dtype=float)
     keep = np.isfinite(cvals) & (cvals > 0.0)
     t, v = grid[keep], cvals[keep]
     assert np.array_equal(_cumulative_conj_over_rsq(t, v), _cumulative_by_segments(t, v))
@@ -455,6 +459,8 @@ def test_step_function_invariants_enforced(tmp_path):
         read_step_function(path)
     with pytest.raises(ValueError):
         StepFunction(np.array([-1.0]), np.array([1.0]))            # negative value
+    with pytest.raises(ValueError, match="leaves an empty piece"):
+        StepFunction(np.array([2.0, 1.0]), np.array([1.0, 1e-300]))
     sf = StepFunction(np.array([2.0, 1.0]), np.array([0.5, 0.5]))
     assert sf.total_measure == pytest.approx(1.0)
 
@@ -726,6 +732,51 @@ def test_single_profile_norm_needs_a_family_of_one():
     with pytest.raises(ValueError):
         DecreasingPieces([0.0, 0.0], [1.0, 1.0], [False] * 2, [1.0, 1.0], [0.0, 0.0],
                          member=[1, 0], members=2)
+
+
+@pytest.mark.parametrize("build", [lambda: LebesgueSpec(0.5), lambda: LebesgueSpec(-1.0),
+                                   lambda: LebesgueSpec(math.nan),
+                                   lambda: LorentzSpec(0.5, 1.0), lambda: LorentzSpec(2.0, 0.5),
+                                   lambda: LorentzSpec(np.inf, 2.0),
+                                   lambda: LorentzSpec(1.0, 2.0)])
+def test_specs_reject_exponents_outside_their_ranges(build):
+    # each of these used to evaluate a functional that is not a norm
+    with pytest.raises(ValueError):
+        build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.0, 1e300), max_size=12),
+       st.lists(st.floats(1e-3, 1e3), min_size=12, max_size=12), st.integers(-290, 290))
+def test_linf_is_the_largest_value_bitwise(values, measures, decade):
+    sf = StepFunction.from_samples(values, np.array(measures[:len(values)]) * 10.0 ** decade)
+    top = float(sf.values[0]) if len(values) else 0.0
+    assert lq_norm(sf, np.inf) == top
+    assert lorentz_norm(sf, np.inf, np.inf) == top
+
+
+def _grouped_member_sums(member, members, values):
+    """Reference: the members with equal piece counts gathered as the rows of
+    one array and summed along the rows."""
+    counts = np.bincount(member, minlength=members)
+    starts = np.cumsum(counts) - counts
+    out = np.zeros(members)
+    for n in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == n)
+        out[rows] = values[starts[rows][:, None] + np.arange(n)].sum(axis=1)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 300), max_size=8),
+       st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=50))
+def test_member_slice_sums_are_the_grouped_sums_bitwise(counts, pool):
+    # members of equal counts, empty members and counts past numpy's
+    # pairwise block of 128 all arise
+    member = np.repeat(np.arange(len(counts)), counts)
+    values = np.resize(np.asarray(pool) * np.pi, len(member))
+    got = _member_sums(member, len(counts), values)
+    assert np.array_equal(got, _grouped_member_sums(member, len(counts), values))
 
 
 def test_luxemburg_search_moves_each_member_as_alone_and_names_a_failure():

@@ -7,13 +7,12 @@ from connectivity import connectivity, elements
 from plaplab.fluxmaps import Exponent
 from plaplab.grid import (ElemField, Mesh, NodalField, _gradient_planes,
                           boundary_values, gradient, integrate)
-from plaplab.lab.cases import (manufactured_problem_data, random_smooth_potential,
-                               rough_boundary_trace)
+from plaplab.lab.cases import manufactured_problem_data, rough_boundary_trace
 from plaplab import solver as solver_module
 from plaplab.fluxmaps import a_map
 from plaplab.solver import (DirichletProblem, NonConvergenceError,
                             SolverConfig, _BandSystem, _plane, _planes, defect_vector,
-                            energy, load_problem, regularized_energy, residual,
+                            energy, regularized_energy, residual,
                             solve, solve_pharmonic)
 
 TIGHT = SolverConfig(tol_residual=1e-9, max_iter=400)
@@ -420,46 +419,6 @@ def test_constant_data_shortcut():
     g = np.full((len(mesh.boundary_nodes), 1), 3.0)
     sol = solve_pharmonic(mesh, Exponent(1.5), g)
     assert np.allclose(sol.u.values, 3.0)
-
-
-def test_problem_file_loading(tmp_path):
-    cfgfile = tmp_path / "prob.cfg"
-    cfgfile.write_text(
-        "p = 3.0\ngrid = 8\nbounds = 0, 1, 0, 1\ncomps = 1\n"
-        "F = amap 4\ng = keep\n")
-    prob = load_problem(cfgfile)
-    assert prob.p.p == 3.0
-    assert prob.mesh.cells_per_side == 8
-    sol = solve(prob, TIGHT)
-    assert sol.residual <= 1e-9
-
-    cfgfile.write_text("p = 2.0\ngrid = 6\nF = zero\ng = affine 1 2 0\n")
-    prob = load_problem(cfgfile)
-    sol = solve(prob, TIGHT)
-    exact = prob.mesh.nodes[:, 0] + 2.0 * prob.mesh.nodes[:, 1]
-    assert np.allclose(sol.u.values[:, 0], exact, atol=1e-8)
-
-
-def test_problem_file_rejects_unknown_keys(tmp_path):
-    # 'grids' is a typo for 'grid' and must not fall back to the default M
-    cfgfile = tmp_path / "prob.cfg"
-    cfgfile.write_text("p = 3.0\ngrids = 8\n")
-    with pytest.raises(ValueError, match="unknown problem key.*grids"):
-        load_problem(cfgfile)
-
-
-def test_problem_file_boundary_sources_with_amap(tmp_path):
-    # an absent g keeps the trace of the amap potential; g = zero means zero
-    cfgfile = tmp_path / "prob.cfg"
-    head = "p = 3.0\ngrid = 8\nF = amap 4\n"
-    mesh = Mesh((0, 1, 0, 1), 8)
-    w = random_smooth_potential(mesh, 1, np.random.default_rng(4))
-    trace = w.values[mesh.boundary_nodes]
-    assert np.abs(trace).max() > 0.1
-    for g_line, expected in (("", trace), ("g = keep\n", trace),
-                             ("g = zero\n", np.zeros_like(trace))):
-        cfgfile.write_text(head + g_line)
-        assert np.array_equal(load_problem(cfgfile).g, expected), g_line
 
 
 @pytest.mark.parametrize("pv, clamp", [(1.5, (0.0, 1e10)), (3.0, (1e-10, np.inf))])
