@@ -525,34 +525,26 @@ def write_nodal_field(path, u: NodalField):
     _write_table(path, "node,comp,value", u.values)
 
 
-def _read_table(path, header, sizes):
-    """Rows 'i_1,...,i_k,value' under a fixed header, as a dense array.
-
-    sizes gives each index's extent, or None to take it from the largest
-    index given.  The rows are one np.loadtxt parse, integer indices and a
-    float value; blank lines are skipped.  Every index tuple must have
-    exactly one row: a malformed row (a field that does not parse, a
-    non-integer index, too few or too many fields), an index out of range,
-    a duplicate or a gap raises ValueError naming path:line.
-    """
-    k = len(sizes)
+def _read_rows(path, header, dtype):
+    """The rows under a fixed header as one np.loadtxt parse into `dtype`,
+    and a function giving each row's file line.  Blank lines are skipped, no
+    rows give an empty table, and a malformed row (a field that does not
+    parse, too few or too many fields) raises ValueError naming path:line."""
     with open(path) as fh:
         if fh.readline().strip() != header:
             raise ValueError(f"{path}:1: expected header {header!r}")
         lines = fh.read().splitlines()
-    if not any(line.strip() for line in lines):
-        raise ValueError(f"{path}:1: no rows after the header")
-    dtype = [(f"i{j}", np.int64) for j in range(k)] + [("value", np.float64)]
 
     def parse(rows):
         return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
     def row_lines():
-        """The file line of every row."""
         return [n for n, line in enumerate(lines, start=2) if line.strip()]
 
+    if not any(line.strip() for line in lines):
+        return np.empty(0, dtype), row_lines     # loadtxt warns on zero rows
     try:
-        table = parse(lines)           # skips empty lines, not whitespace-only ones
+        return parse(lines), row_lines     # skips empty lines, not whitespace-only ones
     except ValueError:
         # a malformed row, or a blank line of whitespace: find the first row
         # that does not parse alone
@@ -562,7 +554,20 @@ def _read_table(path, header, sizes):
                 parse([line])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row {line.strip()!r}") from exc
-        table = parse(rows)
+        return parse(rows), row_lines
+
+
+def _read_table(path, header, sizes):
+    """Rows 'i_1,...,i_k,value' under a fixed header (`_read_rows`), as a
+    dense array.  sizes gives each index's extent, or None to take it from
+    the largest index given.  Every index tuple must have exactly one row: a
+    malformed row, an index out of range, a duplicate or a gap raises
+    ValueError naming path:line."""
+    k = len(sizes)
+    dtype = [(f"i{j}", np.int64) for j in range(k)] + [("value", np.float64)]
+    table, row_lines = _read_rows(path, header, dtype)
+    if not table.size:
+        raise ValueError(f"{path}:1: no rows after the header")
     keys = np.column_stack([table[f"i{j}"] for j in range(k)])
     vals = table["value"]
     shape = tuple(int(keys[:, j].max()) + 1 if n is None else n

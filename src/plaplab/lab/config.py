@@ -19,9 +19,10 @@ Documented keys (all optional, with desk-scale defaults):
     stability_factor  allowed fitted-constant growth     2.0
     assert_mode       fail the process on violations     false
 
-Values are checked when the config is built, and an error names its key;
-p, grids, bounds, modulus and young by the rules of the exponent, the mesh,
-the modulus and the Young function they make.
+Values are checked when the config is built, and an error names its key
+(and the file, from `ExperimentConfig.from_file`); p, grids, bounds, modulus
+and young by the rules of the exponent, the mesh, the modulus and the Young
+function they make.  Problem files read p, grid, bounds and comps alike.
 
 Modulus families: power (beta), constant (none), log_inverse (sigma, then
 optional scale, beta_cert, c_omega, cert_r_max) and dini_log (log_inverse at
@@ -31,19 +32,23 @@ scale), exp or exp_type (gamma, q) and linf_cap (q).
 
 import inspect
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..fluxmaps import Exponent
 from ..grid import (ElemField, Mesh, _cells_per_side, _square_bounds, read_elem_field,
                     read_nodal_field)
-from ..oscillation import modulus_from_spec
-from ..rearrange import LorentzSpec, young_from_spec
+from ..oscillation import constant_modulus, dini_log_modulus, log_inverse_modulus, power_modulus
+from ..rearrange import CapYoung, ExpYoung, LorentzSpec, PowerYoung
 from ..solver import DirichletProblem
 from . import cases
 
-__all__ = ["ExperimentConfig", "parse_config_file", "load_problem"]
+__all__ = ["ExperimentConfig", "parse_config_file", "load_problem", "modulus_from_spec",
+           "young_from_spec"]
 
 
 def parse_config_file(path):
@@ -80,50 +85,81 @@ def load_problem(path):
     value is checked by the rule of the object it builds, and a bad one
     raises ValueError naming the file and the key.
     """
-    kv = parse_config_file(path)
-    unknown = sorted(set(kv) - {"p", "grid", "bounds", "comps", "F", "g"})
+    given = parse_config_file(path)
+    unknown = sorted(set(given) - set(_PROBLEM_DEFAULTS))
     if unknown:
         raise ValueError(f"{path}: unknown problem key(s): {', '.join(unknown)}")
+    kv = {**_PROBLEM_DEFAULTS, **given}
 
-    def read(key, default, rule):
-        try:
-            return rule(kv.get(key, default))
-        except ValueError as err:
-            raise ValueError(f"{path}: problem key {key!r}: {err}") from err
+    def read(key, build):
+        with _prefixed(f"{path}: problem key {key!r}"):
+            return build(kv[key])
 
-    p = read("p", "2.0", lambda t: Exponent(float(t)))
-    mesh = Mesh(read("bounds", "0, 1, 0, 1", lambda t: _square_bounds(_floats(t))),
-                read("grid", "32", lambda t: _cells_per_side(float(t))))
-    comps = read("comps", "1", lambda t: _at_least(1)(int(t)))
+    p = read("p", _KEYS["p"].build)
+    mesh = Mesh(read("bounds", _KEYS["bounds"].build), read("grid", _KEYS["grids"].build))
+    comps = read("comps", _KEYS["comps"].build)
     zero = np.zeros((len(mesh.boundary_nodes), comps))
     pts = mesh.nodes[mesh.boundary_nodes]
-    F, kept = read("F", "zero", lambda t: _source(t, {
+    F, kept = read("F", lambda t: _source(t, {
         "zero": lambda: (ElemField.zeros(mesh, rows=comps), zero),
         "file": lambda file: (ElemField(_sized(read_elem_field(file).tensors,
                                                (mesh.num_elements, comps, 2))), zero),
         "trig": lambda seed: (cases.random_smooth_field(mesh, comps, _seeded(seed)), zero),
         "amap": lambda seed: cases.manufactured_problem_data(p, mesh, comps, _seeded(seed))[:2]}))
-    g = read("g", "keep", lambda t: _source(t, {
+    # g's rule is the problem's own: finite values, one row per boundary node
+    return read("g", lambda t: DirichletProblem(p, mesh, F, _source(t, {
         "keep": lambda: kept, "zero": lambda: zero,
         "affine": lambda a, b, c: np.repeat(
             (float(a) * pts[:, 0] + float(b) * pts[:, 1] + float(c))[:, None], comps, axis=1),
         "file": lambda file: _sized(read_nodal_field(file).values,
                                     (mesh.num_nodes, comps))[mesh.boundary_nodes],
-        "trace": lambda seed: cases.rough_boundary_trace(mesh, comps, _seeded(seed))}))
-    return DirichletProblem(p, mesh, F, g)
+        "trace": lambda seed: cases.rough_boundary_trace(mesh, comps, _seeded(seed))})))
 
 
-def _source(text, builders):
-    """An F or g source built by the builder of its name, once its arguments
-    are checked against the builder's."""
-    name, *args = text.split() or [""]
+_PROBLEM_DEFAULTS = {"p": "2.0", "grid": "32", "bounds": "0, 1, 0, 1", "comps": "1",
+                     "F": "zero", "g": "keep"}
+
+
+@contextmanager
+def _prefixed(prefix):
+    """Re-raise a ValueError with `prefix` (the key, the file) before its message."""
+    try:
+        yield
+    except ValueError as err:
+        raise ValueError(f"{prefix}: {err}") from err
+
+
+def _family(kind, builders, name, args=()):
+    """What the builder of family `name` makes of `args`, once they are checked
+    against its parameters: a wrong count is a ValueError naming the family."""
     if name not in builders:
-        raise ValueError(f"unknown source {name!r}")
+        raise ValueError(f"unknown {kind} {name!r}")
     try:
         inspect.signature(builders[name]).bind(*args)
     except TypeError as err:
-        raise ValueError(f"source {name!r}: {err}") from None
+        raise ValueError(f"{kind} {name!r}: {err}") from None
     return builders[name](*args)
+
+
+_MODULI = {"power": power_modulus, "log_inverse": log_inverse_modulus,
+           "constant": constant_modulus, "dini_log": dini_log_modulus}
+_YOUNG = {"power": PowerYoung, "exp": ExpYoung, "exp_type": ExpYoung, "linf_cap": CapYoung}
+
+
+# a modulus, a Young function from a config family name and its parameters
+modulus_from_spec = partial(_family, "modulus family", _MODULI)
+young_from_spec = partial(_family, "Young function family", _YOUNG)
+
+
+def _source(text, builders):
+    """An F or g source built by the builder of its name."""
+    return _family("source", builders, *_spec(text, str))
+
+
+def _spec(text, read=float):
+    """A family's name and its arguments: 'power 0.3' -> ('power', (0.3,))."""
+    name, *args = text.split() or [""]
+    return name, tuple(read(x) for x in args)
 
 
 def _seeded(seed):
@@ -136,49 +172,54 @@ def _sized(table, shape):
     return table
 
 
-def _at_least(least):
-    """The rule of a count: a value of at least `least`."""
+def _rule(holds, says):
+    """The rule of a value for which `holds` is true: ValueError '<says>, not <value>'."""
     def rule(value):
-        if not value >= least:
-            raise ValueError(f"must be at least {least}, not {value}")
+        if not holds(value):
+            raise ValueError(f"{says}, not {value}")
         return value
     return rule
 
 
-def _floats(text):
-    return [float(t) for t in str(text).replace(",", " ").split()]
-
-
-def _ints(text):
-    return [int(t) for t in str(text).replace(",", " ").split()]
-
-
-def _spec(text):
-    parts = text.split()
-    return parts[0], tuple(float(x) for x in parts[1:])
+def _words(text):
+    return text.replace(",", " ").split()
 
 
 def _assert_mode(text):
     if text.lower() not in ("true", "false"):
-        raise ValueError(f"config key 'assert_mode' must be true or false, not {text!r}")
+        raise ValueError(f"must be true or false, not {text!r}")
     return text.lower() == "true"
 
 
-_KEYS = {   # config key: (ExperimentConfig field, reader of its text)
-    "p": ("ps", _floats),
-    "grids": ("grids", _ints),
-    "seed": ("seed", int),
-    "n_seeds": ("n_seeds", int),
-    "comps": ("comps", int),
-    "bounds": ("bounds", lambda t: tuple(_floats(t))),
-    "radii_ratio": ("radii_ratio", float),
-    "r_min_cells": ("r_min_cells", float),
-    "r_max_frac": ("r_max_frac", float),
-    "modulus": ("modulus_spec", _spec),
-    "young": ("young_spec", _spec),
-    "lorentz_r": ("lorentz_r", float),
-    "stability_factor": ("stability_factor", float),
-    "assert_mode": ("assert_mode", _assert_mode),
+class _Key(NamedTuple):
+    """A config key's field, reader of a value's text, and rule of a value (a
+    ValueError where a run would fail, else what it builds); `many`: a list."""
+    field: str
+    read: Callable
+    rule: Callable
+    many: bool = False
+
+    def build(self, text):
+        return self.rule(self.read(text))
+
+
+_COUNT = _rule(lambda n: n >= 0, "must be at least 0")
+_POSITIVE = _rule(lambda x: 0.0 < x < math.inf, "must be positive and finite")
+_KEYS = {
+    "p": _Key("ps", float, Exponent, many=True),
+    "grids": _Key("grids", lambda t: _cells_per_side(float(t)), _cells_per_side, many=True),
+    "seed": _Key("seed", int, _COUNT),
+    "n_seeds": _Key("n_seeds", int, _COUNT),
+    "comps": _Key("comps", int, _rule(lambda n: n >= 1, "must be at least 1")),
+    "bounds": _Key("bounds", lambda t: tuple(float(x) for x in _words(t)), _square_bounds),
+    "radii_ratio": _Key("radii_ratio", float, _rule(lambda x: 0.0 < x < 1.0, "must lie in (0, 1)")),
+    "r_min_cells": _Key("r_min_cells", float, _POSITIVE),
+    "r_max_frac": _Key("r_max_frac", float, _POSITIVE),
+    "modulus": _Key("modulus_spec", _spec, lambda s: modulus_from_spec(*s)),
+    "young": _Key("young_spec", _spec, lambda s: young_from_spec(*s)),
+    "lorentz_r": _Key("lorentz_r", float, lambda r: LorentzSpec(2.0, r)),
+    "stability_factor": _Key("stability_factor", float, _POSITIVE),
+    "assert_mode": _Key("assert_mode", _assert_mode, bool),
 }
 
 
@@ -200,41 +241,35 @@ class ExperimentConfig:
     assert_mode: bool = False
 
     def __post_init__(self):
-        if not self.ps or not self.grids:
-            raise ValueError("need at least one exponent and one grid size")
-        if not (0.0 < self.radii_ratio < 1.0):
-            raise ValueError("radii_ratio must lie in (0, 1)")
-        for key in ("r_min_cells", "r_max_frac", "stability_factor"):
-            value = getattr(self, key)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"config key {key!r} must be positive and finite, not {value}")
         # each key by the rule of what a run builds from it
-        for key, rule, values in (("p", Exponent, self.ps), ("grids", _cells_per_side, self.grids),
-                                  ("bounds", _square_bounds, [self.bounds]),
-                                  ("seed", _at_least(0), [self.seed]),
-                                  ("n_seeds", _at_least(0), [self.n_seeds]),
-                                  ("comps", _at_least(1), [self.comps]),
-                                  ("lorentz_r", lambda r: LorentzSpec(2.0, r), [self.lorentz_r]),
-                                  ("modulus", lambda s: modulus_from_spec(*s), [self.modulus_spec]),
-                                  ("young", lambda s: young_from_spec(*s), [self.young_spec])):
-            for value in values:
-                try:
-                    rule(value)
-                except ValueError as err:
-                    raise ValueError(f"config key {key!r}: {err}") from err
+        for key, row in _KEYS.items():
+            value = getattr(self, row.field)
+            with _prefixed(f"config key {key!r}"):
+                if row.many and not value:
+                    raise ValueError("need at least one value")
+                for item in value if row.many else [value]:
+                    row.rule(item)
 
     @classmethod
     def from_mapping(cls, kv):
         unknown = sorted(set(kv) - set(_KEYS))
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        return cls(**{_KEYS[key][0]: _KEYS[key][1](text) for key, text in kv.items()})
+        values = {}
+        for key, text in kv.items():
+            row = _KEYS[key]
+            with _prefixed(f"config key {key!r}"):
+                values[row.field] = ([row.read(t) for t in _words(text)] if row.many
+                                     else row.read(text))
+        return cls(**values)
 
     @classmethod
     def from_file(cls, path):
-        return cls.from_mapping(parse_config_file(path))
+        kv = parse_config_file(path)
+        with _prefixed(path):
+            return cls.from_mapping(kv)
 
     def echo(self):
         """Snapshot under the config keys, embedded into every report (which
         writes tuples as lists)."""
-        return {key: getattr(self, name) for key, (name, _) in _KEYS.items()}
+        return {key: getattr(self, row.field) for key, row in _KEYS.items()}

@@ -23,15 +23,14 @@ from ..grid import (ElemField, Mesh, NodalField, _ball_members, _require_nonempt
 from ..maximal import RadiiSet, plain_maximal, sharp_maximal, weighted_local_sharp
 from ..oscillation import (PotentialParams, constant_modulus, dini_log_modulus,
                            dini_transform, holder_seminorm, inscribed_sups,
-                           modulus_from_spec, oscillation_potential, power_modulus)
-from ..rearrange import (LorentzSpec, StepFunction, hardy_check_avg,
-                         hardy_check_tail, lorentz_norm, lq_norm, luxemburg_norm,
-                         marcinkiewicz_norm, orlicz_target, rearrange,
-                         young_from_spec, HypothesisViolation, ExpYoung, CapYoung)
+                           oscillation_potential, power_modulus)
+from ..rearrange import (CapYoung, ExpYoung, HypothesisViolation, LorentzSpec, StepFunction,
+                         hardy_check_avg, hardy_check_tail, lorentz_norm, lq_norm, luxemburg_norm,
+                         marcinkiewicz_norm, orlicz_target, rearrange)
 from ..rearrange.hardy import _luxemburg_search
 from ..solver import DirichletProblem, SolverConfig, defect_vector, solve
 from . import cases
-from .config import ExperimentConfig
+from .config import ExperimentConfig, modulus_from_spec, young_from_spec
 from .report import Report
 
 __all__ = [
@@ -130,6 +129,11 @@ def _kept(den, F):
     return ~(den < DENOM_FLOOR * max(float(_centered_norms(F).max(initial=0.0)), 1e-300))
 
 
+def _largest(ratios):
+    """The largest kept ratio, 0 when none is kept."""
+    return float(ratios.max()) if ratios.size else 0.0
+
+
 def _probe_points(cfg, margin, per_side=10):
     """Mesh-independent probe lattice: sup-fits stay comparable under refinement."""
     x0, x1, y0, y1 = cfg.bounds
@@ -189,7 +193,7 @@ def _sharp_ratio_stats(cfg, rec):
     return {
         "n_points": len(pts),
         "n_excluded": int(np.count_nonzero(~kept)),
-        "max_ratio": float(ratios.max()) if len(ratios) else 0.0,
+        "max_ratio": _largest(ratios),
         "median_ratio": float(np.median(ratios)) if len(ratios) else 0.0,
     }
 
@@ -382,7 +386,7 @@ def exp_decay(cfg: ExperimentConfig):
         fits = {}
         for d in (0.1, 0.25, 0.5):
             ratios = np.maximum(lhs[kept] - d * t1[kept], 0.0) / t2[kept]
-            fits[d] = float(ratios.max()) if ratios.size else 0.0
+            fits[d] = _largest(ratios)
         report.add_case(case=f"one-step-p{p_value}", p=p_value, M=min(cfg.grids),
                         seed=0, theta=theta,
                         fitted_constant=fits[0.5],
@@ -439,9 +443,8 @@ def exp_oscillation_estimate(cfg: ExperimentConfig):
                 continue
             lhs, rhs = _weighted_sides(cfg, rec, omega, R, radii, per_side=8)
             kept = _kept(rhs, rec["prob"].F)
-            fits = lhs[kept] / rhs[kept]
-            c_fit = float(fits.max()) if fits.size else 0.0
-            records.append(_add_row(report, case, M, beta=beta, fitted_constant=c_fit,
+            records.append(_add_row(report, case, M, beta=beta,
+                                    fitted_constant=_largest(lhs[kept] / rhs[kept]),
                                     n_excluded=int(np.count_nonzero(~kept))))
     _fit_checks(report, cfg, records, "fitted constants finite")
 
@@ -452,7 +455,7 @@ def exp_oscillation_estimate(cfg: ExperimentConfig):
     if radii is not None:
         lhs, rhs = _weighted_sides(cfg, base, constant_modulus(), R, radii, per_side=5)
         kept = _kept(rhs, base["prob"].F)
-        worst = float((lhs[kept] / rhs[kept]).max(initial=0.0))
+        worst = _largest(lhs[kept] / rhs[kept])
         report.check("constant-weight comparison finite", "isfinite",
                      np.isfinite(worst), value=round(worst, 3))
     return report
@@ -497,10 +500,8 @@ def exp_potential(cfg: ExperimentConfig):
         rhs = (oscillation_potential(mesh, rec["prob"].F, pts, params)
                + plain_maximal(mesh, rec["A"], 1.0, RadiiSet(R, R), pts))
         kept = _kept(rhs, rec["prob"].F)
-        fits = lhs[kept] / rhs[kept]
         cauchy_violations += _dyadic_mean_defects(mesh, rec["A"], pts, params)
-        records.append(_add_row(report, case, M,
-                                fitted_constant=float(fits.max()) if fits.size else 0.0))
+        records.append(_add_row(report, case, M, fitted_constant=_largest(lhs[kept] / rhs[kept])))
     _fit_checks(report, cfg, records, "fitted constants finite")
     report.check("nested dyadic flux means obey the exact mean inequality",
                  "zero violations at 1e-12 slack", cauchy_violations == 0,

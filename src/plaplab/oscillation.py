@@ -16,7 +16,6 @@ grid's single ball kernel, which is batched over centers: a ball family is
 one kernel call, and so is the potential at a (P, 2) array of points.
 """
 
-import inspect
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,6 @@ __all__ = [
     "log_inverse_modulus",
     "constant_modulus",
     "dini_log_modulus",
-    "modulus_from_spec",
     "InscribedSups",
     "inscribed_sups",
     "campanato_seminorm",
@@ -176,19 +174,6 @@ def dini_log_modulus(scale=math.e ** 2, beta_cert=0.5, c_omega=None,
                      cert_r_max=None):
     """1/log(scale/r): the log-inverse modulus at the Dini borderline sigma = 1."""
     return log_inverse_modulus(1.0, scale, beta_cert, c_omega, cert_r_max)
-
-
-def modulus_from_spec(name, params=()):
-    """Build a modulus from a config family name and its parameters."""
-    families = {"power": power_modulus, "log_inverse": log_inverse_modulus,
-                "constant": constant_modulus, "dini_log": dini_log_modulus}
-    if name not in families:
-        raise ValueError(f"unknown modulus family {name!r}")
-    try:
-        inspect.signature(families[name]).bind(*params)
-    except TypeError as err:
-        raise ValueError(f"modulus family {name!r}: {err}") from None
-    return families[name](*(float(x) for x in params))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from .young import (
     JumpYoung,
     SampledYoung,
     orlicz_target,
-    young_from_spec,
     HypothesisViolation,
     default_grid,
 )
@@ -43,7 +42,7 @@ __all__ = [
     "luxemburg_norm", "marcinkiewicz_norm", "write_step_function",
     "read_step_function",
     "YoungFunction", "PowerYoung", "ExpYoung", "CapYoung", "JumpYoung",
-    "SampledYoung", "orlicz_target", "young_from_spec",
+    "SampledYoung", "orlicz_target",
     "HypothesisViolation", "default_grid",
     "LebesgueSpec", "LorentzSpec", "OrliczSpec", "DecreasingPieces",
     "QuadratureError", "average_transform", "tail_log_transform", "xq_norm",

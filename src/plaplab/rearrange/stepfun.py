@@ -10,6 +10,7 @@ running average f** is the engine's exact `average_transform`.
 
 import numpy as np
 
+from ..grid import _read_rows
 from .hardy import DecreasingPieces, LebesgueSpec, LorentzSpec, OrliczSpec, average_transform
 
 __all__ = [
@@ -149,19 +150,7 @@ def write_step_function(path, sf: StepFunction):
 
 
 def read_step_function(path):
-    measures, values = [], []
-    with open(path) as fh:
-        header = fh.readline()
-        if header.strip() != "measure,value":
-            raise ValueError(f"{path}:1: expected header 'measure,value'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                m, v = (float(t) for t in line.split(","))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
-            measures.append(m)
-            values.append(v)
-    return StepFunction(np.array(values), np.array(measures))
+    """The profile of a 'measure,value' file written by `write_step_function`;
+    a header-only file gives the empty profile."""
+    table, _ = _read_rows(path, "measure,value", [("measure", float), ("value", float)])
+    return StepFunction(table["value"], table["measure"])

@@ -8,8 +8,6 @@ default) with power-law interpolation between nodes; conjugation of
 sampled functions is a monotone O(grid) scan exploiting slope monotonicity.
 """
 
-import inspect
-
 import numpy as np
 
 __all__ = [
@@ -20,7 +18,6 @@ __all__ = [
     "JumpYoung",
     "SampledYoung",
     "orlicz_target",
-    "young_from_spec",
     "HypothesisViolation",
     "default_grid",
 ]
@@ -290,16 +287,3 @@ def orlicz_target(phi: YoungFunction, p):
     # reparameterize the argument: Psi(tau) = Theta(tau^(p-1))
     tau = theta.grid ** (1.0 / (p.p - 1.0))
     return SampledYoung(tau, theta.vals)
-
-
-def young_from_spec(name, params=()):
-    """Build a Young function from a config family name and its parameters."""
-    families = {"power": PowerYoung, "exp": ExpYoung, "exp_type": ExpYoung,
-                "linf_cap": CapYoung}
-    if name not in families:
-        raise ValueError(f"unknown Young function family {name!r}")
-    try:
-        inspect.signature(families[name]).bind(*params)
-    except TypeError as err:
-        raise ValueError(f"Young function family {name!r}: {err}") from None
-    return families[name](*(float(x) for x in params))

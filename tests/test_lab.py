@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import re
@@ -15,13 +16,15 @@ from plaplab.grid import ElemField, Mesh, NodalField, write_elem_field, write_no
 from plaplab.lab.cases import (N_MODES, boundary_knots, perimeter_coordinate,
                                random_smooth_potential, rough_boundary_trace, smooth_potential_fn,
                                smooth_tensor_fn, trace_from_knots, trig_series)
+from plaplab.lab import config
 from plaplab.lab.cli import main as cli_main
-from plaplab.lab.config import ExperimentConfig, load_problem, parse_config_file
+from plaplab.lab.config import (ExperimentConfig, load_problem, modulus_from_spec,
+                                parse_config_file, young_from_spec)
 from plaplab.lab.experiments import (EXPERIMENTS, _modular_constant, exp_basic_estimate,
                                      exp_decay, exp_potential, norm_table, xi_profile)
 from plaplab.lab.report import Report
-from plaplab.oscillation import dini_log_modulus
-from plaplab.rearrange import PowerYoung, StepFunction
+from plaplab.oscillation import dini_log_modulus, log_inverse_modulus
+from plaplab.rearrange import CapYoung, ExpYoung, PowerYoung, StepFunction
 from plaplab.solver import SolverConfig, solve
 import math
 
@@ -86,19 +89,26 @@ def test_config_rejects_a_misspelled_boolean(tmp_path):
             ExperimentConfig.from_file(path)
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(ps=[])
     with pytest.raises(ValueError):
         ExperimentConfig(radii_ratio=1.2)
     assert ExperimentConfig.from_mapping({"n_seeds": "0"}).n_seeds == 0
+    # a config file's errors name the file as well as the key
+    path = tmp_path / "lab.cfg"
+    path.write_text("seed = -1\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: config key 'seed': "
+                                         "must be at least 0, not -1$"):
+        ExperimentConfig.from_file(path)
 
 
 @pytest.mark.parametrize("key, text", [
     ("n_seeds", "-1"), ("comps", "0"), ("comps", "-2"),
     ("r_max_frac", "inf"), ("r_max_frac", "nan"), ("r_max_frac", "0"),
     ("r_min_cells", "-2"), ("r_min_cells", "inf"),
-    ("stability_factor", "nan"), ("stability_factor", "0")])
+    ("stability_factor", "nan"), ("stability_factor", "0"),
+    ("radii_ratio", "2"), ("radii_ratio", "0")])
 def test_config_rejects_out_of_range_values_naming_the_key(key, text):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
         ExperimentConfig.from_mapping({key: text})
@@ -116,7 +126,10 @@ def test_config_rejects_out_of_range_values_naming_the_key(key, text):
     ("young", "power 0.5", "q >= 1"), ("young", "foo 2", "unknown Young function family"),
     ("young", "exp 1", "'exp': missing a required argument: 'q'"),
     ("modulus", "foo", "unknown modulus family"), ("modulus", "power -1", "beta_cert > 0"),
-    ("modulus", "log_inverse", "'log_inverse': missing a required argument: 'sigma'")])
+    ("modulus", "log_inverse", "'log_inverse': missing a required argument: 'sigma'"),
+    ("grids", "8.5", "whole number"), ("seed", "x", "invalid literal for int"),
+    ("modulus", "power x", "could not convert string to float: 'x'"),
+    ("young", "", "unknown Young function family ''")])
 def test_config_rejects_what_a_run_would_reject_naming_the_key(key, text, reason):
     # each of these used to fail only inside a run, with a message naming no key
     with pytest.raises(ValueError, match=f"config key '{key}'.*{reason}"):
@@ -127,6 +140,30 @@ def test_config_accepts_the_ends_of_the_ranges():
     cfg = ExperimentConfig.from_mapping({"grids": "2", "seed": "0", "lorentz_r": "inf",
                                          "bounds": "-1, 1, 3, 5", "p": "1.01"})
     assert (cfg.grids, cfg.seed, cfg.lorentz_r) == ([2], 0, math.inf)
+
+
+def test_modulus_from_spec():
+    assert modulus_from_spec("power", (0.4,)).family == "power"
+    assert modulus_from_spec("constant").family == "constant"
+    assert modulus_from_spec("dini_log", (math.e,)) == log_inverse_modulus(1.0, math.e)
+    with pytest.raises(ValueError):
+        modulus_from_spec("what")
+    # a wrong parameter count names the family instead of raising a TypeError
+    for name, params in (("log_inverse", ()), ("power", (0.3, 2.0)), ("constant", (1.0,))):
+        with pytest.raises(ValueError, match=f"modulus family '{name}': (missing|too many)"):
+            modulus_from_spec(name, params)
+
+
+def test_young_from_spec():
+    assert isinstance(young_from_spec("power", (2.0,)), PowerYoung)
+    assert isinstance(young_from_spec("exp", (1.0, 2.0)), ExpYoung)
+    assert isinstance(young_from_spec("linf_cap", (2.0,)), CapYoung)
+    with pytest.raises(ValueError):
+        young_from_spec("nope")
+    # a wrong parameter count names the family instead of raising a TypeError
+    for name, params in (("exp", (1.0,)), ("power", ()), ("linf_cap", (2.0, 3.0))):
+        with pytest.raises(ValueError, match=f"Young function family '{name}': (missing|too)"):
+            young_from_spec(name, params)
 
 
 def test_cli_seed_override_is_checked_like_the_config_key(tmp_path):
@@ -185,7 +222,8 @@ def test_problem_file_boundary_sources_with_amap(tmp_path):
     ("g = affine 1 2", "'g': source 'affine': missing a required argument: 'c'"),
     ("g = zero 0", "'g': source 'zero': too many positional arguments"),
     ("g = file {nodes}", r"'g': .* shape \(25, 1\), not \(1089, 1\)"),
-    ("g = sine", "'g': unknown source 'sine'")])
+    ("g = sine", "'g': unknown source 'sine'"),
+    ("g = affine nan 0 0", "'g': boundary data must be finite")])
 def test_problem_file_names_the_bad_key(tmp_path, line, reason):
     # each of these used to load a problem that failed later, or raise an
     # IndexError or an unpacking error that named no key
@@ -196,6 +234,25 @@ def test_problem_file_names_the_bad_key(tmp_path, line, reason):
     path = tmp_path / "prob.cfg"
     path.write_text(line.format(elems=elems, nodes=nodes) + "\n")
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: problem key {reason}"):
+        load_problem(path)
+
+
+def _key_column(doc):
+    """The first word of every line of a docstring's indented key table."""
+    return {line.split()[0] for line in inspect.cleandoc(doc).splitlines()
+            if line.startswith("    ")}
+
+
+def test_documented_keys_are_the_accepted_keys(tmp_path):
+    # the module docstring says that a key not documented there is an error
+    assert _key_column(config.__doc__) == set(config._KEYS)
+    assert _key_column(load_problem.__doc__) == set(config._PROBLEM_DEFAULTS)
+    path = tmp_path / "prob.cfg"
+    for key, text in config._PROBLEM_DEFAULTS.items():
+        path.write_text(f"{key} = {text}\n")
+        load_problem(path)
+    path.write_text("grids = 8\n")
+    with pytest.raises(ValueError, match="unknown problem key"):
         load_problem(path)
 
 

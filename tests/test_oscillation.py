@@ -15,9 +15,10 @@ from plaplab.oscillation import (DiniDivergence, Modulus, PotentialParams,
                                  campanato_seminorm, constant_modulus,
                                  default_ball_family, dini_log_modulus,
                                  dini_transform, holder_seminorm,
-                                 log_inverse_modulus, modulus_from_spec,
+                                 log_inverse_modulus,
                                  oscillation_potential, power_modulus,
                                  vmo_modulus, zeta_p, zeta_transform)
+from plaplab.lab.config import modulus_from_spec
 from plaplab.rearrange import rearrange
 
 
@@ -57,18 +58,6 @@ def test_modulus_certificate_validation():
         Modulus("power", (0.7,), beta_cert=0.3, c_omega=1.0)
     with pytest.raises(ValueError):
         Modulus("power", (0.7,), beta_cert=0.7, c_omega=0.5)
-
-
-def test_modulus_from_spec():
-    assert modulus_from_spec("power", (0.4,)).family == "power"
-    assert modulus_from_spec("constant").family == "constant"
-    assert modulus_from_spec("dini_log", (math.e,)) == log_inverse_modulus(1.0, math.e)
-    with pytest.raises(ValueError):
-        modulus_from_spec("what")
-    # a wrong parameter count names the family instead of raising a TypeError
-    for name, params in (("log_inverse", ()), ("power", (0.3, 2.0)), ("constant", (1.0,))):
-        with pytest.raises(ValueError, match=f"modulus family '{name}': (missing|too many)"):
-            modulus_from_spec(name, params)
 
 
 @pytest.mark.parametrize("scale, cert_r_max", [(math.e ** 2, None), (math.e, None),

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -19,7 +21,7 @@ from plaplab.rearrange import (CapYoung, DecreasingPieces, ExpYoung,
                                lq_norm, luxemburg_norm, marcinkiewicz_norm,
                                orlicz_target, read_step_function, rearrange,
                                tail_log_transform, write_step_function,
-                               default_grid, young_from_spec)
+                               default_grid)
 from plaplab.rearrange.hardy import (_exp_upper_gamma, _luxemburg_search, _member_sums,
                                      _scaled_upper_gamma)
 from plaplab.rearrange.young import _cumulative_conj_over_rsq, _numeric_conjugate
@@ -242,6 +244,26 @@ def test_step_io_round_trip(tmp_path):
     assert np.array_equal(back.measures, sf.measures)
 
 
+def test_step_function_reader_skips_blank_lines_and_names_a_bad_row(tmp_path):
+    path = tmp_path / "sf.csv"
+    path.write_text("measure,value\n0.5,2.0\n   \n\n0.25,1.0\n")
+    sf = read_step_function(path)
+    assert sf.values.tolist() == [2.0, 1.0] and sf.measures.tolist() == [0.5, 0.25]
+    path.write_text("measure,value\n0.5,2.0\n  \n0.25\n0.25,1.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: malformed row '0.25'$"):
+        read_step_function(path)
+    path.write_text("measure,value\n0.5,2.0,1.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: malformed row"):
+        read_step_function(path)
+    # a header-only file is the empty profile, read without loadtxt's warning
+    for text in ("measure,value\n", "measure,value\n\n  \n"):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            empty = read_step_function(path)
+        assert len(empty.values) == 0 and empty.total_measure == 0.0
+
+
 # --- Young functions ------------------------------------------------------------------
 
 
@@ -273,18 +295,6 @@ def test_sampled_convexity_scan():
     SampledYoung(grid, grid ** 2)
     with pytest.raises(ValueError):
         SampledYoung(grid, np.sqrt(grid))     # concave
-
-
-def test_young_from_spec():
-    assert isinstance(young_from_spec("power", (2.0,)), PowerYoung)
-    assert isinstance(young_from_spec("exp", (1.0, 2.0)), ExpYoung)
-    assert isinstance(young_from_spec("linf_cap", (2.0,)), CapYoung)
-    with pytest.raises(ValueError):
-        young_from_spec("nope")
-    # a wrong parameter count names the family instead of raising a TypeError
-    for name, params in (("exp", (1.0,)), ("power", ()), ("linf_cap", (2.0, 3.0))):
-        with pytest.raises(ValueError, match=f"Young function family '{name}': (missing|too)"):
-            young_from_spec(name, params)
 
 
 @pytest.mark.parametrize("pv,q", [(2.0, 4.0), (3.0, 4.0), (1.5, 5.0)])
