@@ -16,7 +16,8 @@ import os
 import sys
 import time
 
-from .config import ExperimentConfig
+from ..grid import Mesh, read_elem_field
+from .config import ExperimentConfig, _prefixed, _sized
 from .experiments import EXPERIMENTS, norm_table
 
 __all__ = ["main"]
@@ -78,18 +79,13 @@ def main(argv=None):
 
 
 def _run_norm_table(args, cfg):
-    from ..grid import Mesh, read_elem_field
-
     try:
+        mesh = Mesh(cfg.bounds, args.grid if args.grid is not None else cfg.grids[0])
         field = read_elem_field(args.field)
-    except ValueError as exc:
+        with _prefixed(f"{args.field} (set --grid)"):
+            _sized(field.tensors, (mesh.num_elements, *field.tensors.shape[1:]))
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    M = args.grid if args.grid is not None else cfg.grids[0]
-    mesh = Mesh(cfg.bounds, M)
-    if field.tensors.shape[0] != mesh.num_elements:
-        print(f"error: field has {field.tensors.shape[0]} elements, "
-              f"mesh has {mesh.num_elements} (set --grid)", file=sys.stderr)
         return 2
     rows = norm_table(mesh, field, cfg)
     path = os.path.join(args.out, "norm-table.csv")

@@ -32,7 +32,7 @@ scale), exp or exp_type (gamma, q) and linf_cap (q).
 
 import inspect
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -122,10 +122,11 @@ _PROBLEM_DEFAULTS = {"p": "2.0", "grid": "32", "bounds": "0, 1, 0, 1", "comps": 
 
 @contextmanager
 def _prefixed(prefix):
-    """Re-raise a ValueError with `prefix` (the key, the file) before its message."""
+    """Re-raise a ValueError, or an OverflowError, as a ValueError with
+    `prefix` (the key, the file) before its message."""
     try:
         yield
-    except ValueError as err:
+    except (OverflowError, ValueError) as err:
         raise ValueError(f"{prefix}: {err}") from err
 
 
@@ -163,7 +164,7 @@ def _spec(text, read=float):
 
 
 def _seeded(seed):
-    return np.random.default_rng(int(seed))
+    return np.random.default_rng(_whole(seed))
 
 
 def _sized(table, shape):
@@ -179,6 +180,16 @@ def _rule(holds, says):
             raise ValueError(f"{says}, not {value}")
         return value
     return rule
+
+
+def _whole(text):
+    """An integer literal, read exactly, or a float literal of whole value."""
+    with suppress(ValueError):
+        return int(text)
+    with suppress(ValueError):
+        if float(text).is_integer():
+            return int(float(text))
+    raise ValueError(f"must be a whole number, not {text!r}")
 
 
 def _words(text):
@@ -207,10 +218,10 @@ _COUNT = _rule(lambda n: n >= 0, "must be at least 0")
 _POSITIVE = _rule(lambda x: 0.0 < x < math.inf, "must be positive and finite")
 _KEYS = {
     "p": _Key("ps", float, Exponent, many=True),
-    "grids": _Key("grids", lambda t: _cells_per_side(float(t)), _cells_per_side, many=True),
-    "seed": _Key("seed", int, _COUNT),
-    "n_seeds": _Key("n_seeds", int, _COUNT),
-    "comps": _Key("comps", int, _rule(lambda n: n >= 1, "must be at least 1")),
+    "grids": _Key("grids", _whole, _cells_per_side, many=True),
+    "seed": _Key("seed", _whole, _COUNT),
+    "n_seeds": _Key("n_seeds", _whole, _COUNT),
+    "comps": _Key("comps", _whole, _rule(lambda n: n >= 1, "must be at least 1")),
     "bounds": _Key("bounds", lambda t: tuple(float(x) for x in _words(t)), _square_bounds),
     "radii_ratio": _Key("radii_ratio", float, _rule(lambda x: 0.0 < x < 1.0, "must lie in (0, 1)")),
     "r_min_cells": _Key("r_min_cells", float, _POSITIVE),

@@ -32,7 +32,6 @@ from .hardy import (
     QuadratureError,
     average_transform,
     tail_log_transform,
-    xq_norm,
     hardy_check_avg,
     hardy_check_tail,
 )
@@ -45,6 +44,6 @@ __all__ = [
     "SampledYoung", "orlicz_target",
     "HypothesisViolation", "default_grid",
     "LebesgueSpec", "LorentzSpec", "OrliczSpec", "DecreasingPieces",
-    "QuadratureError", "average_transform", "tail_log_transform", "xq_norm",
+    "QuadratureError", "average_transform", "tail_log_transform",
     "hardy_check_avg", "hardy_check_tail",
 ]

@@ -13,9 +13,12 @@ exactly:
   v log(S / s) + t with S the right end of the piece.
 
 Each transform takes one step profile or a sequence of them and builds the
-stacked family directly.  Every Lebesgue, Lorentz and Luxemburg norm in
-plaplab is evaluated here, on all pieces of all members at once (`norms`;
-`norm` is the family of one):
+stacked family directly, each member's running sums from its own pieces.
+`DecreasingPieces(...)` checks the pieces it is given; the families the
+engine derives (from step profiles, which check their own pieces, by the
+transforms and by powers) skip those checks.  Every Lebesgue, Lorentz and
+Luxemburg norm in plaplab is evaluated here, on all pieces of all members
+at once (`norms`; `norm` is the family of one):
 
 * Lebesgue (finite q) and Lorentz (finite r) norms are integrals of
   s^alpha f(s)^r.  A constant piece is integrated in closed form, a tail
@@ -59,7 +62,6 @@ __all__ = [
     "QuadratureError",
     "average_transform",
     "tail_log_transform",
-    "xq_norm",
     "hardy_check_avg",
     "hardy_check_tail",
 ]
@@ -105,12 +107,8 @@ class DecreasingPieces:
     """
 
     def __init__(self, lo, hi, tail, v, c, power=1.0, member=None, members=1):
-        self.lo, self.hi, self.v, self.c = (np.asarray(x, dtype=float) for x in (lo, hi, v, c))
-        self.tail = np.asarray(tail, dtype=bool)
-        self.member = np.asarray(np.zeros(len(self.lo)) if member is None else member,
-                                 dtype=np.intp)
-        self.members = int(members)
-        self.power = float(power)
+        self._set(lo, hi, tail, v, c, power, np.zeros(len(lo)) if member is None else member,
+                  members)
         if not (self.lo.ndim == 1 and all(x.shape == self.lo.shape for x in
                                           (self.hi, self.tail, self.v, self.c, self.member))):
             raise ValueError("piece arrays must be matching 1-d arrays")
@@ -124,17 +122,30 @@ class DecreasingPieces:
             raise ValueError("pieces must be sorted and must not overlap")
         if np.any((self.lo == 0.0) & ~self.tail & (self.c != 0.0)):
             raise ValueError("an average piece that touches 0 must be constant")
+
+    def _set(self, lo, hi, tail, v, c, power, member, members):
+        """The attributes in the constructor's dtypes, and the power's check;
+        the families the engine derives are built by this alone."""
+        self.lo, self.hi, self.v, self.c = (np.asarray(x, dtype=float) for x in (lo, hi, v, c))
+        self.tail = np.asarray(tail, dtype=bool)
+        self.member = np.asarray(member, dtype=np.intp)
+        self.members = int(members)
+        self.power = float(power)
         if not self.power > 0.0:
             raise ValueError("exponent must be positive")
+        return self
+
+    @classmethod
+    def _derived(cls, *args):
+        return cls.__new__(cls)._set(*args)
 
     @classmethod
     def from_step(cls, profiles):
         """Step profiles as constant average pieces: values v, c = 0.  Takes
         one profile or a sequence of them, one member each."""
-        st = _Stack(profiles)
-        n = len(st.values)
-        return cls(st.left, st.right, np.zeros(n, dtype=bool), st.values, np.zeros(n),
-                   member=st.member, members=st.members)
+        member, counts, lo, hi, v, _ = _steps(profiles)
+        return cls._derived(lo, hi, np.zeros(len(lo), dtype=bool), v, np.zeros(len(lo)), 1.0,
+                            member, len(counts))
 
     def _base(self, k, logs):
         """The unpowered pieces k at s = exp(logs) > 0."""
@@ -167,10 +178,41 @@ class DecreasingPieces:
         return float(out) if out.ndim == 0 else out
 
     def powered(self, expo):
-        if expo <= 0.0:
-            raise ValueError("exponent must be positive")
-        return DecreasingPieces(self.lo, self.hi, self.tail, self.v, self.c,
-                                self.power * expo, self.member, self.members)
+        return self._derived(self.lo, self.hi, self.tail, self.v, self.c, self.power * expo,
+                             self.member, self.members)
+
+
+def _steps(profiles, horizon=None):
+    """One step profile, or a sequence of them, stacked: the member index, each
+    member's piece count, and each piece's left and right end, value and
+    measure.  A horizon beyond a member's total measure T gives it one more
+    piece, of value and measure 0, on (T, horizon]."""
+    profiles = [profiles] if hasattr(profiles, "boundaries") else list(profiles)
+    counts = np.array([len(sf.values) for sf in profiles], dtype=np.intp)
+    hi, v, measure = (np.concatenate([np.zeros(0)] + [getattr(sf, key) for sf in profiles])
+                      for key in ("boundaries", "values", "measures"))
+    if horizon is not None:
+        beyond = float(horizon) > np.array([sf.total_measure for sf in profiles])
+        hi, v, measure = np.insert([hi, v, measure], np.cumsum(counts)[beyond],
+                                   [[float(horizon)], [0.0], [0.0]], axis=1)
+        counts = counts + beyond
+    member = np.repeat(np.arange(len(profiles)), counts)
+    lo = np.zeros(len(hi))
+    lo[1:] = hi[:-1]
+    lo[1:][member[1:] != member[:-1]] = 0.0      # each member's first piece
+    return member, counts, lo, hi, v, measure
+
+
+def _running_sums(counts, x):
+    """Per member, np.cumsum of 0 and its own slice of x (counts[m] entries for
+    member m), so that no sum depends on the rest of the family: entry
+    i + member[i] is the sum of the pieces before piece i, and each member
+    ends with one more entry, its total."""
+    out = np.insert(x, np.cumsum(counts) - counts, 0.0)
+    ends = np.cumsum(counts + 1)
+    for a, b in zip((ends - counts - 1).tolist(), ends.tolist()):
+        np.add.accumulate(out[a:b], out=out[a:b])     # np.cumsum, less its wrapper
+    return out
 
 
 def _member_sums(member, members, values):
@@ -213,11 +255,13 @@ def _rule(pw, pieces):
     left = lbot[sub] + 2.0 * half * (np.arange(len(sub)) - first)
     u = left[:, None] + half[:, None] * (_NODES + 1.0)
     var = np.exp(u)
-    xk = in_x[sub][:, None]
-    piece = pieces[sub]
-    logs = np.where(xk, (np.log(hi) + x0)[sub][:, None] - var, u)
-    g = np.where(xk, v[sub][:, None] * var, pw._base(piece[:, None], u))
-    weights = _WEIGHTS * half[:, None] * var * np.where(xk, np.exp(logs), 1.0)
+    piece, xs = pieces[sub], in_x[sub]    # on log-x rows x = var, s = hi exp(x0 - x)
+    logs, g = u.copy(), np.empty(u.shape)
+    logs[xs] = (np.log(hi) + x0)[sub[xs], None] - var[xs]
+    g[xs] = v[sub[xs], None] * var[xs]
+    g[~xs] = pw._base(piece[~xs, None], u[~xs])
+    weights = _WEIGHTS * half[:, None] * var
+    weights[xs] *= np.exp(logs[xs])
     return piece, logs, np.maximum(g, 0.0), weights
 
 
@@ -389,7 +433,7 @@ class _Spec:
 
 @dataclass(frozen=True)
 class LebesgueSpec(_Spec):
-    """The L^q norm, 1 <= q <= inf; L^inf is the exact sup of `_lorentz_sup`."""
+    """The L^q norm, 1 <= q <= inf: the Lorentz functional at r = q."""
     q: float
 
     def __post_init__(self):
@@ -397,9 +441,7 @@ class LebesgueSpec(_Spec):
             raise ValueError(f"Lebesgue exponent must lie in [1, inf], not {self.q}")
 
     def norms(self, pw):
-        if self.q == np.inf:
-            return _lorentz_sup(pw, np.inf)
-        return np.float_power(_power_moment(pw, 0.0, self.q * pw.power), 1.0 / self.q)
+        return LorentzSpec(self.q, self.q).norms(pw)
 
 
 @dataclass(frozen=True)
@@ -466,37 +508,6 @@ class OrliczSpec(_Spec):
         return out
 
 
-class _Stack:
-    """One step profile, or a sequence of them, as stacked piece arrays:
-    left and right ends, values and measures, the member index, and each
-    piece's column in the members' (member, column) table."""
-
-    def __init__(self, profiles):
-        if hasattr(profiles, "boundaries"):
-            profiles = [profiles]
-        counts = np.array([len(sf.values) for sf in profiles], dtype=np.intp)
-        self.members = len(counts)
-        self.width = int(counts.max(initial=0))
-        self.member = np.repeat(np.arange(self.members), counts)
-        starts = np.cumsum(counts) - counts
-        self.column = np.arange(len(self.member)) - starts[self.member]
-        self.values, self.measures, self.right = (
-            np.concatenate([np.zeros(0)] + [getattr(sf, key) for sf in profiles])
-            for key in ("values", "measures", "boundaries"))
-        self.left = np.zeros(len(self.right))
-        self.left[1:] = self.right[:-1]
-        self.left[self.column == 0] = 0.0
-        self.total = np.zeros(self.members)
-        self.total[counts > 0] = self.right[(starts + counts - 1)[counts > 0]]
-
-    def table(self, x, shift=0):
-        """x laid out as (member, column + shift) rows, zero elsewhere, with
-        one spare column after the widest member."""
-        out = np.zeros((self.members, self.width + 1))
-        out[self.member, self.column + shift] = x
-        return out
-
-
 def average_transform(profiles, horizon=None):
     """Exact running average of a decreasing step profile, or of each of a
     sequence of them.
@@ -506,20 +517,10 @@ def average_transform(profiles, horizon=None):
     C_total / s, kept up to the horizon (default: each profile's own total
     measure, i.e. no extension).
     """
-    st = _Stack(profiles)
-    # per member running integrals, each the cumsum of the member alone
-    cum = np.cumsum(st.table(st.measures * st.values, shift=1), axis=1)
-    lo, hi, v, member = st.left, st.right, st.values, st.member
-    a = cum[member, st.column] - v * lo
-    if horizon is not None:
-        ext = np.flatnonzero(float(horizon) > st.total)
-        lo, hi = np.append(lo, st.total[ext]), np.append(hi, np.full(len(ext), float(horizon)))
-        v, a = np.append(v, np.zeros(len(ext))), np.append(a, cum[ext, -1])
-        member = np.append(member, ext)
-        order = np.argsort(member, kind="stable")
-        lo, hi, v, a, member = (x[order] for x in (lo, hi, v, a, member))
-    return DecreasingPieces(lo, hi, np.zeros(len(lo), dtype=bool), v, a,
-                            member=member, members=st.members)
+    member, counts, lo, hi, v, measure = _steps(profiles, horizon)
+    a = _running_sums(counts, measure * v)[np.arange(len(lo)) + member] - v * lo
+    return DecreasingPieces._derived(lo, hi, np.zeros(len(lo), dtype=bool), v, a, 1.0,
+                                     member, len(counts))
 
 
 def tail_log_transform(profiles):
@@ -529,23 +530,15 @@ def tail_log_transform(profiles):
     integral_s^infty phi(r) dr/r is v_i log(S_i / s) plus the accumulated
     contributions of the pieces beyond S_i; zero past the support.
     """
-    st = _Stack(profiles)
-    left, right = st.left, st.right
+    member, counts, lo, hi, v, _ = _steps(profiles)
     # the first piece reaches s = 0, where its own log integral diverges; it
     # is a tail piece like the others, so its segment value is never formed
-    seg = st.values * np.log(np.where(left > 0.0, right / np.maximum(left, 1e-300), 1.0))
-    # the contribution of the pieces strictly after each piece of a member,
-    # summed from the member's last piece down
-    after = np.cumsum(st.table(seg)[:, ::-1], axis=1)[:, ::-1]
-    return DecreasingPieces(left, right, np.ones(len(right), dtype=bool), st.values,
-                            after[st.member, st.column + 1], member=st.member,
-                            members=st.members)
-
-
-def xq_norm(spec, q0, pw):
-    """The power-scaled functional f -> (X-norm of f^q0)^(1/q0), one value
-    per member of a DecreasingPieces."""
-    return np.float_power(spec.norms(pw.powered(q0)), 1.0 / q0)
+    seg = v * np.log(np.where(lo > 0.0, hi / np.maximum(lo, 1e-300), 1.0))
+    # the pieces strictly after each piece, summed from the member's last one
+    # down: the running sums of the reversed family, read back to front
+    after = _running_sums(counts[::-1], seg[::-1])[::-1][np.arange(len(lo)) + member + 1]
+    return DecreasingPieces._derived(lo, hi, np.ones(len(lo), dtype=bool), v, after, 1.0,
+                                     member, len(counts))
 
 
 def _ratios(num, denom):
@@ -563,8 +556,10 @@ def hardy_check_avg(spec, p, family, horizon=None):
     q0 = 1.0 / p.pprime
     if horizon is None:
         horizon = max((sf.total_measure for sf in family), default=0.0)
-    return _ratios(xq_norm(spec, q0, average_transform(family, horizon)),
-                   xq_norm(spec, q0, DecreasingPieces.from_step(family)))
+    # the X^(1/p') functional f -> (X-norm of f^q0)^(1/q0) of each side
+    avg, step = (np.float_power(spec.norms(pw.powered(q0)), 1.0 / q0) for pw in
+                 (average_transform(family, horizon), DecreasingPieces.from_step(family)))
+    return _ratios(avg, step)
 
 
 def hardy_check_tail(spec_x, spec_y, family):

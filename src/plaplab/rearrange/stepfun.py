@@ -98,8 +98,6 @@ def rearrange(mesh, f):
     f = np.asarray(f, dtype=float)
     if f.shape != (mesh.num_elements,):
         raise ValueError("need one scalar per element")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("field values must be finite")
     return StepFunction.from_samples(np.abs(f), mesh.areas.copy())
 
 

@@ -127,7 +127,9 @@ def test_config_rejects_out_of_range_values_naming_the_key(key, text):
     ("young", "exp 1", "'exp': missing a required argument: 'q'"),
     ("modulus", "foo", "unknown modulus family"), ("modulus", "power -1", "beta_cert > 0"),
     ("modulus", "log_inverse", "'log_inverse': missing a required argument: 'sigma'"),
-    ("grids", "8.5", "whole number"), ("seed", "x", "invalid literal for int"),
+    ("grids", "8.5", "whole number"), ("seed", "x", "must be a whole number, not 'x'"),
+    ("seed", "7.5", "must be a whole number, not '7.5'"), ("n_seeds", "x", "whole number"),
+    ("comps", "2.5", "whole number"), ("grids", "inf", "whole number"),
     ("modulus", "power x", "could not convert string to float: 'x'"),
     ("young", "", "unknown Young function family ''")])
 def test_config_rejects_what_a_run_would_reject_naming_the_key(key, text, reason):
@@ -140,6 +142,27 @@ def test_config_accepts_the_ends_of_the_ranges():
     cfg = ExperimentConfig.from_mapping({"grids": "2", "seed": "0", "lorentz_r": "inf",
                                          "bounds": "-1, 1, 3, 5", "p": "1.01"})
     assert (cfg.grids, cfg.seed, cfg.lorentz_r) == ([2], 0, math.inf)
+
+
+def test_whole_number_keys_read_integer_and_whole_float_literals(tmp_path):
+    cfg = ExperimentConfig.from_mapping({"seed": "7.0", "n_seeds": "5.0", "grids": "32.0, 1e2",
+                                         "comps": "2.0"})
+    assert (cfg.seed, cfg.n_seeds, cfg.grids, cfg.comps) == (7, 5, [32, 100], 2)
+    assert all(type(x) is int for x in (cfg.seed, cfg.n_seeds, *cfg.grids, cfg.comps))
+    # an integer literal is read exactly, with no float round trip
+    big = "12345678901234567891"
+    assert ExperimentConfig.from_mapping({"seed": big}).seed == int(big)
+    # one past a float's range is refused under its key, as 1e400 is
+    for text in ("1" + "0" * 400, "1e400"):
+        with pytest.raises(ValueError, match="config key 'grids'"):
+            ExperimentConfig.from_mapping({"grids": text})
+    # a problem file's grid, comps and source seeds read alike
+    path = tmp_path / "prob.cfg"
+    path.write_text("grid = 4.0\ncomps = 2.0\nF = trig 3.0\n")
+    prob = load_problem(path)
+    assert (prob.mesh.cells_per_side, prob.g.shape[1]) == (4, 2)
+    path.write_text("grid = 4\ncomps = 2\nF = trig 3\n")
+    assert np.array_equal(prob.F.tensors, load_problem(path).F.tensors)
 
 
 def test_modulus_from_spec():
@@ -214,7 +237,8 @@ def test_problem_file_boundary_sources_with_amap(tmp_path):
 @pytest.mark.parametrize("line, reason", [
     ("comps = 0", "'comps': must be at least 1"),
     ("bounds = 0, 1", "'bounds': .*expected 4"),
-    ("grid = 8.5", "'grid': cells per side must be a whole number"),
+    ("grid = 8.5", "'grid': must be a whole number, not '8.5'"),
+    ("comps = 2.5", "'comps': must be a whole number, not '2.5'"),
     ("p = 1", "'p': .*p > 1"),
     ("F = trig", "'F': source 'trig': missing a required argument: 'seed'"),
     ("F = file", "'F': source 'file': missing a required argument: 'file'"),
@@ -500,6 +524,21 @@ def test_cli_runs_and_asserts(tmp_path):
     code = cli_main(["norm-table", "--config", str(cfgfile), "--out", str(out),
                      "--field", str(bad)])
     assert code == 2
+
+
+def test_cli_norm_table_refuses_a_field_of_another_grid(tmp_path, capsys):
+    # the shape rule of problem files, with the hint to set --grid
+    fpath = tmp_path / "field.csv"
+    write_elem_field(fpath, ElemField.zeros(Mesh((0, 1, 0, 1), 8)))
+    out = str(tmp_path / "rep")
+    assert cli_main(["norm-table", "--out", out, "--field", str(fpath), "--grid", "16"]) == 2
+    err = capsys.readouterr().err
+    assert f"{fpath} (set --grid): " in err and "shape (128, 1, 2), not (512, 1, 2)" in err
+    # a grid the mesh refuses and a missing table exit the same way
+    for argv, says in ((["--field", str(fpath), "--grid", "1"], "at least 2 cells"),
+                       (["--field", str(tmp_path / "none.csv")], "No such file")):
+        assert cli_main(["norm-table", "--out", out, *argv]) == 2
+        assert says in capsys.readouterr().err
 
 
 def test_oscillation_estimate_on_too_coarse_grid_records_failed_checks():

@@ -22,7 +22,8 @@ from plaplab.rearrange import (CapYoung, DecreasingPieces, ExpYoung,
                                orlicz_target, read_step_function, rearrange,
                                tail_log_transform, write_step_function,
                                default_grid)
-from plaplab.rearrange.hardy import (_exp_upper_gamma, _luxemburg_search, _member_sums,
+from plaplab.rearrange.hardy import (_FLOOR, _NODES, _TINY, _WEIGHTS, _exp_upper_gamma,
+                                     _luxemburg_search, _member_sums, _rule,
                                      _scaled_upper_gamma)
 from plaplab.rearrange.young import _cumulative_conj_over_rsq, _numeric_conjugate
 
@@ -41,6 +42,10 @@ def test_rearrange_sorts_and_carries_areas():
     sf = rearrange(mesh, f)
     assert np.array_equal(sf.values[:3], [3.0, 2.0, 1.0])
     assert np.allclose(sf.measures, mesh.element_area)
+    for bad in (np.nan, np.inf):
+        f[1] = bad
+        with pytest.raises(ValueError, match="values must be finite"):
+            rearrange(mesh, f)
 
 
 def test_rearrange_indicator_and_constant():
@@ -731,6 +736,133 @@ def test_hardy_checks_of_a_family_are_those_of_its_members():
     assert avg == [hardy_check_avg(spec, p, [sf], horizon=horizon)[0] for sf in fam]
     assert tail == [hardy_check_tail(spec, spec, [sf])[0] for sf in fam]
     assert hardy_check_avg(spec, p, []) == [] and hardy_check_tail(spec, spec, []) == []
+
+
+class _TableStack:
+    """Reference: step profiles stacked with each piece's column in a zero-padded
+    (member, column) table, whose row cumsums are the running integrals."""
+
+    def __init__(self, profiles):
+        if hasattr(profiles, "boundaries"):
+            profiles = [profiles]
+        counts = np.array([len(sf.values) for sf in profiles], dtype=np.intp)
+        self.members = len(counts)
+        self.width = int(counts.max(initial=0))
+        self.member = np.repeat(np.arange(self.members), counts)
+        starts = np.cumsum(counts) - counts
+        self.column = np.arange(len(self.member)) - starts[self.member]
+        self.values, self.measures, self.right = (
+            np.concatenate([np.zeros(0)] + [getattr(sf, key) for sf in profiles])
+            for key in ("values", "measures", "boundaries"))
+        self.left = np.zeros(len(self.right))
+        self.left[1:] = self.right[:-1]
+        self.left[self.column == 0] = 0.0
+        self.total = np.zeros(self.members)
+        self.total[counts > 0] = self.right[(starts + counts - 1)[counts > 0]]
+
+    def table(self, x, shift=0):
+        out = np.zeros((self.members, self.width + 1))
+        out[self.member, self.column + shift] = x
+        return out
+
+
+def _table_from_step(profiles):
+    st = _TableStack(profiles)
+    n = len(st.values)
+    return DecreasingPieces(st.left, st.right, np.zeros(n, dtype=bool), st.values, np.zeros(n),
+                            member=st.member, members=st.members)
+
+
+def _table_average(profiles, horizon=None):
+    st = _TableStack(profiles)
+    cum = np.cumsum(st.table(st.measures * st.values, shift=1), axis=1)
+    lo, hi, v, member = st.left, st.right, st.values, st.member
+    a = cum[member, st.column] - v * lo
+    if horizon is not None:
+        ext = np.flatnonzero(float(horizon) > st.total)
+        lo, hi = np.append(lo, st.total[ext]), np.append(hi, np.full(len(ext), float(horizon)))
+        v, a = np.append(v, np.zeros(len(ext))), np.append(a, cum[ext, -1])
+        member = np.append(member, ext)
+        order = np.argsort(member, kind="stable")
+        lo, hi, v, a, member = (x[order] for x in (lo, hi, v, a, member))
+    return DecreasingPieces(lo, hi, np.zeros(len(lo), dtype=bool), v, a,
+                            member=member, members=st.members)
+
+
+def _table_tail(profiles):
+    st = _TableStack(profiles)
+    left, right = st.left, st.right
+    seg = st.values * np.log(np.where(left > 0.0, right / np.maximum(left, 1e-300), 1.0))
+    after = np.cumsum(st.table(seg)[:, ::-1], axis=1)[:, ::-1]
+    return DecreasingPieces(left, right, np.ones(len(right), dtype=bool), st.values,
+                            after[st.member, st.column + 1], member=st.member,
+                            members=st.members)
+
+
+def _two_branch_rule(pw, pieces):
+    """Reference: the rule with both forms of g and of the weights at every node."""
+    lo, hi, v, c = pw.lo[pieces], pw.hi[pieces], pw.v[pieces], pw.c[pieces]
+    lo = np.maximum(lo, _TINY)
+    span = np.log(hi / lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x0 = c / v
+    in_x = pw.tail[pieces] & (v > 0.0) & (x0 <= np.minimum(span, np.log(10.0)))
+    x0 = np.where(in_x, x0, 0.0)
+    top = np.where(in_x, x0 + span, hi)
+    bottom = np.where(in_x, np.maximum(x0, top * _FLOOR), lo)
+    lbot, ltop = np.log(bottom), np.log(top)
+    parts = np.maximum(np.ceil((ltop - lbot) / np.log(10.0)), 1.0).astype(np.intp)
+    sub = np.repeat(np.arange(len(pieces)), parts)
+    first = np.repeat(np.cumsum(parts) - parts, parts)
+    half = 0.5 * ((ltop - lbot) / parts)[sub]
+    left = lbot[sub] + 2.0 * half * (np.arange(len(sub)) - first)
+    u = left[:, None] + half[:, None] * (_NODES + 1.0)
+    var = np.exp(u)
+    xk = in_x[sub][:, None]
+    piece = pieces[sub]
+    logs = np.where(xk, (np.log(hi) + x0)[sub][:, None] - var, u)
+    g = np.where(xk, v[sub][:, None] * var, pw._base(piece[:, None], u))
+    weights = _WEIGHTS * half[:, None] * var * np.where(xk, np.exp(logs), 1.0)
+    return piece, logs, np.maximum(g, 0.0), weights
+
+
+def _assert_bitwise(got, want):
+    for x, y in zip(got, want):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _wide_profiles(monotone):
+    # zeros of both signs, one-piece profiles and measures over six decades
+    values = st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-3, 100.0)),
+                      min_size=1, max_size=6)
+    measures = st.lists(st.floats(1e-3, 1.0), min_size=6, max_size=6)
+    scale = st.sampled_from([1e-3, 1.0, 1e3])
+    build = StepFunction if monotone else PiecewiseConstant
+    return st.builds(lambda v, m, k: build(sorted(v, reverse=True) if monotone else v,
+                                           np.array(m[:len(v)]) * k), values, measures, scale)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(_wide_profiles(True), st.just(_EMPTY)), max_size=5),
+       st.lists(_wide_profiles(False), max_size=3),
+       st.one_of(st.none(), st.floats(0.0, 2.0)))
+def test_member_builders_are_the_table_builders_bitwise(steps, raws, scale):
+    # horizons fall below, between and above the members' totals
+    top = max((sf.total_measure for sf in steps), default=0.0)
+    horizon = None if scale is None else scale * top
+    builds = [(DecreasingPieces.from_step, _table_from_step, steps),
+              (lambda fam: average_transform(fam, horizon),
+               lambda fam: _table_average(fam, horizon), steps),
+              (tail_log_transform, _table_tail, steps + raws)]
+    for build, table, fam in builds:
+        for arg in [fam] + fam[:1]:          # the family, and its first member alone
+            got, want = build(arg), table(arg)
+            keys = ("lo", "hi", "tail", "v", "c", "member")
+            _assert_bitwise([getattr(got, k) for k in keys], [getattr(want, k) for k in keys])
+            assert type(got.members) is int and got.members == want.members
+            assert got.power == want.power == 1.0
+            pieces = np.arange(len(got.lo))
+            _assert_bitwise(_rule(got, pieces), _two_branch_rule(want, pieces))
 
 
 def test_single_profile_norm_needs_a_family_of_one():
