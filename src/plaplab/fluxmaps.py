@@ -18,14 +18,11 @@ import numpy as np
 __all__ = [
     "Exponent",
     "ShiftedPower",
-    "EquivalenceExpressions",
     "frobenius",
     "a_map",
     "v_map",
     "a_inverse",
     "shifted_power",
-    "shifted_power_prime",
-    "equivalence_ratios",
     "equivalence_table",
     "ratio_band",
     "young_bound_check",
@@ -54,14 +51,12 @@ class Exponent:
         return Exponent(self.pprime)
 
 
-def frobenius(P, axis=None):
-    """Frobenius norm of a tensor, or of a batch along its two trailing axes."""
+def frobenius(P):
+    """Frobenius norm over the two trailing axes: a float for one tensor, an
+    array for a batch."""
     P = np.asarray(P, dtype=float)
-    if axis is None:
-        return float(np.sqrt(np.sum(P * P)))
-    if sorted(np.mod(axis, P.ndim)) != [P.ndim - 2, P.ndim - 1]:
-        raise ValueError("batched norms run over the two trailing axes")
-    return np.sqrt(np.einsum("...nk,...nk->...", P, P))
+    norm = np.sqrt(np.einsum("...nk,...nk->...", P, P))
+    return float(norm) if norm.ndim == 0 else norm
 
 
 def _norm_power(r, expo):
@@ -71,51 +66,43 @@ def _norm_power(r, expo):
     mask = r > 0.0
     if np.any(mask):
         out[mask] = np.exp(expo * np.log(r[mask]))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if out.ndim == 0 else out
+
+
+def _power_scaled(P, expo):
+    """|P|^expo P for a tensor or a batch of them, 0 where P = 0."""
+    P = np.asarray(P, dtype=float)
+    return np.asarray(_norm_power(frobenius(P), expo))[..., None, None] * P
 
 
 def a_map(p: Exponent, P):
     """Flux map |P|^(p-2) P with A(0) = 0."""
-    P = np.asarray(P, dtype=float)
-    scale = _norm_power(frobenius(P, axis=(-2, -1)), p.p - 2.0)
-    return np.asarray(scale)[..., None, None] * P
+    return _power_scaled(P, p.p - 2.0)
 
 
 def v_map(p: Exponent, P):
     """Natural quantity |P|^((p-2)/2) P; |V(P)|^2 = |P|^p."""
-    P = np.asarray(P, dtype=float)
-    scale = _norm_power(frobenius(P, axis=(-2, -1)), (p.p - 2.0) / 2.0)
-    return np.asarray(scale)[..., None, None] * P
+    return _power_scaled(P, (p.p - 2.0) / 2.0)
 
 
 def a_inverse(p: Exponent, W):
     """Inverse of the flux map: |W|^((2-p)/(p-1)) W, so a_map∘a_inverse = id."""
-    W = np.asarray(W, dtype=float)
-    scale = _norm_power(frobenius(W, axis=(-2, -1)), (2.0 - p.p) / (p.p - 1.0))
-    return np.asarray(scale)[..., None, None] * W
+    return _power_scaled(W, (2.0 - p.p) / (p.p - 1.0))
+
+
+def _shift_args(a, t):
+    """The shift and the argument as float arrays; ValueError if either is < 0."""
+    a = np.asarray(a, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0.0) or np.any(a < 0.0):
+        raise ValueError("shifted power needs a >= 0 and t >= 0")
+    return a, t
 
 
 def shifted_power(p: Exponent, a, t):
     """Shifted power function (a + t)^(p-2) t^2, extended by 0 at a = t = 0."""
-    a = np.asarray(a, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(a < 0.0):
-        raise ValueError("shifted power needs a >= 0 and t >= 0")
-    tsq = t * t
-    return _norm_power(a + t, p.p - 2.0) * tsq
-
-
-def shifted_power_prime(p: Exponent, a, t):
-    """Derivative in t: (p-2)(a+t)^(p-3) t^2 + 2 (a+t)^(p-2) t."""
-    a = np.asarray(a, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(a < 0.0):
-        raise ValueError("shifted power needs a >= 0 and t >= 0")
-    term1 = (p.p - 2.0) * _norm_power(a + t, p.p - 3.0) * t * t
-    term2 = 2.0 * _norm_power(a + t, p.p - 2.0) * t
-    return term1 + term2
+    a, t = _shift_args(a, t)
+    return _norm_power(a + t, p.p - 2.0) * (t * t)
 
 
 @dataclass(frozen=True)
@@ -133,70 +120,43 @@ class ShiftedPower:
         return shifted_power(self.p, self.a, t)
 
     def derivative(self, t):
-        return shifted_power_prime(self.p, self.a, t)
-
-
-@dataclass(frozen=True)
-class EquivalenceExpressions:
-    """The five mutually comparable quantities built from a tensor pair.
-
-    All five vanish together exactly when P = Q, and their pairwise ratios
-    stay in a p-dependent band that the lab fits by sampling.
-    """
-
-    inner: float        # (A(P) - A(Q)) . (P - Q)
-    v_sq: float         # |V(P) - V(Q)|^2
-    mixed: float        # (|P| + |Q|)^(p-2) |P - Q|^2
-    phi_shift: float    # shifted power at shift |Q| of |P - Q|
-    phi_conj: float     # conjugate shifted power at shift |Q|^(p-1) of |A(P)-A(Q)|
-    a_diff: float       # |A(P) - A(Q)|
-
-    def as_array(self):
-        return np.array([self.inner, self.v_sq, self.mixed,
-                         self.phi_shift, self.phi_conj])
+        """(p-2)(a+t)^(p-3) t^2 + 2 (a+t)^(p-2) t."""
+        a, t = _shift_args(self.a, t)
+        pv = self.p.p
+        return ((pv - 2.0) * _norm_power(a + t, pv - 3.0) * t * t
+                + 2.0 * _norm_power(a + t, pv - 2.0) * t)
 
 
 def equivalence_table(p: Exponent, Ps, Qs):
-    """Vectorized equivalence expressions for batches of tensor pairs.
+    """The equivalence expressions of a batch of tensor pairs, as a dict of
+    arrays.
 
-    Returns a dict of arrays keyed like EquivalenceExpressions fields.
+    The first five vanish together exactly when P = Q, and their pairwise
+    ratios stay in a p-dependent band that the lab fits by sampling:
+      inner      (A(P) - A(Q)) . (P - Q)
+      v_sq       |V(P) - V(Q)|^2
+      mixed      (|P| + |Q|)^(p-2) |P - Q|^2
+      phi_shift  shifted power at shift |Q| of |P - Q|
+      phi_conj   conjugate shifted power at shift |Q|^(p-1) of |A(P) - A(Q)|
+    and a_diff is |A(P) - A(Q)|.  One pair P, Q goes in as P[None], Q[None].
     """
     Ps = np.asarray(Ps, dtype=float)
     Qs = np.asarray(Qs, dtype=float)
-    nP = frobenius(Ps, axis=(-2, -1))
-    nQ = frobenius(Qs, axis=(-2, -1))
+    nP = frobenius(Ps)
+    nQ = frobenius(Qs)
     AP = a_map(p, Ps)
     AQ = a_map(p, Qs)
     VP = v_map(p, Ps)
     VQ = v_map(p, Qs)
     diff = Ps - Qs
-    ndiff = frobenius(diff, axis=(-2, -1))
-    adiff = frobenius(AP - AQ, axis=(-2, -1))
-    inner = np.sum((AP - AQ) * diff, axis=(-2, -1))
-    v_sq = np.sum((VP - VQ) ** 2, axis=(-2, -1))
-    mixed = _norm_power(nP + nQ, p.p - 2.0) * ndiff * ndiff
-    phi_shift = shifted_power(p, nQ, ndiff)
-    phi_conj = shifted_power(p.conjugate(), _norm_power(nQ, p.p - 1.0), adiff)
-    return {
-        "inner": inner,
-        "v_sq": v_sq,
-        "mixed": mixed,
-        "phi_shift": phi_shift,
-        "phi_conj": phi_conj,
-        "a_diff": adiff,
-    }
-
-
-def equivalence_ratios(p: Exponent, P, Q):
-    """Equivalence expressions for a single tensor pair; rejects P = Q = 0."""
-    P = np.asarray(P, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if frobenius(P) == 0.0 and frobenius(Q) == 0.0:
-        raise ValueError("P = Q = 0 makes every expression 0/0 for ratio fitting")
-    tab = equivalence_table(p, P[None], Q[None])
-    return EquivalenceExpressions(*(float(tab[k][0]) for k in
-                                    ("inner", "v_sq", "mixed",
-                                     "phi_shift", "phi_conj", "a_diff")))
+    ndiff = frobenius(diff)
+    adiff = frobenius(AP - AQ)
+    return {"inner": np.sum((AP - AQ) * diff, axis=(-2, -1)),
+            "v_sq": np.sum((VP - VQ) ** 2, axis=(-2, -1)),
+            "mixed": _norm_power(nP + nQ, p.p - 2.0) * ndiff * ndiff,
+            "phi_shift": shifted_power(p, nQ, ndiff),
+            "phi_conj": shifted_power(p.conjugate(), _norm_power(nQ, p.p - 1.0), adiff),
+            "a_diff": adiff}
 
 
 # Samples where every compared expression sits below this floor are 0/0
@@ -214,8 +174,7 @@ def ratio_band(p: Exponent, Ps, Qs):
     tab = equivalence_table(p, Ps, Qs)
     vals = np.stack([tab[k] for k in
                      ("inner", "v_sq", "mixed", "phi_shift", "phi_conj")])
-    top = vals.max(axis=0)
-    keep = top > RATIO_FLOOR
+    keep = vals.max(axis=0) > RATIO_FLOOR
     if not np.any(keep):
         raise ValueError("all samples degenerate; nothing to fit")
     vals = vals[:, keep]
@@ -241,14 +200,20 @@ def young_bound_check(p: Exponent, a, delta, t, s):
     return lhs, (term_phi, term_conj)
 
 
+def _excess_fit(lhs, absorbed, den):
+    """Largest (lhs - absorbed)_+ / den over the samples where den >
+    RATIO_FLOOR, or 0.0 when there is none."""
+    excess = np.maximum(lhs - absorbed, 0.0)
+    keep = den > RATIO_FLOOR
+    if not np.any(keep):
+        return 0.0
+    return float(np.max(excess[keep] / den[keep]))
+
+
 def fit_young_constant(p: Exponent, a, delta, ts, ss):
     """Monte-Carlo fit of c in the product bound over sample arrays."""
     lhs, (term_phi, term_conj) = young_bound_check(p, a, delta, ts, ss)
-    excess = np.maximum(lhs - term_phi, 0.0)
-    keep = term_conj > RATIO_FLOOR
-    if not np.any(keep):
-        return 0.0
-    return float(np.max(excess[keep] / term_conj[keep]))
+    return _excess_fit(lhs, term_phi, term_conj)
 
 
 def shift_change_check(p: Exponent, P, Q, t, gamma):
@@ -266,23 +231,17 @@ def shift_change_check(p: Exponent, P, Q, t, gamma):
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     pc = p.conjugate()
-    lhs = shifted_power(pc, _norm_power(frobenius(P, axis=(-2, -1)), p.p - 1.0), t)
-    m = max(p.p, 2.0)
-    term_shifted = gamma ** (1.0 - m) * shifted_power(
-        pc, _norm_power(frobenius(Q, axis=(-2, -1)), p.p - 1.0), t)
-    vdiff_sq = np.sum((v_map(p, P) - v_map(p, Q)) ** 2, axis=(-2, -1))
-    term_v = gamma * vdiff_sq
+    lhs = shifted_power(pc, _norm_power(frobenius(P), p.p - 1.0), t)
+    term_shifted = gamma ** (1.0 - max(p.p, 2.0)) * shifted_power(
+        pc, _norm_power(frobenius(Q), p.p - 1.0), t)
+    term_v = gamma * np.sum((v_map(p, P) - v_map(p, Q)) ** 2, axis=(-2, -1))
     return lhs, (term_shifted, term_v)
 
 
 def fit_shift_change_constant(p: Exponent, Ps, Qs, ts, gamma):
     """Monte-Carlo fit of c in the shift-change bound over sample batches."""
     lhs, (term_shifted, term_v) = shift_change_check(p, Ps, Qs, ts, gamma)
-    excess = np.maximum(lhs - term_v, 0.0)
-    keep = term_shifted > RATIO_FLOOR
-    if not np.any(keep):
-        return 0.0
-    return float(np.max(excess[keep] / term_shifted[keep]))
+    return _excess_fit(lhs, term_v, term_shifted)
 
 
 def random_tensor_pairs(rng, count, rows=2, cols=2, scale_decades=(-6.0, 6.0)):

@@ -65,8 +65,12 @@ def _square_bounds(bounds):
 
 
 def _cells_per_side(cells):
-    """A cell count as an int; ValueError unless it is a whole number >= 2."""
-    if not float(cells).is_integer():
+    """A cell count as an int; ValueError unless it is a float-sized whole number >= 2."""
+    try:
+        whole = float(cells).is_integer()
+    except OverflowError:
+        raise ValueError("cells per side beyond a float's range") from None
+    if not whole:
         raise ValueError(f"cells per side must be a whole number, not {cells!r}")
     if cells < 2:
         raise ValueError("need at least 2 cells per side")

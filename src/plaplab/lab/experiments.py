@@ -22,8 +22,8 @@ from ..grid import (ElemField, Mesh, NodalField, _ball_members, _require_nonempt
                     ball_oscillation, ball_stats, gradient, integrate)
 from ..maximal import RadiiSet, plain_maximal, sharp_maximal, weighted_local_sharp
 from ..oscillation import (PotentialParams, constant_modulus, dini_log_modulus,
-                           dini_transform, holder_seminorm, inscribed_sups,
-                           oscillation_potential, power_modulus)
+                           holder_seminorm, inscribed_sups, oscillation_potential,
+                           power_modulus)
 from ..rearrange import (CapYoung, ExpYoung, HypothesisViolation, LorentzSpec, StepFunction,
                          hardy_check_avg, hardy_check_tail, lorentz_norm, lq_norm, luxemburg_norm,
                          marcinkiewicz_norm, orlicz_target, rearrange)
@@ -667,7 +667,7 @@ def exp_example_5_5(cfg: ExperimentConfig):
 
     # (d) the modulus genuinely fails the Dini condition
     report.check("Dini divergence of the modulus detected", "divergent",
-                 not dini_transform(omega).finite)
+                 not omega.dini_finite)
     return report
 
 

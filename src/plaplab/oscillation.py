@@ -18,6 +18,7 @@ one kernel call, and so is the potential at a (P, 2) array of points.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -30,8 +31,6 @@ __all__ = [
     "Modulus",
     "PotentialParams",
     "DiniDivergence",
-    "VarpiTransform",
-    "ZetaTransform",
     "power_modulus",
     "log_inverse_modulus",
     "constant_modulus",
@@ -58,8 +57,8 @@ class DiniDivergence(ArithmeticError):
 class Modulus:
     """Modulus of continuity with an almost-decreasing certificate.
 
-    family: 'power' (r^beta), 'log_inverse' (log^(-sigma)(scale/r); sigma
-    = 1 is the Dini borderline 1/log(scale/r)), or 'constant'.
+    family: 'power' (r^beta), 'log_inverse' (log^(-sigma)(scale/r), sigma >= 0;
+    sigma = 1 is the Dini borderline 1/log(scale/r)), or 'constant'.
     The certificate (beta_cert, c_omega) is validated on a 100 x 100
     sample grid of (r, rho) at construction.
     """
@@ -75,6 +74,9 @@ class Modulus:
             raise ValueError("need beta_cert > 0 and c_omega >= 1")
         if self.family not in ("power", "log_inverse", "constant"):
             raise ValueError(f"unknown modulus family {self.family!r}")
+        if self.family == "log_inverse" and not self.params[0] >= 0.0:
+            # a negative sigma makes omega fall as r grows
+            raise ValueError(f"log_inverse needs sigma >= 0, got sigma={self.params[0]}")
         self._validate_certificate()
 
     # -- evaluation ---------------------------------------------------------
@@ -357,50 +359,29 @@ def holder_seminorm(mesh, f, omega, max_pairs=10 ** 6):
     return best
 
 
-class VarpiTransform:
-    """Integrated modulus r -> integral_0^r omega(rho)/rho d rho.
-
-    finite is False exactly in the divergent (non-Dini) regime; calling a
-    divergent transform raises DiniDivergence.
-    """
-
-    def __init__(self, omega: Modulus):
-        self.omega = omega
-        self.finite = omega.dini_finite
-
-    def __call__(self, r):
-        if not self.finite:
-            raise DiniDivergence("the modulus fails the Dini condition")
-        return self.omega.integral_dr_over_r(0.0, r)
-
-
 def dini_transform(omega: Modulus):
-    return VarpiTransform(omega)
-
-
-class ZetaTransform:
-    """Inverse tail weight zeta(r) = 1 / integral_{r^(1/n)}^{R0^(1/n)} omega/rho."""
-
-    def __init__(self, omega: Modulus, n, R0):
-        if n < 1 or R0 <= 0.0:
-            raise ValueError("need n >= 1 and R0 > 0")
-        self.omega = omega
-        self.n = int(n)
-        self.R0 = float(R0)
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        if not np.all((0.0 < r) & (r < self.R0)):
-            raise ValueError("zeta is defined on (0, R0)")
-        return 1.0 / self.omega.integral_dr_over_r(r ** (1.0 / self.n),
-                                                   self.R0 ** (1.0 / self.n))
+    """Integrated modulus r -> integral_0^r omega(rho)/rho d rho.  It raises
+    DiniDivergence exactly when omega.dini_finite is False."""
+    return partial(omega.integral_dr_over_r, 0.0)
 
 
 def zeta_transform(omega: Modulus, n, R0):
-    return ZetaTransform(omega, n, R0)
+    """Inverse tail weight zeta(r) = 1 / integral_{r^(1/n)}^{R0^(1/n)} omega/rho,
+    defined on (0, R0)."""
+    if n < 1 or R0 <= 0.0:
+        raise ValueError("need n >= 1 and R0 > 0")
+    n, R0 = int(n), float(R0)
+
+    def zeta(r):
+        r = np.asarray(r, dtype=float)
+        if not np.all((0.0 < r) & (r < R0)):
+            raise ValueError("zeta is defined on (0, R0)")
+        return 1.0 / omega.integral_dr_over_r(r ** (1.0 / n), R0 ** (1.0 / n))
+
+    return zeta
 
 
-def zeta_p(zeta: ZetaTransform, p):
+def zeta_p(zeta, p):
     """The p-adjusted weight zeta^(1/(p-1)) as a callable."""
     expo = 1.0 / (p.p - 1.0)
 

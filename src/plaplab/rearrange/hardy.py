@@ -233,10 +233,12 @@ def _rule(pw, pieces):
     factor of 2 over a decade (in log x a farther zero would stretch each
     sub-interval over many units of the weight's exp(-x) decay).  A piece
     that touches 0 is taken down to s = _TINY, about 690 units of log s
-    below its right end.  Sub-intervals are equal and at most a decade wide.
+    below its right end, and a piece that ends at or below _TINY is left
+    out (in s its nodes would fall past exp's range).  Sub-intervals are equal and at most a decade wide.
     Arrays are (sub-interval, node), the coarse rule's nodes first; the
     weights are those of ds.
     """
+    pieces = pieces[pw.hi[pieces] > _TINY]
     lo, hi, v, c = pw.lo[pieces], pw.hi[pieces], pw.v[pieces], pw.c[pieces]
     lo = np.maximum(lo, _TINY)
     span = np.log(hi / lo)

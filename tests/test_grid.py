@@ -56,6 +56,9 @@ def test_mesh_rejects_a_cell_count_that_is_not_whole():
         with pytest.raises(ValueError, match="whole number"):
             Mesh((0, 1, 0, 1), cells)
     assert Mesh((0, 1, 0, 1), np.int64(4)).cells_per_side == 4
+    # a count past a float's range is refused by the same rule, not an OverflowError
+    with pytest.raises(ValueError, match="cells per side beyond a float's range"):
+        Mesh((0, 1, 0, 1), 10 ** 400)
 
 
 def test_locate_element(unit_mesh):

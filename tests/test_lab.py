@@ -127,6 +127,7 @@ def test_config_rejects_out_of_range_values_naming_the_key(key, text):
     ("young", "exp 1", "'exp': missing a required argument: 'q'"),
     ("modulus", "foo", "unknown modulus family"), ("modulus", "power -1", "beta_cert > 0"),
     ("modulus", "log_inverse", "'log_inverse': missing a required argument: 'sigma'"),
+    ("modulus", "log_inverse -1", "sigma >= 0, got sigma=-1.0"),
     ("grids", "8.5", "whole number"), ("seed", "x", "must be a whole number, not 'x'"),
     ("seed", "7.5", "must be a whole number, not '7.5'"), ("n_seeds", "x", "whole number"),
     ("comps", "2.5", "whole number"), ("grids", "inf", "whole number"),

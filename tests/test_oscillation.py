@@ -343,21 +343,22 @@ def test_holder_row_blocks_match_the_rows(M, comps, seed, omega, max_pairs):
 
 
 def test_dini_transform_power_closed_form():
+    assert power_modulus(0.5).dini_finite
     vp = dini_transform(power_modulus(0.5))
-    assert vp.finite
     for r in (0.04, 0.3, 0.9):
         assert vp(r) == pytest.approx(r ** 0.5 / 0.5, rel=1e-12)
     assert vp(1e-12) == pytest.approx(0.0, abs=1e-5)
 
 
 def test_dini_divergence_detected():
-    dd = dini_transform(dini_log_modulus(math.e))
-    assert not dd.finite
-    with pytest.raises(DiniDivergence):
-        dd(0.1)
-    assert not dini_transform(constant_modulus()).finite
-    assert not dini_transform(log_inverse_modulus(0.7, math.e ** 2)).finite
-    assert dini_transform(log_inverse_modulus(1.5, math.e ** 2)).finite
+    for omega, finite in ((dini_log_modulus(math.e), False), (constant_modulus(), False),
+                          (log_inverse_modulus(0.7, math.e ** 2), False),
+                          (log_inverse_modulus(1.5, math.e ** 2), True)):
+        assert omega.dini_finite is finite
+        if not finite:
+            with pytest.raises(DiniDivergence):
+                dini_transform(omega)(0.1)
+    assert dini_transform(log_inverse_modulus(1.5, math.e ** 2))(0.1) > 0.0
 
 
 def test_zeta_constant_closed_form():

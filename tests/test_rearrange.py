@@ -801,6 +801,7 @@ def _table_tail(profiles):
 
 def _two_branch_rule(pw, pieces):
     """Reference: the rule with both forms of g and of the weights at every node."""
+    pieces = pieces[pw.hi[pieces] > _TINY]
     lo, hi, v, c = pw.lo[pieces], pw.hi[pieces], pw.v[pieces], pw.c[pieces]
     lo = np.maximum(lo, _TINY)
     span = np.log(hi / lo)
