@@ -192,8 +192,6 @@ def young_bound_check(p: Exponent, a, delta, t, s):
     s = np.asarray(s, dtype=float)
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    if np.any(t < 0.0) or np.any(s < 0.0):
-        raise ValueError("t and s must be nonnegative")
     lhs = t * s
     term_phi = delta * shifted_power(p, a, t)
     term_conj = shifted_power(p.conjugate(), _norm_power(np.asarray(a, float), p.p - 1.0), s)
@@ -225,9 +223,6 @@ def shift_change_check(p: Exponent, P, Q, t, gamma):
     """
     if not (0.0 < gamma <= 1.0):
         raise ValueError("gamma must lie in (0, 1]")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("t must be nonnegative")
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
     pc = p.conjugate()

@@ -2,10 +2,18 @@
 
 The Dirichlet problem -div(|grad u|^(p-2) grad u) = -div F with u = g on the
 boundary is solved by a damped Kacanov (frozen-coefficient) iteration: each
-step freezes the diffusion coefficient at (eps^2 + |grad u|^2)^((p-2)/2),
-with one fixed eps = 1e-14 * data_scale, and solves the resulting SPD linear
-system for all components at once by one banded Cholesky factorization
-(LAPACK dpbsv).  On these right triangles the system is the 5-point stencil
+step freezes the diffusion coefficient kappa at
+(eps^2 + |grad u|^2)^((p-2)/2), with one fixed eps = 1e-14 * data_scale, and
+takes the direction d = K^-1 r for all components at once, r the interior
+loads of F - kappa grad u and K an SPD frozen-coefficient matrix held as a
+banded Cholesky factor (LAPACK dpbtrf, applied by dpbtrs).  With K at the
+current kappa, u + d is the frozen-coefficient solution; any earlier K still
+gives a descent direction, and once kappa settles nearly the same one
+(Diening, Fornasier, Tomasi & Wank, Numer. Math. 2020, analyse such relaxed
+linearisations of the p-Poisson problem).  So a factor is kept while each
+step cuts the residual to at most _REFACTOR_RATE of its value before; K is
+factored anew at the current kappa for the first step, after a step that
+cut it less, and to retake a step whose kept factor gave no descent.  On these right triangles the system is the 5-point stencil
 of edge conductances, which couples no two nodes of one checkerboard colour,
 so one colour is eliminated exactly first (red-black static condensation): the
 factored Schur complement keeps the half-bandwidth M - 1 of the natural
@@ -57,6 +65,7 @@ _NEWTON_ITERS = 12     # Newton steps in the plane per Kacanov step, at most
 _NEWTON_TOL = 1e-6     # relative move in (x, y) below which Newton stops
 _EPS = 1e-14           # gradient regularization eps, relative to data_scale
 _COEFF_CLAMP = (1e-10, 1e10)   # frozen coefficient bounds, relative to data_scale^(p-2)
+_REFACTOR_RATE = 0.3   # residual ratio of a step above which the next step factors anew
 
 
 class NonConvergenceError(RuntimeError):
@@ -89,6 +98,8 @@ class DirichletProblem:
     g: np.ndarray               # boundary values, (num boundary nodes, N)
 
     def __post_init__(self):
+        if not isinstance(self.p, Exponent):
+            raise TypeError(f"p must be an Exponent, got {type(self.p).__name__}")
         self.g = np.atleast_2d(np.asarray(self.g, dtype=float))
         if self.F.tensors.shape[0] != self.mesh.num_elements:
             raise ValueError("F does not match the mesh")
@@ -118,6 +129,7 @@ class Solution:
     iterations: int
     energy_trace: list
     residual: float
+    factorizations: int         # banded factorizations, the p = 2 start's included
 
 
 def _planes(tensors):
@@ -312,7 +324,7 @@ class _BandSystem:
     and D_b diagonal.  The red nodes (odd parity, the smaller colour) are
     eliminated exactly.  The Schur complement S = D_b - B^T D_r^-1 B on the
     black nodes has the half-bandwidth of K on half its rows, so the banded
-    Cholesky factorization of S (LAPACK dpbsv) takes half the flops of K's.
+    Cholesky factorization of S (LAPACK dpbtrf) takes half the flops of K's.
 
     Everything is a slice of the m x m grid of interior nodes (i, j) =
     (ix - 1, iy - 1), m = M - 1.  The black nodes are numbered row-major:
@@ -323,9 +335,9 @@ class _BandSystem:
     from an odd one (f = m - c), and to (i, j + 2) at offset m: five
     diagonals for even M, six for odd M.
 
-    Built once: the band buffer that each step zeroes and refills in place,
-    the planes of F, and the gradient planes of g extended by zero, whose
-    flux lifts g into the right-hand side.
+    Built once: the band buffer that each factor zeroes, refills and
+    factors in place, the planes of F, and g extended by zero; factor
+    counts its calls.
     """
 
     def __init__(self, prob):
@@ -344,7 +356,7 @@ class _BandSystem:
         self.g_full = np.zeros((mesh.num_nodes, prob.components))
         self.g_full[mesh.boundary_nodes] = prob.g
         self.F = _planes(prob.F.tensors)
-        self.grad_g = _gradient_planes(mesh, self.g_full)
+        self.factorizations = 0
 
     def _put_black(self, even_out, odd_out, grid, i0=0):
         """Write the black entries of `grid`, a block of the interior grid
@@ -420,21 +432,31 @@ class _BandSystem:
         multipliers = [("S", Sv), ("W", Wh), ("E", Eh), ("N", Nv)]
         return ab, D, couplings, multipliers
 
-    def solve(self, kappa):
-        """Nodal values of the solution; LinAlgError if the solve fails."""
-        mesh = self.prob.mesh
-        m, N = self.m, self.prob.components
-        ab, D, couplings, multipliers = self.condense(kappa)
-        flux = self.F - kappa * self.grad_g
-        rhs = _flux_load(mesh, flux).reshape(m + 2, m + 2, N)[1:-1, 1:-1]
+    def factor(self, kappa):
+        """Condense the system at kappa and factor S = L L^T in place
+        (LAPACK dpbtrf), keeping D, the couplings and the multipliers for
+        apply; LinAlgError if a red pivot or S is not positive definite."""
+        from scipy.linalg.lapack import dpbtrf  # LAPACK loads at the first factor
+        self.factorizations += 1
+        ab, *self._elimination = self.condense(kappa)
+        self._factor, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info != 0:
+            raise LinAlgError(f"banded Cholesky factorization failed (info {info})")
+
+    def apply(self, loads):
+        """Nodal values, zero on the boundary, of K^-1 times the interior rows
+        of `loads` (num nodes, N), K the matrix of the last factor;
+        LinAlgError if they are not finite."""
+        from scipy.linalg.lapack import dpbtrs
+        m, N = self.m, loads.shape[1]
+        D, couplings, multipliers = self._elimination
+        rhs = loads.reshape(m + 2, m + 2, N)[1:-1, 1:-1]
         # eliminate the red nodes: b_b - B^T D_r^-1 b_r adds c b_r / d_r over
         # a black node's red neighbours (the sum at a red node is not used)
         b_black = self._black(rhs + _neighbour_sum(rhs, multipliers))
-        from scipy.linalg import solveh_banded  # LAPACK loads at the first solve
-        x_black = solveh_banded(ab, b_black, lower=True, overwrite_ab=True,
-                                overwrite_b=True, check_finite=False)
-        values = self.g_full.copy()
-        x = values.reshape(m + 2, m + 2, N)[1:-1, 1:-1]          # zero on entry
+        x_black, _ = dpbtrs(self._factor, b_black, lower=1, overwrite_b=1)
+        values = np.zeros(loads.shape)
+        x = values.reshape(m + 2, m + 2, N)[1:-1, 1:-1]
         pairs = np.empty((self.band.shape[0], N))
         pairs[:self.num_black] = x_black
         pairs = pairs.reshape(-1, m, N)
@@ -445,7 +467,7 @@ class _BandSystem:
         x_red = (rhs + _neighbour_sum(x, couplings)) / D[..., None]
         x[0::2, 1::2] = x_red[0::2, 1::2]
         x[1::2, 0::2] = x_red[1::2, 0::2]
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(x)):
             raise LinAlgError("non-finite solution")
         return values
 
@@ -457,17 +479,21 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
     Starts from u0 (its boundary rows overwritten by g), by default from the
     p = 2 solution of the same problem.  Returns the accepted iterate, the
     regularized-energy trace (one entry per accepted iterate, nonincreasing
-    by construction) and the final residual.  Frozen coefficients are
-    clamped to _COEFF_CLAMP times data_scale^(p-2).
+    by construction), the final residual and the number of banded
+    factorizations.  Frozen coefficients are clamped to _COEFF_CLAMP times
+    data_scale^(p-2).
     """
     cfg = cfg or SolverConfig()
     mesh, p = prob.mesh, prob.p.p
+    shape = (mesh.num_nodes, prob.components)
+    if u0 is not None and u0.values.shape != shape:
+        raise ValueError(f"start has shape {u0.values.shape}, the problem needs {shape}")
     scale = prob.data_scale()
 
     if scale == 0.0:
         # F = 0 and constant boundary data: the constant extension solves it
         u = NodalField(np.tile(prob.g[0], (mesh.num_nodes, 1)))
-        return Solution(u, 0, [0.0], residual(prob, u))
+        return Solution(u, 0, [0.0], residual(prob, u), 0)
 
     eps = _EPS * scale
     kmin, kmax = (c * scale ** (p - 2.0) for c in _COEFF_CLAMP)
@@ -477,16 +503,18 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
     F = system.F
     trace, res = [], np.nan
 
-    def linear_step(kappa, it):
+    def linear(method, arg, it):
         try:
-            return NodalField(system.solve(kappa))
+            return method(arg)
         except LinAlgError as err:
             raise NonConvergenceError(
                 f"frozen-coefficient solve failed at outer iteration {it} "
                 f"(eps {eps:.3e}): {err}", trace, res) from err
 
     if u0 is None:
-        u = linear_step(np.ones(mesh.num_elements), 0)
+        linear(system.factor, np.ones(mesh.num_elements), 0)
+        lift = F - _gradient_planes(mesh, system.g_full)
+        u = NodalField(system.g_full + linear(system.apply, _flux_load(mesh, lift), 0))
     else:
         values = u0.values.copy()
         values[mesh.boundary_nodes] = prob.g
@@ -497,28 +525,39 @@ def solve(prob: DirichletProblem, cfg: Optional[SolverConfig] = None,
     trace.append(_energy_of(prob, F, grad, eps))
     res = _residual_of(prob, F, grad, norm)
     if res <= cfg.tol_residual:
-        return Solution(u, 0, trace, res)
+        return Solution(u, 0, trace, res, system.factorizations)
 
+    # each step preconditions the loads of F - kappa grad u by the last factor
     step, step_grad = 0.0, np.zeros_like(grad)      # the last accepted step s
+    refactor = True
     for it in range(1, cfg.max_iter + 1):
         a = eps * eps + _dot(grad, grad)
         k = a ** ((p - 2.0) / 2.0)
-        candidate = linear_step(np.clip(k, kmin, kmax), it)
-        direction = candidate.values - u.values     # zero on boundary rows
-        dir_grad = _gradient_planes(mesh, direction)
-        found = _plane_step(_plane(prob, F, a, grad, dir_grad, step_grad, eps, k), trace[-1])
-        if found is None:
-            raise NonConvergenceError(
-                f"Kacanov step kept increasing the regularized energy at outer "
-                f"iteration {it} (eps {eps:.3e})", trace, res)
+        kappa = np.clip(k, kmin, kmax)
+        loads = _flux_load(mesh, F - kappa * grad)
+        while True:
+            if refactor:
+                linear(system.factor, kappa, it)
+            direction = linear(system.apply, loads, it)     # zero on boundary rows
+            dir_grad = _gradient_planes(mesh, direction)
+            found = _plane_step(_plane(prob, F, a, grad, dir_grad, step_grad, eps, k),
+                                trace[-1])
+            if found is not None:
+                break
+            if refactor:
+                raise NonConvergenceError(
+                    f"Kacanov step kept increasing the regularized energy at outer "
+                    f"iteration {it} (eps {eps:.3e})", trace, res)
+            refactor = True                 # retake the step on a fresh factor
         (x, y), e = found
         step, step_grad = x * direction + y * step, x * dir_grad + y * step_grad
         u = NodalField(u.values + step)
         trace.append(min(e, trace[-1]))              # e may exceed it by the slack
         grad = _gradient_planes(mesh, u.values)
-        res = _residual_of(prob, F, grad, norm)
+        prev, res = res, _residual_of(prob, F, grad, norm)
         if res <= cfg.tol_residual:
-            return Solution(u, it, trace, res)
+            return Solution(u, it, trace, res, system.factorizations)
+        refactor = res > _REFACTOR_RATE * prev
 
     raise NonConvergenceError(
         f"no convergence within {cfg.max_iter} iterations "

@@ -1,14 +1,17 @@
 """The benchmark's span tracer binds plaplab functions by module and name,
 its ballstats workload checks plaplab's ball values against its own
-float-membership reference, and its battery workload counts every report
-assertion and every non-finite fitted constant as a failure.
+float-membership reference, its battery workload counts every report
+assertion and every non-finite fitted constant as a failure, and its solve
+workload counts every solve whose residual misses the target or whose energy
+trace rises.
 
 A traced benchmark run fails if a traced function is renamed or deleted, or
 if a plaplab module holds a binding of one that the tracer cannot patch, and
-a benchmark run counts failures if the ball values drift from the reference
-or a report assertion fails, so all of these are checked here: the bindings
-by installing and uninstalling the tracer in-process, the ballstats and
-battery checks in-process at the smoke size.
+a benchmark run counts failures if the ball values drift from the reference,
+a report assertion fails or a solve misses its checks, so all of these are
+checked here: the bindings by installing and uninstalling the tracer
+in-process, the ballstats, battery and solve checks in-process at the smoke
+size.
 """
 
 import contextlib
@@ -75,4 +78,14 @@ def test_battery_workload_checks_pass_at_smoke_size(tmp_path, monkeypatch):
     cfg = bench.setup(3)
     reports = bench.run(cfg, lambda name: contextlib.nullcontext())
     attempted, failed = bench.check(cfg, reports)
+    assert attempted > 0 and failed == 0
+
+
+def test_solve_workload_checks_pass_at_smoke_size(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    workloads = importlib.import_module("workloads")
+    bench = workloads.Solve("smoke", str(tmp_path))
+    problems = bench.setup(3)
+    solutions = bench.run(problems, lambda name: contextlib.nullcontext())
+    attempted, failed = bench.check(problems, solutions)
     assert attempted > 0 and failed == 0

@@ -208,6 +208,16 @@ def test_phi_negative_argument_rejected():
         ShiftedPower(Exponent(2.0), -1.0)
 
 
+@pytest.mark.parametrize("check", [
+    lambda p: young_bound_check(p, 1.0, 0.5, [1.0, -0.1], [1.0, 1.0]),
+    lambda p: young_bound_check(p, 1.0, 0.5, [1.0, 1.0], [1.0, -0.1]),
+    lambda p: shift_change_check(p, np.eye(2), np.eye(2), [1.0, -0.1], 0.5),
+])
+def test_bound_checks_refuse_negative_arguments_by_the_shifted_power_rule(check):
+    with pytest.raises(ValueError, match=r"shifted power needs a >= 0 and t >= 0"):
+        check(Exponent(3.0))
+
+
 @given(t1=st.floats(1e-6, 1e6), t2=st.floats(1e-6, 1e6),
        a=st.floats(0.0, 1e3))
 @settings(max_examples=200, deadline=None)

@@ -421,18 +421,18 @@ def test_report_determinism_across_runs(tmp_path):
 # A change that moves a report bit updates its digest here and names the
 # moved values in CHANGES.md.
 REPORT_DIGESTS = {
-    "basic-estimate.json": "1876bba3c53ef89f1f4c86576116aa3d772baf31138c4ea83197c807e4bc7979",
-    "basic-estimate.csv": "301d256e2c205df950f16dfe87d395348d111c687df7eb900a1ad65eb0f70a80",
-    "decay.json": "d33cfa65f70f38a54cc862846f3e68cf1e83fba4f2e71d04a9659c78dfa27f9e",
-    "decay.csv": "92fab9c645bccdbdba18453e481c76378c5f6907d2c0929f3370ba9d55b20601",
-    "oscillation.json": "20f3ed9bbe083e1f1c196b0af604c266a76df82d4dbaa462aa0e94568e28218a",
-    "oscillation.csv": "3c0cb2b2f1fed1556ea3111386a24d01bc053854892327c0745e7e8eda764dcf",
-    "potential.json": "1df9881c74d097f654eeb78387fecbc1f979778b2a25ed3573fefd018ca516d1",
-    "potential.csv": "7c3df1a37b677d0958f94ca771de65df9ac2b2b78b45c112d17919cecfc9500b",
+    "basic-estimate.json": "c1d3fe7684f4d330e9b73980de09477a61083201005b3bece2a7a9365572a5ba",
+    "basic-estimate.csv": "0a12666102a1b6f604973f894b8a4906e489ff1d7a4c72eea1158b05f36cc1d5",
+    "decay.json": "1cd8c4049d92a2afd2bd5c63ab437140b76dd0d675ef602da376f8dbf1ae6039",
+    "decay.csv": "b7a3e5335669c4e8c5ba55b31624e684df432545d630b44eee73865ea02048c2",
+    "oscillation.json": "7fb65cd49d7ec9b67aec19403ce2496b49c90b8f976c9d0cb93cb072a821f281",
+    "oscillation.csv": "fe2dee003d8a52e40a054298a45df3a39e2170ce98c9a9d636ee74730243e18b",
+    "potential.json": "1a0a34e8c18f5aa5bbab82bd558c80a3aadd4cadf828111a1599e1a75f8c7abb",
+    "potential.csv": "e2291a4c3f6ff6b0ce234d96c5241c8cc9b9bacfa8e9e1b0fe2f50a88879d85b",
     "example55.json": "0e82319ba7e543af9565c78668f71ebfe3c206ecb4a28b31b4fe23a5b15d39c1",
     "example55.csv": "69d2791fb8c75bd48b0e45d8c452656605cd4519b0f4acb8e8eb81b106414e86",
-    "reduction.json": "513c63e3a25efd70ba13a60e136f8f26a16f09b83642d8960a7fc53dfe6d9261",
-    "reduction.csv": "59267948204946f7d2fb57519a1b5b382eecdd7f430b1937a946d6f48d2db8ea",
+    "reduction.json": "ad731d8485a943b98591b0c4d22d2a1a75bf070529f1ac235297f6acf1e7d124",
+    "reduction.csv": "7c3f09391cdc6df10ce658f44191ad08d2cc2337acf3f51ab7dd02126b793b36",
 }
 
 
