@@ -22,7 +22,8 @@ Documented keys (all optional, with desk-scale defaults):
 Values are checked when the config is built, and an error names its key
 (and the file, from `ExperimentConfig.from_file`); p, grids, bounds, modulus
 and young by the rules of the exponent, the mesh, the modulus and the Young
-function they make.  Problem files read p, grid, bounds and comps alike.
+function they make, and p and grids repeat no value.  Problem files read p,
+grid, bounds and comps alike.
 
 Modulus families: power (beta), constant (none), log_inverse (sigma, then
 optional scale, beta_cert, c_omega, cert_r_max) and dini_log (log_inverse at
@@ -215,13 +216,15 @@ class _Key(NamedTuple):
 
 
 _COUNT = _rule(lambda n: n >= 0, "must be at least 0")
+_SOME = _rule(lambda n: n >= 1, "must be at least 1")
+_DISTINCT = _rule(lambda v: len(set(v)) == len(v), "must not repeat a value")
 _POSITIVE = _rule(lambda x: 0.0 < x < math.inf, "must be positive and finite")
 _KEYS = {
     "p": _Key("ps", float, Exponent, many=True),
     "grids": _Key("grids", _whole, _cells_per_side, many=True),
     "seed": _Key("seed", _whole, _COUNT),
-    "n_seeds": _Key("n_seeds", _whole, _COUNT),
-    "comps": _Key("comps", _whole, _rule(lambda n: n >= 1, "must be at least 1")),
+    "n_seeds": _Key("n_seeds", _whole, _SOME),
+    "comps": _Key("comps", _whole, _SOME),
     "bounds": _Key("bounds", lambda t: tuple(float(x) for x in _words(t)), _square_bounds),
     "radii_ratio": _Key("radii_ratio", float, _rule(lambda x: 0.0 < x < 1.0, "must lie in (0, 1)")),
     "r_min_cells": _Key("r_min_cells", float, _POSITIVE),
@@ -260,6 +263,8 @@ class ExperimentConfig:
                     raise ValueError("need at least one value")
                 for item in value if row.many else [value]:
                     row.rule(item)
+                if row.many:
+                    _DISTINCT(value)
 
     @classmethod
     def from_mapping(cls, kv):

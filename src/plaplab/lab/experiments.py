@@ -7,10 +7,11 @@ configured factor, and (c) exactness of all closed-form sub-checks.  That
 is the strongest falsifiable reading available at desk scale, since none of
 the estimates comes with explicit constants.
 
-Cases go through one pipeline: `_Case.problem` builds a seeded datum on a
-grid, `_solved` is the one place that solves, and `_sweep` walks the
-p x seed x grid cases, solving each once per experiment call.  Timing is
-left to the caller.
+Cases go through one pipeline: `_problem` builds a seeded datum on a grid,
+`_solved` is the one place that solves, and `_sweep` walks the
+p x seed x grid cases, solving each once per experiment call; it adds the
+row an experiment's statistic makes of each solved record and checks the
+fitted constants.  Timing is left to the caller.
 """
 
 import math
@@ -54,67 +55,74 @@ def _rng(cfg, *key):
     return np.random.default_rng([cfg.seed] + [int(k) for k in key])
 
 
-def _solver_config(tol=1e-8):
-    return SolverConfig(tol_residual=tol, max_iter=400)
-
-
 def _solved(prob, tol=1e-8, start=None):
     """Solve prob, from the nodal field start if given; the record every
     experiment reads its fields from."""
-    sol = solve(prob, _solver_config(tol), start)
+    sol = solve(prob, SolverConfig(tol_residual=tol, max_iter=400), start)
     grad = gradient(prob.mesh, sol.u)
     return {"mesh": prob.mesh, "prob": prob, "sol": sol, "grad": grad,
             "A": ElemField(a_map(prob.p, grad.tensors))}
 
 
-class _Case:
-    """One (p, seed) datum, realizable on any grid.
+def _problem(cfg, p_value, seed_idx, M):
+    """The seeded (p, seed index) datum on the M grid.
 
     Even seed indices are flux-manufactured (F is the flux of a smooth
     potential's discrete gradient, boundary data its trace), odd ones carry
-    a random smooth F with zero boundary data.
+    a random smooth F with zero boundary data.  The draw depends only on
+    (cfg.seed, p, seed index), so every grid realizes the same datum.
     """
-
-    def __init__(self, cfg, p_value, seed_idx):
-        self.p = Exponent(p_value)
-        self.seed_idx = seed_idx
-        self.manufactured = seed_idx % 2 == 0
-        rng = _rng(cfg, round(1000 * p_value), seed_idx)
-        self.comps = cfg.comps
-        if self.manufactured:
-            self.potential_fn = cases.smooth_potential_fn(rng, cfg.comps)
-        else:
-            self.tensor_fn = cases.smooth_tensor_fn(rng, cfg.comps)
-        self.bounds = cfg.bounds
-
-    def problem(self, M):
-        mesh = Mesh(self.bounds, M)
-        if self.manufactured:
-            F, g, _ = cases.manufactured_data(self.p, mesh, self.potential_fn)
-        else:
-            F = ElemField.from_callable(mesh, self.tensor_fn, self.comps)
-            g = np.zeros((len(mesh.boundary_nodes), self.comps))
-        return DirichletProblem(self.p, mesh, F, g)
-
-    def on_grid(self, M):
-        return _solved(self.problem(M))
+    p = Exponent(p_value)
+    rng = _rng(cfg, round(1000 * p_value), seed_idx)
+    mesh = Mesh(cfg.bounds, M)
+    if seed_idx % 2 == 0:
+        F, g, _ = cases.manufactured_problem_data(p, mesh, cfg.comps, rng)
+    else:
+        F = cases.random_smooth_field(mesh, cfg.comps, rng)
+        g = np.zeros((len(mesh.boundary_nodes), cfg.comps))
+    return DirichletProblem(p, mesh, F, g)
 
 
-def _sweep(cfg, ps, n_seeds):
-    """(case, M, solved record) for every p, seed index and grid, refinements
-    included; one case is alive at a time."""
+def _sweep(report, cfg, ps, n_seeds, row, finite_name, keep=None):
+    """Solve every (p, seed index, M) case once, refinements included, and
+    add a report row of the fields `row(seed_idx, rec)` gives for its
+    solved record (None: no row).  Then check that every fitted constant is
+    finite and that the per-case growth under M -> 2M stays below the
+    stability factor in 90% of the cases.  Returns the record of the case
+    `keep` (p, seed index, M), solved apart only when the sweep did not
+    reach it; no other record outlives its row.
+    """
+    grids = sorted(set(cfg.grids) | {2 * max(cfg.grids)})
+    kept, records, growths = None, [], []
     for p_value in ps:
         for seed_idx in range(n_seeds):
-            case = _Case(cfg, p_value, seed_idx)
-            for M in _grids_with_refinements(cfg):
-                yield case, M, case.on_grid(M)
-
-
-def _add_row(report, case, M, **fields):
-    """The report row of one swept case on one grid."""
-    p_value = case.p.p
-    return report.add_case(case=f"p{p_value}-M{M}-s{case.seed_idx}", p=p_value,
-                           M=M, seed=case.seed_idx, **fields)
+            by_M = {}
+            for M in grids:
+                rec = _solved(_problem(cfg, p_value, seed_idx, M))
+                if (p_value, seed_idx, M) == keep:
+                    kept = rec
+                fields = row(seed_idx, rec)
+                if fields is not None:
+                    by_M[M] = report.add_case(case=f"p{p_value}-M{M}-s{seed_idx}",
+                                              p=p_value, M=M, seed=seed_idx, **fields)
+                    records.append(by_M[M])
+            for M, coarse in by_M.items():
+                fine = by_M.get(2 * M)
+                if M not in cfg.grids or fine is None:
+                    continue
+                c, f = coarse["fitted_constant"], fine["fitted_constant"]
+                coarse["stability_factor"] = growth = math.inf if c == 0.0 else f / c
+                coarse["pass"] = bool(np.isfinite(growth) and growth < cfg.stability_factor)
+                growths.append(coarse["pass"])
+    report.check(finite_name, "isfinite",
+                 all(np.isfinite(r["fitted_constant"]) for r in records))
+    frac = float(np.mean(growths)) if growths else 1.0
+    report.check("refinement stability of fitted constants",
+                 f"growth < {cfg.stability_factor} in >= 90% of cases",
+                 frac >= 0.9, value=round(frac, 4))
+    if keep is not None and kept is None:
+        kept = _solved(_problem(cfg, *keep))
+    return kept
 
 
 def _side(cfg):
@@ -145,35 +153,6 @@ def _probe_points(cfg, margin, per_side=10):
     ys = np.linspace(lo_y, hi_y, per_side)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     return np.column_stack([X.ravel(), Y.ravel()])
-
-
-def _grids_with_refinements(cfg):
-    return sorted(set(cfg.grids) | {2 * max(cfg.grids)})
-
-
-def _fit_checks(report, cfg, records, finite_name):
-    """Finiteness of every fitted constant, then the per-case growth under
-    M -> 2M and its pass rate."""
-    report.check(finite_name, "isfinite",
-                 all(np.isfinite(r["fitted_constant"]) for r in records))
-    by_key = {(r["p"], r["seed"], r["M"]): r for r in records}
-    growths = []
-    for r in records:
-        if r["M"] not in cfg.grids:
-            continue
-        fine = by_key.get((r["p"], r["seed"], 2 * r["M"]))
-        if fine is None:
-            continue
-        coarse_val = r["fitted_constant"]
-        fine_val = fine["fitted_constant"]
-        growth = math.inf if coarse_val == 0.0 else fine_val / coarse_val
-        r["stability_factor"] = growth
-        r["pass"] = bool(np.isfinite(growth) and growth < cfg.stability_factor)
-        growths.append(r["pass"])
-    frac = float(np.mean(growths)) if growths else 1.0
-    report.check("refinement stability of fitted constants",
-                 f"growth < {cfg.stability_factor} in >= 90% of cases",
-                 frac >= 0.9, value=round(frac, 4))
 
 
 # --- basic pointwise estimate --------------------------------------------------
@@ -207,46 +186,45 @@ def exp_basic_estimate(cfg: ExperimentConfig):
     counted (locally constant F drives both sides to zero together).
     """
     report = Report("basic-estimate", cfg.echo())
-    records = []
-    for case, M, rec in _sweep(cfg, cfg.ps, cfg.n_seeds):
+
+    def row(seed_idx, rec):
         stats = _sharp_ratio_stats(cfg, rec)
-        records.append(_add_row(
-            report, case, M, kind="amap" if case.manufactured else "trig",
-            fitted_constant=stats["max_ratio"], median_ratio=stats["median_ratio"],
-            n_points=stats["n_points"], n_excluded=stats["n_excluded"],
-            solver_iterations=rec["sol"].iterations))
-    _fit_checks(report, cfg, records, "max ratio finite in every case")
+        return dict(kind="trig" if seed_idx % 2 else "amap",
+                    fitted_constant=stats["max_ratio"], median_ratio=stats["median_ratio"],
+                    n_points=stats["n_points"], n_excluded=stats["n_excluded"],
+                    solver_iterations=rec["sol"].iterations)
+
+    _sweep(report, cfg, cfg.ps, cfg.n_seeds, row, "max ratio finite in every case")
 
     # shifting the datum by a constant tensor leaves both sides unchanged.
     # The shifted problem has the same discrete solution, so it starts from
     # the base one: two independent solves would differ by where each
     # stopped, not by the shift.
-    M0 = min(cfg.grids)
-    base = _Case(cfg, cfg.ps[0], 1).problem(M0)
+    base = _problem(cfg, cfg.ps[0], 1, min(cfg.grids))
     shifted = DirichletProblem(base.p, base.mesh, ElemField(
         base.F.tensors + np.ones_like(base.F.tensors[0])), base.g)
-    r1 = _solved(base, 1e-9)
-    r2 = _solved(shifted, 1e-9, start=r1["sol"].u)
-    s1, s2 = (_sharp_ratio_stats(cfg, rec) for rec in (r1, r2))
-    rel = abs(s2["max_ratio"] - s1["max_ratio"]) / max(s1["max_ratio"], 1e-300)
-    report.check("ratio invariant under F -> F + const", "rel diff <= 1e-6",
-                 rel <= 1e-6, value=rel)
+    _invariance(report, cfg, "F -> F + const", base, shifted, warm=True)
 
     # joint scaling of F and g rescales both sides, leaving the ratio fixed
-    lam = 3.7
-    p = Exponent(cfg.ps[0])
-    rng = _rng(cfg, 777)
-    mesh = Mesh(cfg.bounds, M0)
-    F, g, _ = cases.manufactured_problem_data(p, mesh, cfg.comps, rng)
-    base = DirichletProblem(p, mesh, F, g)
+    lam, p, mesh = 3.7, base.p, base.mesh
+    F, g, _ = cases.manufactured_problem_data(p, mesh, cfg.comps, _rng(cfg, 777))
     scaled = DirichletProblem(p, mesh, ElemField(lam * F.tensors),
                               lam ** (1.0 / (p.p - 1.0)) * g)
-    out = [_sharp_ratio_stats(cfg, _solved(prob, 1e-9))["max_ratio"]
-           for prob in (base, scaled)]
-    rel = abs(out[1] - out[0]) / max(out[0], 1e-300)
-    report.check("ratio invariant under joint data scaling", "rel diff <= 1e-6",
-                 rel <= 1e-6, value=rel)
+    _invariance(report, cfg, "joint data scaling", DirichletProblem(p, mesh, F, g), scaled,
+                warm=False)
     return report
+
+
+def _invariance(report, cfg, name, base, other, warm):
+    """Check that the largest sharp ratio of problem `other` is that of
+    `base` within 1e-6 relative; with `warm`, other solves from base's
+    solution."""
+    r1 = _solved(base, 1e-9)
+    r2 = _solved(other, 1e-9, start=r1["sol"].u if warm else None)
+    s1, s2 = (_sharp_ratio_stats(cfg, rec)["max_ratio"] for rec in (r1, r2))
+    rel = abs(s2 - s1) / max(s1, 1e-300)
+    report.check(f"ratio invariant under {name}", "rel diff <= 1e-6",
+                 rel <= 1e-6, value=rel)
 
 
 # --- decay of p-harmonic fields -------------------------------------------------
@@ -371,8 +349,7 @@ def exp_decay(cfg: ExperimentConfig):
     # one-step decay with data: osc(A; theta B) vs osc(A; B) and osc(F; B)
     theta = cfg.radii_ratio
     for p_value in cfg.ps:
-        case = _Case(cfg, p_value, 0)
-        rec = case.on_grid(min(cfg.grids))
+        rec = _solved(_problem(cfg, p_value, 0, min(cfg.grids)))
         mesh = rec["mesh"]
         p = rec["prob"].p
         qmin = min(p.pprime, 2.0)
@@ -423,34 +400,29 @@ def exp_oscillation_estimate(cfg: ExperimentConfig):
     """
     report = Report("oscillation", cfg.echo())
     R = 0.15 * _side(cfg)
-    M0 = min(cfg.grids)
-    records = []
-    base = None           # the swept (ps[0], seed 0) case on the M0 grid
+    betas = {}
     for p_value in cfg.ps:
-        p = Exponent(p_value)
         alpha, _ = measure_alpha(cfg, p_value, max(cfg.grids))
-        if alpha is None:
+        if alpha is None:     # no modulus without an exponent
             report.check(f"decay exponent measurable at p = {p_value}, "
                          f"M = {max(cfg.grids)}", "not None", False)
-            continue      # no modulus without an exponent
-        beta = 0.5 * min(1.0, 2.0 * alpha / p.pprime)
-        omega = power_modulus(beta)
-        for case, M, rec in _sweep(cfg, [p_value], min(2, cfg.n_seeds)):
-            if (p_value, case.seed_idx, M) == (cfg.ps[0], 0, M0):
-                base = rec
-            radii = _local_radii(report, cfg, rec["mesh"], R)
-            if radii is None:
-                continue
-            lhs, rhs = _weighted_sides(cfg, rec, omega, R, radii, per_side=8)
-            kept = _kept(rhs, rec["prob"].F)
-            records.append(_add_row(report, case, M, beta=beta,
-                                    fitted_constant=_largest(lhs[kept] / rhs[kept]),
-                                    n_excluded=int(np.count_nonzero(~kept))))
-    _fit_checks(report, cfg, records, "fitted constants finite")
+        else:
+            betas[p_value] = 0.5 * min(1.0, 2.0 * alpha / Exponent(p_value).pprime)
+
+    def row(seed_idx, rec):
+        radii = _local_radii(report, cfg, rec["mesh"], R)
+        if radii is None:
+            return None
+        beta = betas[rec["prob"].p.p]
+        lhs, rhs = _weighted_sides(cfg, rec, power_modulus(beta), R, radii, per_side=8)
+        kept = _kept(rhs, rec["prob"].F)
+        return dict(beta=beta, fitted_constant=_largest(lhs[kept] / rhs[kept]),
+                    n_excluded=int(np.count_nonzero(~kept)))
+
+    base = _sweep(report, cfg, list(betas), min(2, cfg.n_seeds), row,
+                  "fitted constants finite", keep=(cfg.ps[0], 0, min(cfg.grids)))
 
     # constant weight reduces to the two-term mean-oscillation comparison
-    if base is None:      # no decay exponent at ps[0] (or n_seeds = 0): not swept
-        base = _Case(cfg, cfg.ps[0], 0).on_grid(M0)
     radii = _local_radii(report, cfg, base["mesh"], R)
     if radii is not None:
         lhs, rhs = _weighted_sides(cfg, base, constant_modulus(), R, radii, per_side=5)
@@ -489,23 +461,24 @@ def exp_potential(cfg: ExperimentConfig):
     """
     report = Report("potential", cfg.echo())
     R = cfg.r_max_frac * _side(cfg)
-    records = []
-    cauchy_violations = 0
-    for case, M, rec in _sweep(cfg, cfg.ps, min(2, cfg.n_seeds)):
+    cauchy_violations = []
+
+    def row(seed_idx, rec):
         mesh = rec["mesh"]
-        params = PotentialParams(R=R, theta=cfg.radii_ratio, p=case.p)
+        params = PotentialParams(R=R, theta=cfg.radii_ratio, p=rec["prob"].p)
         pts = _probe_points(cfg, R, per_side=8)
         lhs = rec["A"].norms()[mesh.locate_element(pts)]
         # the ball mean of |A| on B_R: the plain maximal over the one radius R
         rhs = (oscillation_potential(mesh, rec["prob"].F, pts, params)
                + plain_maximal(mesh, rec["A"], 1.0, RadiiSet(R, R), pts))
         kept = _kept(rhs, rec["prob"].F)
-        cauchy_violations += _dyadic_mean_defects(mesh, rec["A"], pts, params)
-        records.append(_add_row(report, case, M, fitted_constant=_largest(lhs[kept] / rhs[kept])))
-    _fit_checks(report, cfg, records, "fitted constants finite")
+        cauchy_violations.append(_dyadic_mean_defects(mesh, rec["A"], pts, params))
+        return dict(fitted_constant=_largest(lhs[kept] / rhs[kept]))
+
+    _sweep(report, cfg, cfg.ps, min(2, cfg.n_seeds), row, "fitted constants finite")
     report.check("nested dyadic flux means obey the exact mean inequality",
-                 "zero violations at 1e-12 slack", cauchy_violations == 0,
-                 value=cauchy_violations)
+                 "zero violations at 1e-12 slack", sum(cauchy_violations) == 0,
+                 value=sum(cauchy_violations))
 
     # a datum with a power modulus of continuity keeps the gradient bounded
     beta = 0.6
@@ -685,7 +658,6 @@ def exp_reduction(cfg: ExperimentConfig):
     independently on a random step-function family.
     """
     report = Report("reduction", cfg.echo())
-    M0 = min(cfg.grids)
     phi = young_from_spec(*cfg.young_spec)
     thetas = {}           # per p the reparametrized Orlicz target, or None
     hyp_violations = []
@@ -697,14 +669,11 @@ def exp_reduction(cfg: ExperimentConfig):
             hyp_violations.append({"p": p_value, "reason": str(exc),
                                    "measured": exc.measured})
             thetas[p_value] = None
-    records = []
-    base = None           # the swept (ps[-1], seed 0) case on the M0 grid
-    for case, M, rec in _sweep(cfg, cfg.ps, min(2, cfg.n_seeds)):
-        p_value, mesh = case.p.p, rec["mesh"]
-        if (p_value, case.seed_idx, M) == (cfg.ps[-1], 0, M0):
-            base = rec
-        q_leb = 2.0 * case.p.pprime
-        theta = thetas[p_value]
+
+    def row(seed_idx, rec):
+        p, mesh = rec["prob"].p, rec["mesh"]
+        q_leb = 2.0 * p.pprime
+        theta = thetas[p.p]
         sfA = rearrange(mesh, _centered_norms(rec["A"]))
         sfF = rearrange(mesh, _centered_norms(rec["prob"].F))
         rF = lq_norm(sfF, q_leb)
@@ -716,13 +685,12 @@ def exp_reduction(cfg: ExperimentConfig):
             rFo = luxemburg_norm(sfF, phi)
             pairs["orlicz"] = luxemburg_norm(sfA, theta) / max(rFo, 1e-300)
             pairs["modular_C"] = _modular_constant(theta, phi, sfA, sfF)
-        records.append(_add_row(report, case, M, fitted_constant=pairs["lebesgue"],
-                                **pairs))
-    _fit_checks(report, cfg, records, "norm-pair constants finite")
+        return dict(fitted_constant=pairs["lebesgue"], **pairs)
+
+    base = _sweep(report, cfg, cfg.ps, min(2, cfg.n_seeds), row, "norm-pair constants finite",
+                  keep=(cfg.ps[-1], 0, min(cfg.grids)))
 
     # exponential-type and capped sources at a fixed p
-    if base is None:      # n_seeds = 0: nothing was swept
-        base = _Case(cfg, cfg.ps[-1], 0).on_grid(M0)
     p = base["prob"].p
     sfA = rearrange(base["mesh"], _centered_norms(base["A"]))
     sfF = rearrange(base["mesh"], _centered_norms(base["prob"].F))

@@ -94,7 +94,9 @@ def test_config_validation(tmp_path):
         ExperimentConfig(ps=[])
     with pytest.raises(ValueError):
         ExperimentConfig(radii_ratio=1.2)
-    assert ExperimentConfig.from_mapping({"n_seeds": "0"}).n_seeds == 0
+    # zero seeds would report no case and pass every check on no data
+    with pytest.raises(ValueError, match="config key 'n_seeds': must be at least 1, not 0"):
+        ExperimentConfig(n_seeds=0)
     # a config file's errors name the file as well as the key
     path = tmp_path / "lab.cfg"
     path.write_text("seed = -1\n")
@@ -104,7 +106,8 @@ def test_config_validation(tmp_path):
 
 
 @pytest.mark.parametrize("key, text", [
-    ("n_seeds", "-1"), ("comps", "0"), ("comps", "-2"),
+    ("n_seeds", "-1"), ("n_seeds", "0"), ("comps", "0"), ("comps", "-2"),
+    ("p", "2, 2.0"), ("grids", "24, 24"),
     ("r_max_frac", "inf"), ("r_max_frac", "nan"), ("r_max_frac", "0"),
     ("r_min_cells", "-2"), ("r_min_cells", "inf"),
     ("stability_factor", "nan"), ("stability_factor", "0"),
@@ -418,8 +421,8 @@ def test_report_determinism_across_runs(tmp_path):
 
 
 # SHA-256 of the six reports at ExperimentConfig(seed=7, grids=[24], n_seeds=2).
-# A change that moves a report bit updates its digest here and names the
-# moved values in CHANGES.md.
+# A change that moves a report bit updates its digest here (and in
+# REPORT_DIGESTS_N2) and names the moved values in CHANGES.md.
 REPORT_DIGESTS = {
     "basic-estimate.json": "c1d3fe7684f4d330e9b73980de09477a61083201005b3bece2a7a9365572a5ba",
     "basic-estimate.csv": "0a12666102a1b6f604973f894b8a4906e489ff1d7a4c72eea1158b05f36cc1d5",
@@ -436,8 +439,27 @@ REPORT_DIGESTS = {
 }
 
 
-def test_reports_match_their_recorded_digests(tmp_path):
-    cfg = ExperimentConfig(seed=7, grids=[24], n_seeds=2)
+# The same at ExperimentConfig(seed=11, grids=[24], n_seeds=2, comps=2): an
+# odd base seed and a two-component solution.
+REPORT_DIGESTS_N2 = {
+    "basic-estimate.json": "4b6af2b07cbd2ee44341350dbe84da6d8632793b52b00816098b51aa3fc8eb7a",
+    "basic-estimate.csv": "86f1229177de2e8e1bbdc26c96d1092641cea12cfdb2c0f229f38c97106361fa",
+    "decay.json": "3ce74320ab7f7483a462bb5e91a5e78304c478d36f2cb7fe73c0b04363c00f6c",
+    "decay.csv": "fc81b2419a1ac70b7ff6daee54a5c4a0d6a374c4dbe7a812a96154dbd291e9ae",
+    "oscillation.json": "7007abe683a01fcb13dedcaefc578e42d6b8f6424f20815e778c08b1890d064c",
+    "oscillation.csv": "11c12e6d5c1c60032bede4b65be8e2f51ce5a7344dd1dacf0616991847778dfe",
+    "potential.json": "6bac525b962f5da12b326584c8ea48a0160aedc0e3b0cecbc54f53677a021ad5",
+    "potential.csv": "2ad65e11be79409d31b32f19e0a055d05b495c2f8f41a3aff383fcce19c1c99f",
+    "example55.json": "e876fda8f12f3c3a16d89ccb3f1cf5ad4311185bde05f57a795e3b9ee8a9791e",
+    "example55.csv": "69d2791fb8c75bd48b0e45d8c452656605cd4519b0f4acb8e8eb81b106414e86",
+    "reduction.json": "defc78af7f35e5b9607d18406c6851e4902b5e70d0a0ee6496f0fc9143d53957",
+    "reduction.csv": "adf5c788c686fbdfc93088a6dfd0dbbb426f79fce7acb5f8b71cd6eaabfdc04b",
+}
+
+
+def _report_digests(cfg, tmp_path):
+    """SHA-256 of each experiment's JSON and CSV report at cfg, every
+    experiment passing."""
     digests = {}
     for name, run in EXPERIMENTS.items():
         rep = run(cfg)
@@ -447,7 +469,17 @@ def test_reports_match_their_recorded_digests(tmp_path):
         for ext in ("json", "csv"):
             data = (tmp_path / f"{name}.{ext}").read_bytes()
             digests[f"{name}.{ext}"] = hashlib.sha256(data).hexdigest()
-    assert digests == REPORT_DIGESTS
+    return digests
+
+
+def test_reports_match_their_recorded_digests(tmp_path):
+    cfg = ExperimentConfig(seed=7, grids=[24], n_seeds=2)
+    assert _report_digests(cfg, tmp_path) == REPORT_DIGESTS
+
+
+def test_two_component_reports_match_their_recorded_digests(tmp_path):
+    cfg = ExperimentConfig(seed=11, grids=[24], n_seeds=2, comps=2)
+    assert _report_digests(cfg, tmp_path) == REPORT_DIGESTS_N2
 
 
 def test_basic_estimate_smoke():
@@ -616,7 +648,9 @@ def test_reduction_zero_datum_gives_zero_left_side():
 
 
 def test_no_experiment_solves_the_same_problem_twice(monkeypatch):
-    # every (p, M, F, g, tol) is solved at most once per experiment call
+    # every (p, M, F, g, tol) is solved at most once per experiment call, and
+    # each experiment makes its known number of solves: a kept record is
+    # neither solved again nor dropped
     from plaplab.lab import experiments
 
     keys = []
@@ -629,10 +663,12 @@ def test_no_experiment_solves_the_same_problem_twice(monkeypatch):
 
     monkeypatch.setattr(experiments, "solve", recording)
     cfg = ExperimentConfig(ps=[1.5, 3.0], grids=[16], n_seeds=2)
+    solves = {"basic-estimate": 12, "decay": 6, "oscillation": 3, "potential": 10,
+              "example55": 0, "reduction": 8}
     for name, run in EXPERIMENTS.items():
         keys.clear()
         run(cfg)
-        assert len(keys) == len(set(keys)), name
+        assert len(keys) == len(set(keys)) == solves[name], name
 
 
 def test_norm_table_makes_one_ball_family_pass(monkeypatch):
