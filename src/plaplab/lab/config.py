@@ -22,13 +22,13 @@ Documented keys (all optional, with desk-scale defaults):
 Values are checked when the config is built, and an error names its key
 (and the file, from `ExperimentConfig.from_file`); p, grids, bounds, modulus
 and young by the rules of the exponent, the mesh, the modulus and the Young
-function they make, and p and grids repeat no value.  Problem files read p,
-grid, bounds and comps alike.
+function they make (a modulus also at the diameter of bounds), and p and
+grids repeat no value.  Problem files read p, grid, bounds and comps alike.
 
 Modulus families: power (beta), constant (none), log_inverse (sigma, then
-optional scale, beta_cert, c_omega, cert_r_max) and dini_log (log_inverse at
-sigma = 1, the same optional four).  Young families: power (q, then optional
-scale), exp or exp_type (gamma, q) and linf_cap (q).
+optional scale) and dini_log (log_inverse at sigma = 1, optional scale).
+Young families: power (q, then optional scale), exp or exp_type (gamma, q)
+and linf_cap (q).
 """
 
 import inspect
@@ -265,6 +265,11 @@ class ExperimentConfig:
                     row.rule(item)
                 if row.many:
                     _DISTINCT(value)
+        # norm-table evaluates the modulus at distances up to the domain's diameter
+        x0, x1, y0, y1 = _square_bounds(self.bounds)
+        diameter = math.hypot(x1 - x0, y1 - y0)
+        with _prefixed(f"config key 'modulus' at the domain diameter {diameter:g}"):
+            modulus_from_spec(*self.modulus_spec)(diameter)
 
     @classmethod
     def from_mapping(cls, kv):

@@ -92,7 +92,7 @@ def _sweep(report, cfg, ps, n_seeds, row, finite_name, keep=None):
     `keep` (p, seed index, M), solved apart only when the sweep did not
     reach it; no other record outlives its row.
     """
-    grids = sorted(set(cfg.grids) | {2 * max(cfg.grids)})
+    grids = sorted(set(cfg.grids) | {2 * M for M in cfg.grids})
     kept, records, growths = None, [], []
     for p_value in ps:
         for seed_idx in range(n_seeds):
@@ -582,7 +582,7 @@ def exp_example_5_5(cfg: ExperimentConfig):
     finite and refinement-stable; (d) the Dini integral of omega diverges.
     """
     report = Report("example55", cfg.echo())
-    omega = dini_log_modulus(scale=math.e ** 2, cert_r_max=1.0)
+    omega = dini_log_modulus(scale=math.e ** 2)
 
     # (a) weak defect of the linear problem away from the origin
     defects = []

@@ -52,11 +52,6 @@ class RadiiSet:
             r *= self.ratio
         return np.array(out)
 
-    def below(self, cap):
-        """The subset of radii strictly below cap (same ordering)."""
-        vals = self.values()
-        return vals[vals < cap]
-
 
 def _check_margin(mesh, x, r_needed, require_interior):
     """MarginError naming the first of the points x (one point or a (P, 2)
@@ -103,7 +98,7 @@ def weighted_local_sharp(mesh, f, q, omega, R, radii: RadiiSet, x,
     """
     if radii.r_max >= R:
         raise ValueError("radius set must stay strictly below the locality R")
-    rs = radii.below(R)
+    rs = radii.values()
     return _local_sharp(mesh, f, q, rs, omega(rs)[:, None], x, R, require_interior)
 
 

@@ -1,11 +1,9 @@
 """Oscillation-based seminorms, moduli of continuity, and the dyadic
 oscillation potential.
 
-A Modulus is a concrete modulus-of-continuity family carrying an
-almost-decreasing certificate (beta, c_omega): omega(r) <= c_omega *
-rho^(-beta) * omega(r * rho) on a sampled (r, rho) grid.  The modulus, its
-logarithmic integrals and their transforms (Dini, inverse-tail zeta) take
-arrays: one numpy closed form per family, no quadrature and no loop.
+A Modulus is a modulus-of-continuity family given by its closed form.  It,
+its logarithmic integrals and their transforms (Dini, inverse-tail zeta)
+take arrays: one numpy closed form per family, no quadrature and no loop.
 
 The oscillation potential of a field at a point is the dyadic-in-radius sum
 of q-mean oscillations weighted by log(1/theta), a Riemann sum of the
@@ -23,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .grid import ElemField, _ball_family_stats
-from .maximal import _check_margin
+from .maximal import RadiiSet, _check_margin
 
 _ROW_BLOCK = 64       # rows of barycenter pairs per array pass of holder_seminorm
 
@@ -55,29 +53,29 @@ class DiniDivergence(ArithmeticError):
 
 @dataclass(frozen=True)
 class Modulus:
-    """Modulus of continuity with an almost-decreasing certificate.
+    """Modulus of continuity given by its closed form.
 
-    family: 'power' (r^beta), 'log_inverse' (log^(-sigma)(scale/r), sigma >= 0;
-    sigma = 1 is the Dini borderline 1/log(scale/r)), or 'constant'.
-    The certificate (beta_cert, c_omega) is validated on a 100 x 100
-    sample grid of (r, rho) at construction.
+    family: 'power' (r^beta, beta > 0), 'log_inverse' (log^(-sigma)(scale/r),
+    sigma >= 0 and scale > 0; sigma = 1 is the Dini borderline
+    1/log(scale/r)), or 'constant'.  Every parameter is finite.  A power
+    modulus is almost decreasing with exponent beta and constant 1.
     """
 
     family: str
     params: tuple
-    beta_cert: float
-    c_omega: float
-    cert_r_max: float = 1.0
 
     def __post_init__(self):
-        if self.beta_cert <= 0.0 or self.c_omega < 1.0:
-            raise ValueError("need beta_cert > 0 and c_omega >= 1")
         if self.family not in ("power", "log_inverse", "constant"):
             raise ValueError(f"unknown modulus family {self.family!r}")
-        if self.family == "log_inverse" and not self.params[0] >= 0.0:
-            # a negative sigma makes omega fall as r grows
+        if not all(map(math.isfinite, self.params)):
+            raise ValueError(f"{self.family} needs finite parameters, got {self.params}")
+        if self.family == "power" and self.params[0] <= 0.0:
+            raise ValueError(f"power needs beta > 0, got beta={self.params[0]}")
+        # a negative sigma makes omega fall as r grows
+        if self.family == "log_inverse" and self.params[0] < 0.0:
             raise ValueError(f"log_inverse needs sigma >= 0, got sigma={self.params[0]}")
-        self._validate_certificate()
+        if self.family == "log_inverse" and self.params[1] <= 0.0:
+            raise ValueError(f"log_inverse needs scale > 0, got scale={self.params[1]}")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -93,21 +91,9 @@ class Modulus:
         else:
             sigma, scale = self.params
             if np.any(r >= scale):
-                raise ValueError("argument beyond the modulus scale")
+                raise ValueError(f"argument at or beyond the modulus scale {scale:g}")
             out = _log_ratio(scale, r) ** (-sigma)
         return float(out) if out.ndim == 0 else out
-
-    def _validate_certificate(self):
-        rs = np.geomspace(1e-6 * self.cert_r_max, self.cert_r_max, 100)
-        rhos = np.geomspace(1e-3, 1.0 - 1e-6, 100)
-        R, P = np.meshgrid(rs, rhos, indexing="ij")
-        lhs = self.__call__(R.ravel())
-        rhs = self.c_omega * P.ravel() ** (-self.beta_cert) * self.__call__((R * P).ravel())
-        if np.any(lhs > rhs * (1.0 + 1e-9)):
-            bad = np.argmax(lhs / rhs)
-            raise ValueError(
-                "almost-decreasing certificate fails at "
-                f"r={R.ravel()[bad]:.3g}, rho={P.ravel()[bad]:.3g}")
 
     # -- closed-form logarithmic integrals -----------------------------------
 
@@ -153,29 +139,20 @@ def _log_ratio(num, den):
 
 
 def power_modulus(beta):
-    return Modulus("power", (float(beta),), beta_cert=float(beta), c_omega=1.0)
+    return Modulus("power", (float(beta),))
 
 
-def log_inverse_modulus(sigma, scale=math.e ** 2, beta_cert=0.5, c_omega=None,
-                        cert_r_max=None):
-    cert_r_max = cert_r_max if cert_r_max is not None else scale / math.e
-    if c_omega is None:
-        # the log ratio grows slowest in rho; a generous constant certifies it
-        c_omega = max(4.0, (math.log(scale / (1e-9 * cert_r_max))
-                            / math.log(scale / cert_r_max)) ** sigma)
-    return Modulus("log_inverse", (float(sigma), float(scale)),
-                   beta_cert=beta_cert, c_omega=float(c_omega),
-                   cert_r_max=cert_r_max)
+def log_inverse_modulus(sigma, scale=math.e ** 2):
+    return Modulus("log_inverse", (float(sigma), float(scale)))
 
 
 def constant_modulus():
-    return Modulus("constant", (), beta_cert=1.0, c_omega=1.0)
+    return Modulus("constant", ())
 
 
-def dini_log_modulus(scale=math.e ** 2, beta_cert=0.5, c_omega=None,
-                     cert_r_max=None):
+def dini_log_modulus(scale=math.e ** 2):
     """1/log(scale/r): the log-inverse modulus at the Dini borderline sigma = 1."""
-    return log_inverse_modulus(1.0, scale, beta_cert, c_omega, cert_r_max)
+    return log_inverse_modulus(1.0, scale)
 
 
 @dataclass(frozen=True)
@@ -193,13 +170,10 @@ class PotentialParams:
             raise ValueError("theta must lie in (0, 1)")
 
     def radii(self, mesh):
-        """R * theta^i for i = 0, 1, ... while at least twice the mesh width."""
-        out = []
-        r = self.R
-        while r >= 2.0 * mesh.h:
-            out.append(r)
-            r *= self.theta
-        return out
+        """R * theta^i, i = 0, 1, ..., down to twice the mesh width, as a RadiiSet
+        (none when R is below 2h); its floor also keeps a radius within 1e-12
+        relative below 2h."""
+        return RadiiSet(2.0 * mesh.h, self.R, self.theta).values() if self.R >= 2.0 * mesh.h else []
 
 
 # --- batched ball statistics -------------------------------------------------
@@ -355,8 +329,8 @@ def holder_seminorm(mesh, f, omega, max_pairs=10 ** 6):
         below, left = np.tril_indices(hi - lo, -1)
         for block in (ratios(rows[:, None], np.arange(lo)), ratios(below + lo, left + lo)):
             if block.size:
-                best = max(best, float(block.max()))
-    return best
+                best = np.maximum(best, block.max())     # carries a nan ratio
+    return float(best)
 
 
 def dini_transform(omega: Modulus):

@@ -128,18 +128,40 @@ def test_config_rejects_out_of_range_values_naming_the_key(key, text):
     ("seed", "-1", "at least 0"),
     ("young", "power 0.5", "q >= 1"), ("young", "foo 2", "unknown Young function family"),
     ("young", "exp 1", "'exp': missing a required argument: 'q'"),
-    ("modulus", "foo", "unknown modulus family"), ("modulus", "power -1", "beta_cert > 0"),
+    ("modulus", "foo", "unknown modulus family"),
+    ("modulus", "power -1", "power needs beta > 0, got beta=-1.0"),
     ("modulus", "log_inverse", "'log_inverse': missing a required argument: 'sigma'"),
     ("modulus", "log_inverse -1", "sigma >= 0, got sigma=-1.0"),
     ("grids", "8.5", "whole number"), ("seed", "x", "must be a whole number, not 'x'"),
     ("seed", "7.5", "must be a whole number, not '7.5'"), ("n_seeds", "x", "whole number"),
     ("comps", "2.5", "whole number"), ("grids", "inf", "whole number"),
     ("modulus", "power x", "could not convert string to float: 'x'"),
-    ("young", "", "unknown Young function family ''")])
+    ("young", "", "unknown Young function family ''"),
+    # norm-table evaluates the modulus up to the domain's diameter
+    ("modulus", "log_inverse 1 1", "diameter 1.41421: .*modulus scale 1$"),
+    ("modulus", "dini_log 1", "diameter 1.41421: .*modulus scale 1$"),
+    ("modulus", {"modulus": "dini_log", "bounds": "0, 10, 0, 10"},
+     "diameter 14.1421: .*modulus scale 7.38906$")])
 def test_config_rejects_what_a_run_would_reject_naming_the_key(key, text, reason):
     # each of these used to fail only inside a run, with a message naming no key
     with pytest.raises(ValueError, match=f"config key '{key}'.*{reason}"):
-        ExperimentConfig.from_mapping({key: text})
+        ExperimentConfig.from_mapping(text if isinstance(text, dict) else {key: text})
+
+
+@pytest.mark.parametrize("text", [
+    "power 0", "power -1", "power nan", "power inf", "log_inverse -1", "log_inverse nan",
+    "log_inverse inf", "log_inverse 1 0", "log_inverse 1 -3", "log_inverse 1 nan",
+    "log_inverse 1 inf", "dini_log 0", "dini_log -1", "dini_log nan", "dini_log inf"])
+def test_config_file_rejects_a_modulus_parameter_out_of_range(tmp_path, text):
+    path = tmp_path / "lab.cfg"
+    path.write_text(f"modulus = {text}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: config key 'modulus'"):
+        ExperimentConfig.from_file(path)
+
+
+def test_config_accepts_a_log_scale_just_above_the_diameter():
+    cfg = ExperimentConfig.from_mapping({"modulus": "dini_log 1.5"})
+    assert cfg.modulus_spec == ("dini_log", (1.5,))
 
 
 def test_config_accepts_the_ends_of_the_ranges():
@@ -393,7 +415,7 @@ def test_xi_profile_anchor_and_extension():
     assert xi_profile(omega, 0.1) < 0.0
     assert xi_profile(omega, 1.3) > 0.0
     # substitution oracle: omega = 1/log(e/r) gives xi(r) = -log log(e/r)
-    om_e = dini_log_modulus(math.e, cert_r_max=0.3)
+    om_e = dini_log_modulus(math.e)
     for r in (0.05, 0.2):
         assert xi_profile(om_e, r) == pytest.approx(-math.log(math.log(math.e / r)),
                                                     rel=1e-12)
@@ -404,7 +426,7 @@ def test_xi_profile_anchor_and_extension():
                   elements=st.one_of(st.floats(1e-12, 1.4), st.just(1.0))),
        st.sampled_from([math.e ** 2, math.e]))
 def test_xi_profile_on_arrays_is_per_element(r, scale):
-    omega = dini_log_modulus(scale, cert_r_max=0.3)
+    omega = dini_log_modulus(scale)
     expect = [xi_profile(omega, float(x)) for x in r.ravel()]
     assert all(type(x) is float for x in expect)
     assert np.array_equal(xi_profile(omega, r), np.reshape(expect, r.shape))
@@ -669,6 +691,28 @@ def test_no_experiment_solves_the_same_problem_twice(monkeypatch):
         keys.clear()
         run(cfg)
         assert len(keys) == len(set(keys)) == solves[name], name
+
+
+def test_sweep_refines_every_configured_grid(monkeypatch):
+    # at grids that are not a doubling chain each configured grid is also
+    # solved at its double, so every configured grid's row carries a growth
+    from plaplab.lab import experiments
+
+    grids = []
+    real = experiments.solve
+
+    def recording(prob, cfg=None, u0=None):
+        grids.append(prob.mesh.cells_per_side)
+        return real(prob, cfg, u0)
+
+    monkeypatch.setattr(experiments, "solve", recording)
+    cfg = ExperimentConfig(grids=[12, 16], n_seeds=1, ps=[2.0], r_max_frac=0.2)
+    rep = exp_basic_estimate(cfg)
+    rows = [c for c in rep.cases if c["M"] in cfg.grids]
+    assert sorted(c["M"] for c in rows) == [12, 16]
+    assert all(np.isfinite(c["stability_factor"]) and "pass" in c for c in rows)
+    # one solve per grid of {12, 16, 24, 32}, and the invariance checks' four at M = 12
+    assert grids == [12, 16, 24, 32, 12, 12, 12, 12]
 
 
 def test_norm_table_makes_one_ball_family_pass(monkeypatch):

@@ -42,7 +42,6 @@ def indicator_field(mesh, elements):
 def test_radii_set_values():
     rs = RadiiSet(0.05, 0.4, 0.5)
     assert np.allclose(rs.values(), [0.4, 0.2, 0.1, 0.05])
-    assert np.allclose(rs.below(0.3), [0.2, 0.1, 0.05])
     with pytest.raises(ValueError):
         RadiiSet(0.4, 0.05)
     with pytest.raises(ValueError):

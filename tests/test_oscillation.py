@@ -51,29 +51,50 @@ def test_modulus_families_evaluate():
     assert om2(1e-320) == pytest.approx((2.0 + 320 * math.log(10.0)) ** -2.0, rel=1e-12)
 
 
-def test_modulus_certificate_validation():
-    # power moduli certify themselves with c = 1 at beta equal to the power
-    power_modulus(0.7)
-    with pytest.raises(ValueError):
-        Modulus("power", (0.7,), beta_cert=0.3, c_omega=1.0)
-    with pytest.raises(ValueError):
-        Modulus("power", (0.7,), beta_cert=0.7, c_omega=0.5)
+_OUT_OF_RANGE = [
+    ("power", (0.0,), "power needs beta > 0, got beta=0.0"),
+    ("power", (-0.7,), "power needs beta > 0, got beta=-0.7"),
+    ("power", (math.nan,), r"power needs finite parameters, got \(nan,\)"),
+    ("power", (math.inf,), r"power needs finite parameters, got \(inf,\)"),
+    ("log_inverse", (-1.0, math.e), "log_inverse needs sigma >= 0, got sigma=-1.0"),
+    ("log_inverse", (math.nan, math.e), r"log_inverse needs finite parameters, got \(nan, "),
+    ("log_inverse", (math.inf, math.e), r"log_inverse needs finite parameters, got \(inf, "),
+    ("log_inverse", (1.0, 0.0), "log_inverse needs scale > 0, got scale=0.0"),
+    ("log_inverse", (1.0, -2.0), "log_inverse needs scale > 0, got scale=-2.0"),
+    ("log_inverse", (1.0, math.nan), r"log_inverse needs finite parameters, got \(1.0, nan\)"),
+    ("log_inverse", (1.0, math.inf), r"log_inverse needs finite parameters, got \(1.0, inf\)")]
 
 
-@pytest.mark.parametrize("scale, cert_r_max", [(math.e ** 2, None), (math.e, None),
-                                               (math.e ** 2, 1.0), (7.3, 0.3)])
-def test_dini_log_is_log_inverse_at_sigma_one_bitwise(scale, cert_r_max):
-    dini = dini_log_modulus(scale, cert_r_max=cert_r_max)
-    ref = log_inverse_modulus(1.0, scale, cert_r_max=cert_r_max)
+@pytest.mark.parametrize("family, params, message", _OUT_OF_RANGE,
+                         ids=[" ".join([f, *map(str, ps)]) for f, ps, _ in _OUT_OF_RANGE])
+def test_modulus_range_rules(family, params, message):
+    # each rule refuses its parameter out of range, through the class and
+    # through the factory that binds it
+    with pytest.raises(ValueError, match=message):
+        Modulus(family, params)
+    factory = power_modulus if family == "power" else log_inverse_modulus
+    with pytest.raises(ValueError, match=message):
+        factory(*params)
+    if family == "log_inverse" and params[0] == 1.0:
+        with pytest.raises(ValueError, match=message):
+            dini_log_modulus(params[1])
+
+
+def test_modulus_ranges_include_their_ends():
+    assert power_modulus(1e-300)(0.5) == 1.0
+    assert log_inverse_modulus(0.0, 1e-300)(1e-310) == 1.0
+    assert dini_log_modulus(1e300)(1.0) == pytest.approx(1.0 / (300 * math.log(10.0)))
+
+
+@pytest.mark.parametrize("scale", [math.e ** 2, math.e, 7.3])
+def test_dini_log_is_log_inverse_at_sigma_one_bitwise(scale):
+    dini = dini_log_modulus(scale)
+    ref = log_inverse_modulus(1.0, scale)
     r = np.geomspace(1e-300, 0.99 * scale, 97)
     assert np.array_equal(dini(r), ref(r))
     a, b = r[:-1:2], r[1::2]
     assert np.array_equal(dini.integral_dr_over_r(a, b), ref.integral_dr_over_r(a, b))
-    # the certificate in closed form: how much log(scale / r) grows from
-    # the top of the certified range down to 1e-9 of it, and at least 4
-    top = scale / math.e if cert_r_max is None else cert_r_max
-    assert dini.c_omega == ref.c_omega == max(
-        4.0, math.log(scale / (1e-9 * top)) / math.log(scale / top))
+    assert dini == ref
     assert dini.dini_finite is ref.dini_finite is False
 
 
@@ -276,6 +297,19 @@ def test_holder_controls_campanato():
     assert campanato_seminorm(mesh, f, om) <= 2.0 * holder_seminorm(mesh, f, om)
 
 
+def test_holder_seminorm_carries_a_nan_ratio():
+    # a nan ratio makes the sup nan; it is not dropped in favour of 0
+    mesh = Mesh((0, 1, 0, 1), 4)
+    f = linear_field(mesh)
+    d = np.hypot(*(mesh.barycenters[1] - mesh.barycenters[0]))
+
+    def omega(r):
+        return np.where(r == d, np.nan, r)
+
+    assert np.isfinite(holder_seminorm(mesh, f, power_modulus(1.0)))
+    assert math.isnan(holder_seminorm(mesh, f, omega))
+
+
 def _holder_by_rows(mesh, f, omega, max_pairs=10 ** 6):
     """The Hoelder seminorm one row of pairs at a time: the reference for
     the row blocks."""
@@ -317,7 +351,7 @@ def test_holder_row_blocks_are_the_rows_on_the_bench_tables(seed):
 
 
 def test_holder_row_blocks_are_the_rows_on_the_example55_windows():
-    omega = dini_log_modulus(scale=math.e ** 2, cert_r_max=1.0)
+    omega = dini_log_modulus(scale=math.e ** 2)
     for M in (48, 96):
         mesh = Mesh((-1.0, 1.0, -1.0, 1.0), M)
         _, F = _counterexample_fields(omega, mesh)
@@ -327,7 +361,7 @@ def test_holder_row_blocks_are_the_rows_on_the_example55_windows():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 14), st.integers(1, 2), st.integers(0, 2 ** 32 - 1),
        st.sampled_from([power_modulus(0.3), power_modulus(1.0),
-                        dini_log_modulus(scale=math.e ** 2, cert_r_max=1.0)]),
+                        dini_log_modulus(scale=math.e ** 2)]),
        st.sampled_from([10, 300, 10 ** 6]))
 def test_holder_row_blocks_match_the_rows(M, comps, seed, omega, max_pairs):
     # the pairs of each block are formed exactly as in their rows; the sup
@@ -415,6 +449,38 @@ def test_potential_params_need_a_positive_finite_radius(R):
     # does; a nan R has no radii and would give a potential of 0
     with pytest.raises(ValueError, match="R must be positive and finite"):
         PotentialParams(R=R, theta=0.5, p=Exponent(2.0))
+
+
+def _radii_by_loop(R, theta, h):
+    """The potential's radii as they were first built: R * theta^i while at
+    least 2h."""
+    out, r = [], R
+    while r >= 2.0 * h:
+        out.append(r)
+        r *= theta
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-6, 10.0), st.floats(0.05, 0.95), st.integers(2, 400))
+def test_potential_radii_are_the_radii_set_from_2h(R, theta, M):
+    mesh = Mesh((0, 1, 0, 1), M)
+    got = PotentialParams(R=R, theta=theta, p=Exponent(2.0)).radii(mesh)
+    ref = _radii_by_loop(R, theta, mesh.h)
+    # the radii set also keeps a last radius within 1e-12 relative below 2h
+    if len(got) == len(ref) + 1:
+        assert 2.0 * mesh.h * (1.0 - 1e-12) <= got[-1] < 2.0 * mesh.h
+        got = got[:-1]
+    assert list(got) == ref
+
+
+def test_potential_radii_differ_from_the_loop_only_within_1e_12_of_2h():
+    mesh = Mesh((0, 1, 0, 1), 16)
+    params = PotentialParams(R=2.0 * mesh.h * (1.0 - 1e-13) / 0.5, theta=0.5,
+                             p=Exponent(2.0))
+    assert len(params.radii(mesh)) == len(_radii_by_loop(params.R, 0.5, mesh.h)) + 1
+    below = PotentialParams(R=2.0 * mesh.h * (1.0 - 1e-13), theta=0.5, p=Exponent(2.0))
+    assert list(below.radii(mesh)) == _radii_by_loop(below.R, 0.5, mesh.h) == []
 
 
 def test_potential_constant_field_zero():
