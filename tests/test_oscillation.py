@@ -86,11 +86,13 @@ def test_modulus_ranges_include_their_ends():
     assert dini_log_modulus(1e300)(1.0) == pytest.approx(1.0 / (300 * math.log(10.0)))
 
 
-@pytest.mark.parametrize("scale", [math.e ** 2, math.e, 7.3])
-def test_dini_log_is_log_inverse_at_sigma_one_bitwise(scale):
+# r_top is the top of the sampled radii; None samples up to just below scale
+@pytest.mark.parametrize("scale, r_top", [(math.e ** 2, None), (math.e, None),
+                                          (math.e ** 2, 1.0), (7.3, 0.3)])
+def test_dini_log_is_log_inverse_at_sigma_one_bitwise(scale, r_top):
     dini = dini_log_modulus(scale)
     ref = log_inverse_modulus(1.0, scale)
-    r = np.geomspace(1e-300, 0.99 * scale, 97)
+    r = np.geomspace(1e-300, 0.99 * scale if r_top is None else r_top, 97)
     assert np.array_equal(dini(r), ref(r))
     a, b = r[:-1:2], r[1::2]
     assert np.array_equal(dini.integral_dr_over_r(a, b), ref.integral_dr_over_r(a, b))
