@@ -20,7 +20,9 @@ distances once over each center's cells around the largest ball, from the
 separable barycenter x and y coordinates, and compares each radius only on
 the cells that can hold it.  Members are gathered with one np.take per
 chunk, and means and deviations from each ball mean are segment sums, so a
-ball's result does not depend on the other balls of a call.
+ball's result does not depend on the other balls of a call.  Element
+fields are stored as plain-text tables (`write_elem_field`,
+`read_elem_field`), which `plaplab norm-table` reads.
 """
 
 import functools
@@ -40,8 +42,6 @@ __all__ = [
     "ball_oscillation",
     "ball_stats",
     "boundary_values",
-    "write_nodal_field",
-    "read_nodal_field",
     "write_elem_field",
     "read_elem_field",
 ]
@@ -506,9 +506,9 @@ def boundary_values(mesh, fn, components=1):
     return vals.reshape(len(pts), components)
 
 
-# --- plain-text field tables ------------------------------------------------
+# --- element-field tables ---------------------------------------------------
 #
-# NodalField rows: node,comp,value     ElemField rows: elem,row,col,value
+# ElemField rows: elem,row,col,value
 # Meshes are rebuilt from (bounds, M) and never serialized geometrically.
 
 
@@ -525,19 +525,21 @@ def _write_table(path, header, values):
         fh.write("".join([header + "\n"] + rows))
 
 
-def write_nodal_field(path, u: NodalField):
-    _write_table(path, "node,comp,value", u.values)
-
-
-def _read_rows(path, header, dtype):
-    """The rows under a fixed header as one np.loadtxt parse into `dtype`,
-    and a function giving each row's file line.  Blank lines are skipped, no
-    rows give an empty table, and a malformed row (a field that does not
-    parse, too few or too many fields) raises ValueError naming path:line."""
+def _read_table(path, header, sizes):
+    """Rows 'i_1,...,i_k,value' under a fixed header, read in one np.loadtxt
+    parse, as a dense array.  sizes gives each index's extent, or None to
+    take it from the largest index given.  Blank lines are skipped.  Every
+    index tuple must have exactly one row: no rows, a malformed row (a field
+    that does not parse, too few or too many fields), an index out of range,
+    a duplicate or a gap raises ValueError naming path:line."""
     with open(path) as fh:
         if fh.readline().strip() != header:
             raise ValueError(f"{path}:1: expected header {header!r}")
         lines = fh.read().splitlines()
+    if not any(line.strip() for line in lines):
+        raise ValueError(f"{path}:1: no rows after the header")
+    k = len(sizes)
+    dtype = [(f"i{j}", np.int64) for j in range(k)] + [("value", np.float64)]
 
     def parse(rows):
         return np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
@@ -545,10 +547,8 @@ def _read_rows(path, header, dtype):
     def row_lines():
         return [n for n, line in enumerate(lines, start=2) if line.strip()]
 
-    if not any(line.strip() for line in lines):
-        return np.empty(0, dtype), row_lines     # loadtxt warns on zero rows
     try:
-        return parse(lines), row_lines     # skips empty lines, not whitespace-only ones
+        table = parse(lines)     # skips empty lines, not whitespace-only ones
     except ValueError:
         # a malformed row, or a blank line of whitespace: find the first row
         # that does not parse alone
@@ -558,20 +558,7 @@ def _read_rows(path, header, dtype):
                 parse([line])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: malformed row {line.strip()!r}") from exc
-        return parse(rows), row_lines
-
-
-def _read_table(path, header, sizes):
-    """Rows 'i_1,...,i_k,value' under a fixed header (`_read_rows`), as a
-    dense array.  sizes gives each index's extent, or None to take it from
-    the largest index given.  Every index tuple must have exactly one row: a
-    malformed row, an index out of range, a duplicate or a gap raises
-    ValueError naming path:line."""
-    k = len(sizes)
-    dtype = [(f"i{j}", np.int64) for j in range(k)] + [("value", np.float64)]
-    table, row_lines = _read_rows(path, header, dtype)
-    if not table.size:
-        raise ValueError(f"{path}:1: no rows after the header")
+        table = parse(rows)
     keys = np.column_stack([table[f"i{j}"] for j in range(k)])
     vals = table["value"]
     shape = tuple(int(keys[:, j].max()) + 1 if n is None else n
@@ -594,10 +581,6 @@ def _read_table(path, header, sizes):
     out = np.empty(shape)
     out.flat[flat] = vals
     return out
-
-
-def read_nodal_field(path):
-    return NodalField(_read_table(path, "node,comp,value", (None, None)))
 
 
 def write_elem_field(path, f: ElemField):

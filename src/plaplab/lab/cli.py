@@ -6,7 +6,8 @@
 Experiments: basic-estimate, decay, oscillation, potential, example55,
 reduction.  Each run writes <out>/<experiment>.json and .csv and prints a
 summary with the run's wall time; with --assert the process exits nonzero
-when any recorded assertion fails.
+when any recorded assertion fails.  A bad config, --seed, --grid, field
+table or --out prints 'error: <message>' and exits with code 2.
 """
 
 import argparse
@@ -17,7 +18,7 @@ import sys
 import time
 
 from ..grid import Mesh, read_elem_field
-from .config import ExperimentConfig, _prefixed, _sized
+from .config import ExperimentConfig
 from .experiments import EXPERIMENTS, norm_table
 
 __all__ = ["main"]
@@ -60,11 +61,27 @@ def _load_config(args):
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
-    cfg = _load_config(args)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        cfg = _load_config(args)
+        if args.command == "norm-table":
+            mesh = Mesh(cfg.bounds, args.grid if args.grid is not None else cfg.grids[0])
+            field = read_elem_field(args.field)
+            shape = field.tensors.shape
+            if shape[0] != mesh.num_elements:
+                raise ValueError(f"{args.field} (set --grid): the file holds a table of "
+                                 f"shape {shape}, not {(mesh.num_elements, *shape[1:])}")
+        os.makedirs(args.out, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "norm-table":
-        return _run_norm_table(args, cfg)
+        rows = norm_table(mesh, field, cfg)
+        with open(os.path.join(args.out, "norm-table.csv"), "w", newline="") as fh:
+            csv.writer(fh).writerows([("norm", "value"), *rows])
+        for name, value in rows:
+            print(f"{name},{value!r}")
+        return 0
 
     t0 = time.monotonic()
     report = EXPERIMENTS[args.command](cfg)
@@ -75,26 +92,6 @@ def main(argv=None):
         print(line)
     if cfg.assert_mode and not report.all_passed:
         return 1
-    return 0
-
-
-def _run_norm_table(args, cfg):
-    try:
-        mesh = Mesh(cfg.bounds, args.grid if args.grid is not None else cfg.grids[0])
-        field = read_elem_field(args.field)
-        with _prefixed(f"{args.field} (set --grid)"):
-            _sized(field.tensors, (mesh.num_elements, *field.tensors.shape[1:]))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = norm_table(mesh, field, cfg)
-    path = os.path.join(args.out, "norm-table.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["norm", "value"])
-        writer.writerows(rows)
-    for name, value in rows:
-        print(f"{name},{value!r}")
     return 0
 
 

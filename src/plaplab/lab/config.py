@@ -1,4 +1,4 @@
-"""Flat key-value experiment configuration, and problem files (`load_problem`).
+"""Flat key-value experiment configuration.
 
 Config files are plain text, one `key = value` per line, `#` comments.
 A key appears at most once, and a key not documented here is an error.
@@ -23,7 +23,8 @@ Values are checked when the config is built, and an error names its key
 (and the file, from `ExperimentConfig.from_file`); p, grids, bounds, modulus
 and young by the rules of the exponent, the mesh, the modulus and the Young
 function they make (a modulus also at the diameter of bounds), and p and
-grids repeat no value.  Problem files read p, grid, bounds and comps alike.
+grids repeat no value.  On every grid the runs' radii must fit: the larger
+of r_min_cells and 2 cell widths is at most r_max_frac times the side.
 
 Modulus families: power (beta), constant (none), log_inverse (sigma, then
 optional scale) and dini_log (log_inverse at sigma = 1, optional scale).
@@ -38,18 +39,12 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from ..fluxmaps import Exponent
-from ..grid import (ElemField, Mesh, _cells_per_side, _square_bounds, read_elem_field,
-                    read_nodal_field)
+from ..grid import _cells_per_side, _square_bounds
 from ..oscillation import constant_modulus, dini_log_modulus, log_inverse_modulus, power_modulus
 from ..rearrange import CapYoung, ExpYoung, LorentzSpec, PowerYoung
-from ..solver import DirichletProblem
-from . import cases
 
-__all__ = ["ExperimentConfig", "parse_config_file", "load_problem", "modulus_from_spec",
-           "young_from_spec"]
+__all__ = ["ExperimentConfig", "parse_config_file", "modulus_from_spec", "young_from_spec"]
 
 
 def parse_config_file(path):
@@ -66,59 +61,6 @@ def parse_config_file(path):
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             out[key] = val
     return out
-
-
-def load_problem(path):
-    """Build a DirichletProblem from a flat key-value problem file, whose
-    keys are each optional and at most once (any other key is an error):
-
-        p          exponent, > 1                                   2
-        grid       cells per side M                                32
-        bounds     x0, x1, y0, y1                                  0, 1, 0, 1
-        comps      number of solution components N                 1
-        F          zero | file <path> | trig <seed> | amap <seed>  zero
-        g          keep | zero | affine <a> <b> <c> | file <path> | trace <seed>
-
-    'trig' builds a seeded truncated trigonometric series, 'amap' builds
-    F = A(grad w) for a seeded smooth w, 'trace' builds a seeded rough
-    piecewise-linear boundary trace.  'keep' (the default) takes the boundary
-    data that comes with F: the trace of w for 'amap', zero otherwise.  Each
-    value is checked by the rule of the object it builds, and a bad one
-    raises ValueError naming the file and the key.
-    """
-    given = parse_config_file(path)
-    unknown = sorted(set(given) - set(_PROBLEM_DEFAULTS))
-    if unknown:
-        raise ValueError(f"{path}: unknown problem key(s): {', '.join(unknown)}")
-    kv = {**_PROBLEM_DEFAULTS, **given}
-
-    def read(key, build):
-        with _prefixed(f"{path}: problem key {key!r}"):
-            return build(kv[key])
-
-    p = read("p", _KEYS["p"].build)
-    mesh = Mesh(read("bounds", _KEYS["bounds"].build), read("grid", _KEYS["grids"].build))
-    comps = read("comps", _KEYS["comps"].build)
-    zero = np.zeros((len(mesh.boundary_nodes), comps))
-    pts = mesh.nodes[mesh.boundary_nodes]
-    F, kept = read("F", lambda t: _source(t, {
-        "zero": lambda: (ElemField.zeros(mesh, rows=comps), zero),
-        "file": lambda file: (ElemField(_sized(read_elem_field(file).tensors,
-                                               (mesh.num_elements, comps, 2))), zero),
-        "trig": lambda seed: (cases.random_smooth_field(mesh, comps, _seeded(seed)), zero),
-        "amap": lambda seed: cases.manufactured_problem_data(p, mesh, comps, _seeded(seed))[:2]}))
-    # g's rule is the problem's own: finite values, one row per boundary node
-    return read("g", lambda t: DirichletProblem(p, mesh, F, _source(t, {
-        "keep": lambda: kept, "zero": lambda: zero,
-        "affine": lambda a, b, c: np.repeat(
-            (float(a) * pts[:, 0] + float(b) * pts[:, 1] + float(c))[:, None], comps, axis=1),
-        "file": lambda file: _sized(read_nodal_field(file).values,
-                                    (mesh.num_nodes, comps))[mesh.boundary_nodes],
-        "trace": lambda seed: cases.rough_boundary_trace(mesh, comps, _seeded(seed))})))
-
-
-_PROBLEM_DEFAULTS = {"p": "2.0", "grid": "32", "bounds": "0, 1, 0, 1", "comps": "1",
-                     "F": "zero", "g": "keep"}
 
 
 @contextmanager
@@ -153,25 +95,10 @@ modulus_from_spec = partial(_family, "modulus family", _MODULI)
 young_from_spec = partial(_family, "Young function family", _YOUNG)
 
 
-def _source(text, builders):
-    """An F or g source built by the builder of its name."""
-    return _family("source", builders, *_spec(text, str))
-
-
-def _spec(text, read=float):
+def _spec(text):
     """A family's name and its arguments: 'power 0.3' -> ('power', (0.3,))."""
     name, *args = text.split() or [""]
-    return name, tuple(read(x) for x in args)
-
-
-def _seeded(seed):
-    return np.random.default_rng(_whole(seed))
-
-
-def _sized(table, shape):
-    if table.shape != shape:
-        raise ValueError(f"the file holds a table of shape {table.shape}, not {shape}")
-    return table
+    return name, tuple(float(x) for x in args)
 
 
 def _rule(holds, says):
@@ -210,9 +137,6 @@ class _Key(NamedTuple):
     read: Callable
     rule: Callable
     many: bool = False
-
-    def build(self, text):
-        return self.rule(self.read(text))
 
 
 _COUNT = _rule(lambda n: n >= 0, "must be at least 0")
@@ -270,6 +194,15 @@ class ExperimentConfig:
         diameter = math.hypot(x1 - x0, y1 - y0)
         with _prefixed(f"config key 'modulus' at the domain diameter {diameter:g}"):
             modulus_from_spec(*self.modulus_spec)(diameter)
+        # radius sets run from r_min_cells * h to r_max_frac * side, and the
+        # potential's ladder from 2h to r_max_frac * side
+        r_max = self.r_max_frac * (x1 - x0)
+        for M in self.grids:
+            r_min = max(self.r_min_cells, 2.0) * ((x1 - x0) / M)
+            if r_min > r_max:
+                raise ValueError(f"config key 'grids': at M = {M} the smallest radius, "
+                                 f"the larger of r_min_cells and 2 cell widths, {r_min:g} "
+                                 f"exceeds r_max_frac * side = {r_max:g}")
 
     @classmethod
     def from_mapping(cls, kv):

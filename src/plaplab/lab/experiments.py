@@ -755,7 +755,8 @@ def _modular_constant(theta, phi, sfA, sfF):
 
 
 def norm_table(mesh, field: ElemField, cfg: ExperimentConfig):
-    """All implemented norms and seminorms of a field as (name, value) rows."""
+    """All implemented norms and seminorms of a field as (name, value) rows,
+    each value a Python float."""
     omega = modulus_from_spec(*cfg.modulus_spec)
     phi = young_from_spec(*cfg.young_spec)
     norms = field.norms()
@@ -774,7 +775,7 @@ def norm_table(mesh, field: ElemField, cfg: ExperimentConfig):
     profile = sups.vmo_profile()
     for r, v in zip(profile.radii, profile.values):
         rows.append((f"VMO[{r:g}]", v))
-    return rows
+    return [(name, float(value)) for name, value in rows]
 
 
 EXPERIMENTS = {

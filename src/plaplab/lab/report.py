@@ -8,6 +8,7 @@ kept on the in-memory object only and never written into the files.
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,20 +17,17 @@ __all__ = ["Report", "AssertionRecord"]
 
 
 def _jsonable(obj):
-    """Recursively strip numpy scalar/array types so json can emit them."""
+    """Recursively turn numpy scalars and arrays into Python values, and a
+    float nan or inf into its repr ('nan', 'inf', '-inf'): standard JSON."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
         return repr(obj)
     return obj
 
@@ -78,7 +76,7 @@ class Report:
 
     def write_json(self, path):
         with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
+            json.dump(self.as_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
     def write_csv(self, path):

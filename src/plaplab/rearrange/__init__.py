@@ -10,8 +10,6 @@ from .stepfun import (
     lorentz_norm,
     luxemburg_norm,
     marcinkiewicz_norm,
-    write_step_function,
-    read_step_function,
 )
 from .young import (
     YoungFunction,
@@ -38,8 +36,7 @@ from .hardy import (
 
 __all__ = [
     "StepFunction", "PiecewiseConstant", "rearrange", "double_star", "lq_norm", "lorentz_norm",
-    "luxemburg_norm", "marcinkiewicz_norm", "write_step_function",
-    "read_step_function",
+    "luxemburg_norm", "marcinkiewicz_norm",
     "YoungFunction", "PowerYoung", "ExpYoung", "CapYoung", "JumpYoung",
     "SampledYoung", "orlicz_target",
     "HypothesisViolation", "default_grid",

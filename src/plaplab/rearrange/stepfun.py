@@ -10,7 +10,6 @@ running average f** is the engine's exact `average_transform`.
 
 import numpy as np
 
-from ..grid import _read_rows
 from .hardy import DecreasingPieces, LebesgueSpec, LorentzSpec, OrliczSpec, average_transform
 
 __all__ = [
@@ -22,8 +21,6 @@ __all__ = [
     "lorentz_norm",
     "luxemburg_norm",
     "marcinkiewicz_norm",
-    "write_step_function",
-    "read_step_function",
 ]
 
 
@@ -139,16 +136,3 @@ def marcinkiewicz_norm(sf: StepFunction, eta):
         raise ValueError("eta must be nondecreasing")
     return float(np.max(weights * sf.values))
 
-
-def write_step_function(path, sf: StepFunction):
-    with open(path, "w") as fh:
-        fh.write("measure,value\n")
-        for m, v in zip(sf.measures, sf.values):
-            fh.write(f"{float(m)!r},{float(v)!r}\n")
-
-
-def read_step_function(path):
-    """The profile of a 'measure,value' file written by `write_step_function`;
-    a header-only file gives the empty profile."""
-    table, _ = _read_rows(path, "measure,value", [("measure", float), ("value", float)])
-    return StepFunction(table["value"], table["measure"])

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,7 @@ from connectivity import elements
 from plaplab.grid import (ElemField, EmptyBallError, Mesh, NodalField,
                           ball_elements, ball_oscillation, boundary_values,
                           gradient, integrate, read_elem_field,
-                          read_nodal_field, write_elem_field,
-                          write_nodal_field)
+                          write_elem_field)
 
 
 @pytest.fixture
@@ -280,22 +280,10 @@ def test_oscillation_shift_and_scale_invariance(unit_mesh):
 
 def test_field_io_round_trip(tmp_path, unit_mesh):
     rng = np.random.default_rng(3)
-    u = NodalField(rng.normal(size=(unit_mesh.num_nodes, 2)))
     f = ElemField(rng.normal(size=(unit_mesh.num_elements, 2, 2)))
-    up, fp = tmp_path / "u.csv", tmp_path / "f.csv"
-    write_nodal_field(up, u)
+    fp = tmp_path / "f.csv"
     write_elem_field(fp, f)
-    assert np.array_equal(read_nodal_field(up).values, u.values)
     assert np.array_equal(read_elem_field(fp).tensors, f.tensors)
-
-
-def _write_nodal_field_per_entry(path, u):
-    """Reference: the writer as one write per entry."""
-    with open(path, "w") as fh:
-        fh.write("node,comp,value\n")
-        for node in range(u.values.shape[0]):
-            for comp in range(u.values.shape[1]):
-                fh.write(f"{node},{comp},{float(u.values[node, comp])!r}\n")
 
 
 def _write_elem_field_per_entry(path, f):
@@ -314,18 +302,13 @@ def test_field_writers_match_the_per_entry_reference(tmp_path, unit_mesh, N):
     special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 3.0, -7.0, 1e16, 0.1])
     rng = np.random.default_rng(N)
     for scale in (1.0, 1e-300, 1e300):
-        nodal = rng.normal(size=(unit_mesh.num_nodes, N)) * scale
         elem = rng.normal(size=(unit_mesh.num_elements, N, 2)) * scale
-        nodal.flat[:special.size] = special
         elem.flat[:special.size] = special
-        for write, ref, field in ((write_nodal_field, _write_nodal_field_per_entry,
-                                   NodalField(nodal)),
-                                  (write_elem_field, _write_elem_field_per_entry,
-                                   ElemField(elem))):
-            got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-            write(got, field)
-            ref(want, field)
-            assert got.read_bytes() == want.read_bytes()
+        field = ElemField(elem)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_elem_field(got, field)
+        _write_elem_field_per_entry(want, field)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_field_io_reports_line_numbers(tmp_path):
@@ -336,10 +319,22 @@ def test_field_io_reports_line_numbers(tmp_path):
     path.write_text("wrong,header\n")
     with pytest.raises(ValueError, match=":1"):
         read_elem_field(path)
+    # blank lines, empty or of whitespace, are skipped but counted
+    path.write_text("elem,row,col,value\n0,0,0,1.0\n  \n\n0,0,1,2.0\n")
+    assert read_elem_field(path).tensors.tolist() == [[[1.0, 2.0]]]
+    path.write_text("elem,row,col,value\n0,0,0,1.0\n  \n0,0\n0,0,1,2.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: malformed row '0,0'$"):
+        read_elem_field(path)
+    path.write_text("elem,row,col,value\n0,0,0,1.0,5.0\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: malformed row"):
+        read_elem_field(path)
+    for text in ("elem,row,col,value\n", "elem,row,col,value\n\n  \n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=":1: no rows after the header"):
+            read_elem_field(path)
 
 
 @pytest.mark.parametrize("reader, header, rows", [
-    (read_nodal_field, "node,comp,value", ["0,0,1.0", "{i},0,2.0"]),
     (read_elem_field, "elem,row,col,value",
      ["0,0,0,1.0", "0,0,1,1.0", "{i},0,0,2.0", "{i},0,1,2.0"]),
 ])

@@ -12,24 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from plaplab.grid import ElemField, Mesh, NodalField, write_elem_field, write_nodal_field
+from plaplab.grid import ElemField, Mesh, write_elem_field
 from plaplab.lab.cases import (N_MODES, boundary_knots, perimeter_coordinate,
-                               random_smooth_potential, rough_boundary_trace, smooth_potential_fn,
-                               smooth_tensor_fn, trace_from_knots, trig_series)
+                               rough_boundary_trace, smooth_potential_fn, smooth_tensor_fn,
+                               trace_from_knots, trig_series)
 from plaplab.lab import config
 from plaplab.lab.cli import main as cli_main
-from plaplab.lab.config import (ExperimentConfig, load_problem, modulus_from_spec,
-                                parse_config_file, young_from_spec)
+from plaplab.lab.config import (ExperimentConfig, modulus_from_spec, parse_config_file,
+                                young_from_spec)
 from plaplab.lab.experiments import (EXPERIMENTS, _modular_constant, exp_basic_estimate,
                                      exp_decay, exp_potential, norm_table, xi_profile)
 from plaplab.lab.report import Report
 from plaplab.oscillation import dini_log_modulus, log_inverse_modulus
 from plaplab.rearrange import CapYoung, ExpYoung, PowerYoung, StepFunction
-from plaplab.solver import SolverConfig, solve
 import math
 
 SMALL = dict(ps=[1.5, 3.0], grids=[16], n_seeds=2, seed=5)
-TIGHT = SolverConfig(tol_residual=1e-9, max_iter=400)
 
 
 def test_config_parsing(tmp_path):
@@ -141,7 +139,11 @@ def test_config_rejects_out_of_range_values_naming_the_key(key, text):
     ("modulus", "log_inverse 1 1", "diameter 1.41421: .*modulus scale 1$"),
     ("modulus", "dini_log 1", "diameter 1.41421: .*modulus scale 1$"),
     ("modulus", {"modulus": "dini_log", "bounds": "0, 10, 0, 10"},
-     "diameter 14.1421: .*modulus scale 7.38906$")])
+     "diameter 14.1421: .*modulus scale 7.38906$"),
+    # every radius set needs its smallest radius, the larger of r_min_cells
+    # and 2 cell widths, at most r_max_frac * side: 2/7 > 1/4 at the default keys
+    ("grids", "7", "at M = 7 the smallest radius.* 0.285714 exceeds .* 0.25$"),
+    ("grids", {"grids": "12", "r_max_frac": "0.1"}, "at M = 12 .* exceeds")])
 def test_config_rejects_what_a_run_would_reject_naming_the_key(key, text, reason):
     # each of these used to fail only inside a run, with a message naming no key
     with pytest.raises(ValueError, match=f"config key '{key}'.*{reason}"):
@@ -165,12 +167,16 @@ def test_config_accepts_a_log_scale_just_above_the_diameter():
 
 
 def test_config_accepts_the_ends_of_the_ranges():
+    # at M = 2 the smallest radius, 2 cell widths, is the whole side
     cfg = ExperimentConfig.from_mapping({"grids": "2", "seed": "0", "lorentz_r": "inf",
-                                         "bounds": "-1, 1, 3, 5", "p": "1.01"})
+                                         "bounds": "-1, 1, 3, 5", "p": "1.01",
+                                         "r_max_frac": "1"})
     assert (cfg.grids, cfg.seed, cfg.lorentz_r) == ([2], 0, math.inf)
+    # and at the default keys M = 8, where it is r_max_frac * side
+    assert ExperimentConfig(grids=[8]).grids == [8]
 
 
-def test_whole_number_keys_read_integer_and_whole_float_literals(tmp_path):
+def test_whole_number_keys_read_integer_and_whole_float_literals():
     cfg = ExperimentConfig.from_mapping({"seed": "7.0", "n_seeds": "5.0", "grids": "32.0, 1e2",
                                          "comps": "2.0"})
     assert (cfg.seed, cfg.n_seeds, cfg.grids, cfg.comps) == (7, 5, [32, 100], 2)
@@ -182,13 +188,6 @@ def test_whole_number_keys_read_integer_and_whole_float_literals(tmp_path):
     for text in ("1" + "0" * 400, "1e400"):
         with pytest.raises(ValueError, match="config key 'grids'"):
             ExperimentConfig.from_mapping({"grids": text})
-    # a problem file's grid, comps and source seeds read alike
-    path = tmp_path / "prob.cfg"
-    path.write_text("grid = 4.0\ncomps = 2.0\nF = trig 3.0\n")
-    prob = load_problem(path)
-    assert (prob.mesh.cells_per_side, prob.g.shape[1]) == (4, 2)
-    path.write_text("grid = 4\ncomps = 2\nF = trig 3\n")
-    assert np.array_equal(prob.F.tensors, load_problem(path).F.tensors)
 
 
 def test_modulus_from_spec():
@@ -215,76 +214,25 @@ def test_young_from_spec():
             young_from_spec(name, params)
 
 
-def test_cli_seed_override_is_checked_like_the_config_key(tmp_path):
-    with pytest.raises(ValueError, match="config key 'seed'"):
-        cli_main(["decay", "--seed", "-1", "--out", str(tmp_path)])
+def test_cli_seed_override_is_checked_like_the_config_key(tmp_path, capsys):
+    assert cli_main(["decay", "--seed", "-1", "--out", str(tmp_path)]) == 2
+    assert "error: config key 'seed'" in capsys.readouterr().err
 
 
-def test_problem_file_loading(tmp_path):
-    cfgfile = tmp_path / "prob.cfg"
-    cfgfile.write_text(
-        "p = 3.0\ngrid = 8\nbounds = 0, 1, 0, 1\ncomps = 1\n"
-        "F = amap 4\ng = keep\n")
-    prob = load_problem(cfgfile)
-    assert prob.p.p == 3.0
-    assert prob.mesh.cells_per_side == 8
-    sol = solve(prob, TIGHT)
-    assert sol.residual <= 1e-9
-
-    cfgfile.write_text("p = 2.0\ngrid = 6\nF = zero\ng = affine 1 2 0\n")
-    prob = load_problem(cfgfile)
-    sol = solve(prob, TIGHT)
-    exact = prob.mesh.nodes[:, 0] + 2.0 * prob.mesh.nodes[:, 1]
-    assert np.allclose(sol.u.values[:, 0], exact, atol=1e-8)
-
-
-def test_problem_file_rejects_unknown_keys(tmp_path):
-    # 'grids' is a typo for 'grid' and must not fall back to the default M
-    cfgfile = tmp_path / "prob.cfg"
-    cfgfile.write_text("p = 3.0\ngrids = 8\n")
-    with pytest.raises(ValueError, match="unknown problem key.*grids"):
-        load_problem(cfgfile)
-
-
-def test_problem_file_boundary_sources_with_amap(tmp_path):
-    # an absent g keeps the trace of the amap potential; g = zero means zero
-    cfgfile = tmp_path / "prob.cfg"
-    head = "p = 3.0\ngrid = 8\nF = amap 4\n"
-    mesh = Mesh((0, 1, 0, 1), 8)
-    w = random_smooth_potential(mesh, 1, np.random.default_rng(4))
-    trace = w.values[mesh.boundary_nodes]
-    assert np.abs(trace).max() > 0.1
-    for g_line, expected in (("", trace), ("g = keep\n", trace),
-                             ("g = zero\n", np.zeros_like(trace))):
-        cfgfile.write_text(head + g_line)
-        assert np.array_equal(load_problem(cfgfile).g, expected), g_line
-
-
-@pytest.mark.parametrize("line, reason", [
-    ("comps = 0", "'comps': must be at least 1"),
-    ("bounds = 0, 1", "'bounds': .*expected 4"),
-    ("grid = 8.5", "'grid': must be a whole number, not '8.5'"),
-    ("comps = 2.5", "'comps': must be a whole number, not '2.5'"),
-    ("p = 1", "'p': .*p > 1"),
-    ("F = trig", "'F': source 'trig': missing a required argument: 'seed'"),
-    ("F = file", "'F': source 'file': missing a required argument: 'file'"),
-    ("F = file {elems}", r"'F': .* shape \(32, 1, 2\), not \(2048, 1, 2\)"),
-    ("g = affine 1 2", "'g': source 'affine': missing a required argument: 'c'"),
-    ("g = zero 0", "'g': source 'zero': too many positional arguments"),
-    ("g = file {nodes}", r"'g': .* shape \(25, 1\), not \(1089, 1\)"),
-    ("g = sine", "'g': unknown source 'sine'"),
-    ("g = affine nan 0 0", "'g': boundary data must be finite")])
-def test_problem_file_names_the_bad_key(tmp_path, line, reason):
-    # each of these used to load a problem that failed later, or raise an
-    # IndexError or an unpacking error that named no key
-    coarse = Mesh((0, 1, 0, 1), 4)
-    elems, nodes = tmp_path / "elems.csv", tmp_path / "nodes.csv"
-    write_elem_field(elems, ElemField.zeros(coarse))
-    write_nodal_field(nodes, NodalField.zeros(coarse))
-    path = tmp_path / "prob.cfg"
-    path.write_text(line.format(elems=elems, nodes=nodes) + "\n")
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: problem key {reason}"):
-        load_problem(path)
+def test_cli_reports_bad_input_on_stderr_with_exit_2(tmp_path, capsys):
+    # a bad config value, a missing config file and a bad --out end like a
+    # bad field table, not in a traceback
+    path = tmp_path / "lab.cfg"
+    path.write_text("p = 0.5\n")
+    for cfg in (path, tmp_path / "none.cfg"):
+        assert cli_main(["decay", "--config", str(cfg), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(cfg) in err
+    assert not (tmp_path / "rep").exists()
+    # and so does an output directory that cannot be made
+    assert cli_main(["decay", "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 def _key_column(doc):
@@ -293,17 +241,9 @@ def _key_column(doc):
             if line.startswith("    ")}
 
 
-def test_documented_keys_are_the_accepted_keys(tmp_path):
+def test_documented_keys_are_the_accepted_keys():
     # the module docstring says that a key not documented there is an error
     assert _key_column(config.__doc__) == set(config._KEYS)
-    assert _key_column(load_problem.__doc__) == set(config._PROBLEM_DEFAULTS)
-    path = tmp_path / "prob.cfg"
-    for key, text in config._PROBLEM_DEFAULTS.items():
-        path.write_text(f"{key} = {text}\n")
-        load_problem(path)
-    path.write_text("grids = 8\n")
-    with pytest.raises(ValueError, match="unknown problem key"):
-        load_problem(path)
 
 
 def test_report_roundtrip_and_determinism(tmp_path):
@@ -324,6 +264,23 @@ def test_report_roundtrip_and_determinism(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "case,p,M,seed,fitted_constant,stability_factor,pass"
     assert lines[1].startswith("a,2.0,16,0,1.25")
+
+
+def test_report_writes_numpy_nan_and_inf_as_standard_json(tmp_path):
+    rep = Report("demo", {"x": np.float64("nan")})
+    rep.add_case(case="a", high=np.float64("inf"), low=np.float32("-inf"),
+                 row=np.array([1.0, np.nan]))
+    rep.check("demo assertion", "none", True, value=np.float64("nan"))
+    path = tmp_path / "r.json"
+    rep.write_json(path)
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    data = json.loads(path.read_text(), parse_constant=refuse)
+    assert data["config"]["x"] == data["assertions"][0]["value"] == "nan"
+    assert (data["cases"][0]["high"], data["cases"][0]["low"]) == ("inf", "-inf")
+    assert data["cases"][0]["row"] == [1.0, "nan"]
 
 
 def test_every_assertion_names_a_tolerance():
@@ -551,6 +508,21 @@ def test_norm_table_values_and_invariance():
     t_meas = 10 * mesh.element_area
     expect = (2.0 / cfg.lorentz_r) ** (1.0 / cfg.lorentz_r) * t_meas ** 0.5
     assert rowsi[f"Lorentz(2,{cfg.lorentz_r:g})"] == pytest.approx(expect, rel=1e-12)
+
+
+def test_norm_table_rows_are_python_floats_on_stdout(tmp_path, capsys):
+    mesh = Mesh((0, 1, 0, 1), 16)
+    field = ElemField(np.random.default_rng(5).normal(size=(mesh.num_elements, 1, 2)))
+    rows = norm_table(mesh, field, ExperimentConfig())
+    assert all(type(value) is float for _, value in rows)
+    fpath = tmp_path / "field.csv"
+    write_elem_field(fpath, field)
+    assert cli_main(["norm-table", "--field", str(fpath), "--grid", "16",
+                     "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{name},{value!r}" for name, value in rows]
+    for line in lines:
+        float(line.rsplit(",", 1)[1])     # 'VMO[0.125],0.87', not 'np.float64(0.87)'
 
 
 def test_cli_runs_and_asserts(tmp_path):
@@ -813,7 +785,7 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 assert not scipy_modules(), scipy_modules()[:3]
-from plaplab.grid import ElemField, Mesh, NodalField, write_elem_field, write_nodal_field
+from plaplab.grid import ElemField, Mesh, write_elem_field
 from plaplab.lab.cli import main
 mesh = Mesh((0, 1, 0, 1), 8)
 write_elem_field(sys.argv[1], ElemField(np.random.default_rng(0).normal(size=(128, 1, 2))))

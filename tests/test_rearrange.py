@@ -1,6 +1,4 @@
 import math
-import re
-import warnings
 
 import mpmath
 import numpy as np
@@ -19,8 +17,7 @@ from plaplab.rearrange import (CapYoung, DecreasingPieces, ExpYoung,
                                StepFunction, average_transform, double_star,
                                hardy_check_avg, hardy_check_tail, lorentz_norm,
                                lq_norm, luxemburg_norm, marcinkiewicz_norm,
-                               orlicz_target, read_step_function, rearrange,
-                               tail_log_transform, write_step_function,
+                               orlicz_target, rearrange, tail_log_transform,
                                default_grid)
 from plaplab.rearrange.hardy import (_FLOOR, _NODES, _TINY, _WEIGHTS, _exp_upper_gamma,
                                      _luxemburg_search, _member_sums, _rule,
@@ -239,36 +236,6 @@ def test_marcinkiewicz_cases():
     assert marcinkiewicz_norm(zero, lambda s: np.asarray(s)) == 0.0
 
 
-def test_step_io_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    sf = random_step(rng)
-    path = tmp_path / "sf.csv"
-    write_step_function(path, sf)
-    back = read_step_function(path)
-    assert np.array_equal(back.values, sf.values)
-    assert np.array_equal(back.measures, sf.measures)
-
-
-def test_step_function_reader_skips_blank_lines_and_names_a_bad_row(tmp_path):
-    path = tmp_path / "sf.csv"
-    path.write_text("measure,value\n0.5,2.0\n   \n\n0.25,1.0\n")
-    sf = read_step_function(path)
-    assert sf.values.tolist() == [2.0, 1.0] and sf.measures.tolist() == [0.5, 0.25]
-    path.write_text("measure,value\n0.5,2.0\n  \n0.25\n0.25,1.0\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: malformed row '0.25'$"):
-        read_step_function(path)
-    path.write_text("measure,value\n0.5,2.0,1.0\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: malformed row"):
-        read_step_function(path)
-    # a header-only file is the empty profile, read without loadtxt's warning
-    for text in ("measure,value\n", "measure,value\n\n  \n"):
-        path.write_text(text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            empty = read_step_function(path)
-        assert len(empty.values) == 0 and empty.total_measure == 0.0
-
-
 # --- Young functions ------------------------------------------------------------------
 
 
@@ -458,7 +425,7 @@ def test_tail_transform_offset_indicator_closed_form():
     assert tail(2.5) == 0.0
 
 
-def test_step_function_invariants_enforced(tmp_path):
+def test_step_function_invariants_enforced():
     with pytest.raises(ValueError):
         StepFunction(np.array([1.0, 2.0]), np.array([1.0, 1.0]))   # increasing
     with pytest.raises(ValueError):
@@ -468,10 +435,6 @@ def test_step_function_invariants_enforced(tmp_path):
             StepFunction(np.array([2.0, 1.0]), np.array([bad, 1.0]))
         with pytest.raises(ValueError, match="measures must be finite and positive"):
             PiecewiseConstant(np.array([0.0, 1.0]), np.array([1.0, bad]))
-    path = tmp_path / "nan.csv"
-    path.write_text("measure,value\nnan,1.0\n")
-    with pytest.raises(ValueError, match="measures must be finite and positive"):
-        read_step_function(path)
     with pytest.raises(ValueError):
         StepFunction(np.array([-1.0]), np.array([1.0]))            # negative value
     with pytest.raises(ValueError, match="leaves an empty piece"):
